@@ -12,8 +12,7 @@ from .benford import (DigitHistogram, DigitReport, Family, ModelReport,
                       mad_from_probs, mad_score, model_report, signed_deviations)
 from .quantizer import (DEFAULT_POLICY, QUANTIZE_ALL, ModelQuantization,
                         QuantConfig, QuantPolicy, QuantizedTensor, apply_policy,
-                        dequantize, nearest_level_indices, quantize_group,
-                        quantize_tensor, rtn_dequantize, rtn_quantize_group)
+                        dequantize, nearest_level_indices, quantize_tensor)
 from .metrics import DistortionReport, compare_schedules, distortion
 from .io import (WeightTensor, pack_indices, read_benq, read_container,
                  unpack_indices, write_benq, write_container)
@@ -29,8 +28,7 @@ __all__ = [
     "model_report", "signed_deviations",
     "DEFAULT_POLICY", "QUANTIZE_ALL", "ModelQuantization", "QuantConfig",
     "QuantPolicy", "QuantizedTensor", "apply_policy", "dequantize",
-    "nearest_level_indices", "quantize_group", "quantize_tensor",
-    "rtn_dequantize", "rtn_quantize_group",
+    "nearest_level_indices", "quantize_tensor",
     "DistortionReport", "compare_schedules", "distortion",
     "WeightTensor", "pack_indices", "read_benq", "read_container",
     "unpack_indices", "write_benq", "write_container",

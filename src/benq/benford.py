@@ -46,7 +46,7 @@ def _leading_digits(values: np.ndarray) -> tuple[np.ndarray, int]:
         return np.empty(0, dtype=np.int64), zeros
     e = np.floor(np.log10(nonzero))
     # 10.0**e degrades near the subnormal range and overflows past 1e308;
-    # shifting by 100 decades keeps the leading digit and lands in safe range
+    # scaling by 100 decades keeps the leading digit and lands in safe range
     extreme = (e < -290) | (e > 290)
     if np.any(extreme):
         nonzero = nonzero.copy()

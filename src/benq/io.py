@@ -25,18 +25,20 @@ Payload offsets are relative to the payload start and 8-byte aligned (the
 payload itself starts at a multiple of 8 from the file start).  Quantized
 tensors store packed level indices followed by float16 group scales; at 4
 bits or less two indices share a byte, low nibble first, so 3-bit indices
-occupy 4 bits on disk.  rtn values are offset-encoded (q + 2**(bits-1))
-before packing.  Preserved tensors store their original bytes in their
-source dtype.  content_digest covers the config, the tensor directory and
-the payload, so any header tampering or payload corruption is rejected
-before a single tensor is materialized.  All writes go through a temp file
-and atomic rename.
+occupy 4 bits on disk.  Every schedule stores plain indices into its
+codebook; the rtn codebook is the integers -2**(bits-1) .. 2**(bits-1) - 1,
+so rtn integer q is stored as index q + 2**(bits-1).  Preserved tensors
+store their original bytes in their source dtype.  content_digest covers
+the config, the tensor directory and the payload, so any header tampering
+or payload corruption is rejected before a single tensor is materialized.
+All writes go through a temp file and atomic rename.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import tempfile
 import warnings
@@ -46,7 +48,6 @@ from typing import Any, BinaryIO, Mapping
 import numpy as np
 
 from .errors import ConfigError, FormatError
-from .levels import Schedule
 from .quantizer import ModelQuantization, QuantConfig, QuantizedTensor, QuantPolicy
 
 SUPPORTED_DTYPES = ("F32", "F16", "BF16")
@@ -129,6 +130,19 @@ def _parse_header(blob: bytes) -> dict:
     return header
 
 
+def _parse_shape(raw: Any, name: str, span: int, size_of) -> tuple[int, ...]:
+    """A header shape: non-negative ints whose exact element count fills `span` bytes.
+
+    `size_of(numel)` is the byte count of numel elements in the tensor's encoding.
+    """
+    if not isinstance(raw, list) or not all(type(s) is int and s >= 0 for s in raw):
+        raise FormatError(f"{name}: shape {raw!r} is not a list of non-negative integers")
+    need = size_of(math.prod(raw))
+    if need != span:
+        raise FormatError(f"{name}: offsets span {span} bytes, expected {need} for shape {raw}")
+    return tuple(raw)
+
+
 def _atomic_write(path: str, writer) -> None:
     """Run writer(file) against a temp file, then rename over path."""
     directory = os.path.dirname(os.path.abspath(path))
@@ -165,19 +179,17 @@ def read_container(path: str) -> dict[str, WeightTensor]:
                 continue
             try:
                 dtype = entry["dtype"]
-                shape = tuple(int(s) for s in entry["shape"])
+                raw_shape = entry["shape"]
                 start, end = (int(v) for v in entry["data_offsets"])
             except (TypeError, KeyError, ValueError):
                 raise FormatError(f"malformed header entry for {name!r}") from None
             if dtype not in SUPPORTED_DTYPES:
                 raise FormatError(f"{name}: unsupported dtype {dtype!r} "
                                   f"(supported: {', '.join(SUPPORTED_DTYPES)})")
-            numel = int(np.prod(shape, dtype=np.int64)) if shape else 1
             if not 0 <= start <= end <= payload_size:
                 raise FormatError(f"{name}: data offsets [{start}, {end}] outside payload")
-            if end - start != numel * _itemsize(dtype):
-                raise FormatError(f"{name}: offsets span {end - start} bytes, "
-                                  f"expected {numel * _itemsize(dtype)}")
+            shape = _parse_shape(raw_shape, name, end - start,
+                                 lambda n: n * _itemsize(dtype))
             f.seek(payload_base + start)
             raw = _read_exact(f, end - start, f"tensor {name!r}")
             out[name] = WeightTensor(name, _promote(raw, dtype, shape, name), dtype)
@@ -214,14 +226,14 @@ def pack_indices(values: np.ndarray, bits: int) -> bytes:
     """Pack level indices: two per byte (low nibble first) at <=4 bits."""
     if not 2 <= bits <= 8:
         raise ConfigError(f"bits must be in 2..8, got {bits!r}")
-    v = np.ascontiguousarray(values, dtype=np.uint8).ravel()
+    v = np.ascontiguousarray(values, dtype=np.ubyte).ravel()
     if v.size and int(v.max()) >= (1 << bits):
         raise ConfigError(f"index {int(v.max())} does not fit in {bits} bits")
     if bits > 4:
         return v.tobytes()
     if v.size % 2:
-        v = np.append(v, np.uint8(0))
-    return (v[0::2] | (v[1::2] << np.uint8(4))).tobytes()
+        v = np.append(v, np.ubyte(0))
+    return (v[0::2] | (v[1::2] << np.ubyte(4))).tobytes()
 
 
 def unpack_indices(data: bytes, bits: int, count: int) -> np.ndarray:
@@ -231,12 +243,12 @@ def unpack_indices(data: bytes, bits: int, count: int) -> np.ndarray:
     if len(data) != packed_size(count, bits):
         raise FormatError(f"packed data is {len(data)} bytes, "
                           f"expected {packed_size(count, bits)} for {count} indices")
-    b = np.frombuffer(data, dtype=np.uint8)
+    b = np.frombuffer(data, dtype=np.ubyte)
     if bits > 4:
         return b.copy()
-    out = np.empty(2 * b.size, dtype=np.uint8)
-    out[0::2] = b & np.uint8(0x0F)
-    out[1::2] = b >> np.uint8(4)
+    out = np.empty(2 * b.size, dtype=np.ubyte)
+    out[0::2] = b & np.ubyte(0x0F)
+    out[1::2] = b >> np.ubyte(4)
     return out[:count]
 
 
@@ -260,13 +272,9 @@ def _directory_and_payload(mq: ModelQuantization) -> tuple[list[dict], bytes]:
         offset += len(raw) + pad
         return start, len(raw)
 
-    shift = 2 ** (mq.config.bits - 1)
     for name, t in mq.entries.items():
         if isinstance(t, QuantizedTensor):
-            idx = t.indices
-            if idx.dtype == np.int8:
-                idx = (idx.astype(np.int16) + shift).astype(np.uint8)
-            ioff, ilen = put(pack_indices(idx, t.config.bits))
+            ioff, ilen = put(pack_indices(t.indices, t.config.bits))
             soff, slen = put(t.scales.astype("<f2").tobytes())
             directory.append({"name": name, "shape": list(t.shape), "quantized": True,
                               "n_groups": t.n_groups, "tail_len": t.tail_len,
@@ -351,45 +359,40 @@ def read_benq(path: str) -> ModelQuantization:
                  f"{name}: {key} span outside payload")
         return payload[off:off + length]
 
-    shift = 2 ** (config.bits - 1)
     entries: dict[str, Any] = {}
     for entry in directory:
         try:
-            _read_directory_entry(entry, entries, config, span, shift)
+            _read_directory_entry(entry, entries, config, span)
         except (KeyError, TypeError, ValueError) as e:
             raise FormatError(f"malformed tensor directory entry: {e}") from None
     return ModelQuantization(entries, config, policy)
 
 
-def _read_directory_entry(entry, entries, config, span, shift) -> None:
+def _read_directory_entry(entry, entries, config, span) -> None:
     name = entry.get("name")
     _require(isinstance(name, str) and name not in entries,
              f"bad or duplicate tensor name {name!r}")
-    shape = tuple(int(s) for s in entry["shape"])
-    numel = int(np.prod(shape, dtype=np.int64)) if shape else 1
     if entry.get("quantized"):
+        raw_idx = span(entry, "indices", name)
+        shape = _parse_shape(entry["shape"], name, len(raw_idx),
+                             lambda n: packed_size(n, config.bits))
+        numel = math.prod(shape)
         n_groups = -(-numel // config.group_size) if numel else 0
         _require(entry["n_groups"] == n_groups,
                  f"{name}: header claims {entry['n_groups']} groups, expected {n_groups}")
         _require(entry["tail_len"] == numel % config.group_size,
                  f"{name}: tail length mismatch")
-        raw_idx = span(entry, "indices", name)
         raw_scales = span(entry, "scales", name)
         _require(len(raw_scales) == 2 * n_groups,
                  f"{name}: {len(raw_scales)} scale bytes for {n_groups} groups")
-        unpacked = unpack_indices(raw_idx, config.bits, numel)
-        _require(not unpacked.size or int(unpacked.max()) < 2 * shift,
+        indices = unpack_indices(raw_idx, config.bits, numel)
+        _require(not indices.size or int(indices.max()) < 2 ** config.bits,
                  f"{name}: stored value outside the {config.bits}-bit range")
-        if config.schedule is Schedule.RTN:
-            indices = (unpacked.astype(np.int16) - shift).astype(np.int8)
-        else:
-            indices = unpacked
         scales = np.frombuffer(raw_scales, dtype="<f2").copy()
         entries[name] = QuantizedTensor(name, shape, indices, scales, config)
     else:
         dtype = entry.get("dtype")
         _require(dtype in SUPPORTED_DTYPES, f"{name}: unsupported dtype {dtype!r}")
         raw = span(entry, "data", name)
-        _require(len(raw) == numel * _itemsize(dtype),
-                 f"{name}: preserved tensor size mismatch")
+        shape = _parse_shape(entry["shape"], name, len(raw), lambda n: n * _itemsize(dtype))
         entries[name] = WeightTensor(name, _promote(raw, dtype, shape, name), dtype)

@@ -1,17 +1,19 @@
 """Quantization level schedules (codebooks) and first-digit probabilities.
 
-A codebook is a sorted float64 array of 2**bits reconstruction levels,
-symmetric about zero, with +/-1.0 as exact endpoints.  Two schedules are
-provided:
+A codebook is a strictly ascending float64 array of 2**bits reconstruction
+levels; a group's scale maps its largest magnitude to the top level.  Three
+schedules are provided:
 
 * log-uniform: positive levels are geometrically spaced between epsilon
   and 1, so magnitudes are uniform in log space.  With bits=4 and
   epsilon=1e-7 the positive side is exactly one level per decade.
 * linear: positive levels k/N for k=1..N with N=2**(bits-1), the
   non-uniform analogue of a fixed-point grid (no zero level).
+* rtn: the integers -2**(bits-1) .. 2**(bits-1) - 1, uniform
+  round-to-nearest.  Its top level is qmax = 2**(bits-1) - 1.
 
-Uniform round-to-nearest (RTN) has no stored codebook; its grid is implied
-by the integer range and lives in the quantizer.
+Log and linear levels are symmetric about zero with +/-1.0 as exact
+endpoints; the rtn table has one more negative level than positive ones.
 """
 
 from __future__ import annotations
@@ -116,10 +118,12 @@ def generate_linear_levels(bits: int) -> Codebook:
 
 
 def make_codebook(schedule: Schedule, bits: int, epsilon: float = DEFAULT_EPSILON) -> Codebook:
-    """Build the codebook for a schedule; RTN has none and is rejected."""
+    """Build the codebook for a schedule; epsilon applies to the log schedule only."""
     schedule = Schedule(schedule)
     if schedule is Schedule.LOG_UNIFORM:
         return generate_log_uniform_levels(bits, epsilon)
     if schedule is Schedule.LINEAR:
         return generate_linear_levels(bits)
-    raise ConfigError("rtn is an integer-grid scheme and has no explicit codebook")
+    bits = _check_bits(bits)
+    half = 2 ** (bits - 1)
+    return Codebook(np.arange(-half, half, dtype=np.float64), bits, Schedule.RTN)

@@ -1,16 +1,13 @@
-"""Group-wise codebook and round-to-nearest weight quantization.
+"""Group-wise weight quantization against a level table.
 
 Tensors are flattened row-major and cut into groups of `group_size`
-(the final group may be short; its length is the tensor's tail).  Each
-group stores one float16 scale:
-
-* codebook schedules (log/linear): scale = max|w| over the group, cast to
-  float16.  Elements are divided by the stored scale and matched to the
-  nearest codebook level, ties resolved to the lower index.  Reconstruction
-  is level * scale, so the group maximum maps to the +/-1.0 endpoint.
-* rtn: scale = max|w| / (2**(bits-1) - 1), cast to float16.  Elements are
-  divided by the stored scale and rounded half away from zero to a signed
-  integer clamped to [-2**(bits-1), 2**(bits-1) - 1].
+(the final group may be short; its length is the tensor's tail).  Every
+schedule works the same way: each group stores one float16 scale,
+max|w| / top level (the top level is 1.0 for log and linear and
+qmax = 2**(bits-1) - 1 for rtn).  Elements are divided by the stored scale
+and matched to the nearest level of the schedule's codebook, ties going
+away from zero; an exact zero between -l and +l takes +l, the code an
+all-zero group gets.  Reconstruction is level * scale.
 
 Normalizing by the float16 value actually stored (not the exact maximum)
 keeps quantization a projection: quantizing a reconstruction returns the
@@ -18,8 +15,8 @@ identical indices and scales, and the per-element error bound is stated
 against the stored scale.
 
 An all-zero group stores scale 0 and reconstructs exact zeros.  A nonzero
-group whose maximum underflows float16 stores the smallest float16
-subnormal instead, so scale 0 occurs only for all-zero groups; a maximum
+group whose scale underflows float16 stores the smallest float16
+subnormal instead, so scale 0 occurs only for all-zero groups; a scale
 above float16 range is a data error.
 """
 
@@ -29,7 +26,7 @@ import hashlib
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Any, Mapping
 
 import numpy as np
@@ -55,14 +52,9 @@ class QuantConfig:
         if self.group_size != int(self.group_size) or self.group_size < 1:
             raise ConfigError(f"group_size must be a positive integer, got {self.group_size!r}")
         object.__setattr__(self, "group_size", int(self.group_size))
-        if self.schedule is not Schedule.RTN:
-            self.codebook()  # validates bits and epsilon
-        elif self.bits != int(self.bits) or not 2 <= int(self.bits) <= 8:
-            raise ConfigError(f"bits must be an integer in 2..8, got {self.bits!r}")
+        self.codebook()  # validates bits and epsilon
 
-    def codebook(self) -> Codebook | None:
-        if self.schedule is Schedule.RTN:
-            return None
+    def codebook(self) -> Codebook:
         return make_codebook(self.schedule, self.bits, self.epsilon)
 
     def to_dict(self) -> dict:
@@ -82,15 +74,43 @@ class QuantConfig:
             raise ConfigError(f"quantization config is missing field {e.args[0]!r}") from None
 
 
+def _midpoint_thresholds(levels: np.ndarray) -> np.ndarray:
+    """t[k] such that a float64 x is nearer level k+1 than level k exactly when x > t[k].
+
+    The exact midpoint of two levels is mid + err/2, with mid = fl(lo + hi)/2
+    and err the rounding error of that sum (TwoSum).  A value above or below
+    mid lies on the same side of the exact midpoint; a value equal to mid
+    goes up when the exact midpoint is below it, or is it and is not
+    negative (ties away from zero).
+    """
+    lo, hi = levels[:-1], levels[1:]
+    s = lo + hi
+    s_hi = s - lo
+    err = (lo - (s - s_hi)) + (hi - s_hi)
+    mid = s / 2.0
+    up = (err < 0) | ((err == 0) & (mid >= 0))
+    return np.where(up, np.nextafter(mid, -np.inf), mid)
+
+
 def nearest_level_indices(values: np.ndarray, levels: np.ndarray) -> np.ndarray:
-    """Index of the nearest level for each value; ties take the lower index."""
+    """Byte index of the nearest of at most 256 levels; ties go away from zero.
+
+    Values beyond the table clamp to its ends, and an exact zero midway
+    between -l and +l takes +l.  A table of consecutive integers (rtn) is
+    rounded arithmetically; any other table is searched against its exact
+    midpoints.  Both give the exactly nearest level.
+    """
     x = np.asarray(values, dtype=np.float64)
-    n = levels.size
-    pos = np.searchsorted(levels, x)
-    left = np.clip(pos - 1, 0, n - 1)
-    right = np.clip(pos, 0, n - 1)
-    take_left = np.abs(x - levels[left]) <= np.abs(x - levels[right])
-    return np.where(take_left, left, right)
+    lo = levels[0]
+    if lo == np.floor(lo) and np.all(np.diff(levels) == 1.0):
+        q = np.rint(x)  # exact, but ties go to even
+        d = x - q       # exact
+        tie = np.abs(d, out=d) == 0.5
+        if tie.any():
+            q[tie] = x[tie] + np.copysign(0.5, x[tie])
+        q -= lo
+        return np.clip(q, 0, levels.size - 1, out=q).astype(np.ubyte)
+    return np.searchsorted(_midpoint_thresholds(levels), x).astype(np.ubyte)
 
 
 def _stored_scales(raw_max: np.ndarray, context: str) -> np.ndarray:
@@ -115,8 +135,8 @@ def _grouped(flat: np.ndarray, group_size: int) -> np.ndarray:
 class QuantizedTensor:
     """Packed result of quantizing one tensor under one QuantConfig.
 
-    `indices` is uint8 codebook rows for log/linear, int8 signed integers
-    for rtn; `scales` holds one float16 per group in group order.
+    `indices` holds one byte per element, an index into the config's
+    codebook; `scales` holds one float16 per group in group order.
     """
 
     name: str
@@ -127,8 +147,7 @@ class QuantizedTensor:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "shape", tuple(int(s) for s in self.shape))
-        want = np.int8 if self.config.schedule is Schedule.RTN else np.uint8
-        object.__setattr__(self, "indices", np.ascontiguousarray(self.indices, dtype=want))
+        object.__setattr__(self, "indices", np.ascontiguousarray(self.indices, dtype=np.ubyte))
         object.__setattr__(self, "scales", np.ascontiguousarray(self.scales, dtype=np.float16))
         if self.indices.size != self.numel:
             raise FormatError(f"{self.name}: {self.indices.size} indices for {self.numel} elements")
@@ -137,7 +156,7 @@ class QuantizedTensor:
 
     @property
     def numel(self) -> int:
-        return int(np.prod(self.shape, dtype=np.int64)) if self.shape else 1
+        return math.prod(self.shape)
 
     @property
     def n_groups(self) -> int:
@@ -154,37 +173,6 @@ class QuantizedTensor:
         return {"index_bits": self.numel * per_index, "scale_bits": self.n_groups * 16}
 
 
-def quantize_group(group: np.ndarray, codebook: Codebook) -> tuple[np.ndarray, np.float16]:
-    """Quantize one group against a codebook; returns (indices, stored scale)."""
-    g = np.asarray(group, dtype=np.float64).ravel()
-    if not np.all(np.isfinite(g)):
-        raise DataError("cannot quantize non-finite values")
-    if g.size == 0:
-        raise DataError("cannot quantize an empty group")
-    s = _stored_scales(np.array([np.max(np.abs(g))]), "group")[0]
-    if s == 0:
-        # all-zero group: park on the smallest positive level
-        return np.full(g.size, codebook.n_levels // 2, dtype=np.uint8), s
-    idx = nearest_level_indices(g / np.float64(s), codebook.levels)
-    return idx.astype(np.uint8), s
-
-
-def rtn_quantize_group(group: np.ndarray, bits: int) -> tuple[np.ndarray, np.float16]:
-    """Uniform round-to-nearest for one group; returns (signed ints, scale)."""
-    g = np.asarray(group, dtype=np.float64).ravel()
-    if not np.all(np.isfinite(g)):
-        raise DataError("cannot quantize non-finite values")
-    if g.size == 0:
-        raise DataError("cannot quantize an empty group")
-    qmax = 2 ** (bits - 1) - 1
-    s = _stored_scales(np.array([np.max(np.abs(g)) / qmax]), "group")[0]
-    if s == 0:
-        return np.zeros(g.size, dtype=np.int8), s
-    t = g / np.float64(s)
-    q = np.copysign(np.floor(np.abs(t) + 0.5), t)
-    return np.clip(q, -(qmax + 1), qmax).astype(np.int8), s
-
-
 def quantize_tensor(data: np.ndarray, config: QuantConfig, name: str = "") -> QuantizedTensor:
     """Quantize a whole tensor group-wise (row-major order, chunked)."""
     arr = np.asarray(getattr(data, "data", data))
@@ -195,31 +183,19 @@ def quantize_tensor(data: np.ndarray, config: QuantConfig, name: str = "") -> Qu
     groups = _grouped(flat, G)
     n_groups = groups.shape[0]
 
-    rtn = config.schedule is Schedule.RTN
-    codebook = config.codebook()
-    qmax = 2 ** (config.bits - 1) - 1
-    out = np.empty(n_groups * G, dtype=np.int8 if rtn else np.uint8)
+    levels = config.codebook().levels
+    out = np.empty(n_groups * G, dtype=np.ubyte)
     scales = np.empty(n_groups, dtype=np.float16)
 
     block = max(1, _BLOCK_ELEMS // G)
     for start in range(0, n_groups, block):
         chunk = groups[start:start + block]
-        raw_max = np.max(np.abs(chunk), axis=1)
-        if rtn:
-            raw_max = raw_max / qmax
-        s = _stored_scales(raw_max, f"tensor {name or '<unnamed>'}")
+        s = _stored_scales(np.max(np.abs(chunk), axis=1) / levels[-1],
+                           f"tensor {name or '<unnamed>'}")
         scales[start:start + block] = s
-        zero = s == 0
-        z = chunk / np.where(zero, 1.0, s.astype(np.float64))[:, None]
-        if rtn:
-            q = np.copysign(np.floor(np.abs(z) + 0.5), z)
-            q = np.clip(q, -(qmax + 1), qmax)
-            q[zero] = 0
-            out[start * G:start * G + chunk.size] = q.ravel()
-        else:
-            idx = nearest_level_indices(z.ravel(), codebook.levels).reshape(z.shape)
-            idx[zero] = codebook.n_levels // 2
-            out[start * G:start * G + chunk.size] = idx.ravel()
+        # an all-zero group divides by 1 and lands on the zero tie code
+        z = chunk / np.where(s == 0, 1.0, s.astype(np.float64))[:, None]
+        out[start * G:start * G + chunk.size] = nearest_level_indices(z.ravel(), levels)
 
     return QuantizedTensor(name, tuple(np.asarray(arr).shape), out[:flat.size], scales, config)
 
@@ -230,37 +206,21 @@ def _per_element_scales(qt: QuantizedTensor) -> np.ndarray:
 
 
 def dequantize(qt: QuantizedTensor, codebook: Codebook | None = None) -> np.ndarray:
-    """Reconstruct a float32 tensor from packed indices and scales.
+    """Reconstruct a float32 tensor as level * scale.
 
-    For codebook schedules a codebook may be supplied (it must match the
-    tensor's config) or is derived from the config when omitted.
+    A codebook may be supplied (it must match the tensor's config) or is
+    derived from the config when omitted.
     """
-    if qt.config.schedule is Schedule.RTN:
-        if codebook is not None:
-            raise ConfigError("rtn tensors take no codebook")
-        q = qt.indices.astype(np.int64)
-        lo, hi = -(2 ** (qt.config.bits - 1)), 2 ** (qt.config.bits - 1) - 1
-        if q.size and (q.min() < lo or q.max() > hi):
-            raise FormatError(f"{qt.name}: quantized value outside {qt.config.bits}-bit range")
-        rec = q * _per_element_scales(qt)
-    else:
-        own = qt.config.codebook()
-        if codebook is None:
-            codebook = own
-        elif (codebook.schedule is not own.schedule or codebook.bits != own.bits
-              or not np.array_equal(codebook.levels, own.levels)):
-            raise ConfigError(f"{qt.name}: supplied codebook does not match tensor config")
-        idx = qt.indices.astype(np.int64)
-        if idx.size and idx.max() >= codebook.n_levels:
-            raise FormatError(f"{qt.name}: level index outside {qt.config.bits}-bit codebook")
-        rec = codebook.levels[idx] * _per_element_scales(qt)
+    own = qt.config.codebook()
+    if codebook is None:
+        codebook = own
+    elif (codebook.schedule is not own.schedule or codebook.bits != own.bits
+          or not np.array_equal(codebook.levels, own.levels)):
+        raise ConfigError(f"{qt.name}: supplied codebook does not match tensor config")
+    if qt.indices.size and qt.indices.max() >= codebook.n_levels:
+        raise FormatError(f"{qt.name}: level index outside {qt.config.bits}-bit codebook")
+    rec = codebook.levels[qt.indices] * _per_element_scales(qt)
     return rec.reshape(qt.shape).astype(np.float32)
-
-
-def rtn_dequantize(qt: QuantizedTensor) -> np.ndarray:
-    if qt.config.schedule is not Schedule.RTN:
-        raise ConfigError("rtn_dequantize expects an rtn-quantized tensor")
-    return dequantize(qt)
 
 
 # Substrings of the transformational linears the default policy quantizes,

@@ -12,7 +12,7 @@ partitioned without shared state:
 
 uniform01 maps out(i) to [0, 1) via the top 53 bits, (out >> 11) * 2**-53.
 normals consumes two counters per sample (Box-Muller, cosine branch only):
-u1 from counter 2i is shifted into (0, 1] so log never sees zero, u2 from
+u1 from counter 2i is mapped into (0, 1] so log never sees zero, u2 from
 counter 2i+1.  All counter layouts are part of the file-format contract:
 the same seed and counters reproduce the same doubles on any platform
 (transcendental mappings may differ in the last ulp or two across libm

@@ -9,6 +9,7 @@ argmin loops).
 import math
 import os
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,11 +19,11 @@ from benq.benford import (Family, classify_family, digit_histogram, mad_score,
                           model_report)
 from benq.io import read_benq, read_container, write_benq
 from benq.levels import (Schedule, benford_probability,
-                         generate_log_uniform_levels)
+                         generate_log_uniform_levels, make_codebook)
 from benq.metrics import compare_schedules
 from benq.quantizer import (DEFAULT_POLICY, QUANTIZE_ALL, QuantConfig,
                             QuantizedTensor, apply_policy, dequantize,
-                            quantize_tensor, rtn_quantize_group)
+                            quantize_tensor)
 from benq.synth import synth_tensor
 
 
@@ -43,7 +44,12 @@ def mad_oracle(values: np.ndarray) -> float:
 
 
 def brute_force_indices(values, scales, levels, group_size):
-    """Per-element nearest level by explicit argmin; first index wins ties."""
+    """Per-element nearest level by explicit argmin; ties go away from zero.
+
+    Candidates whose float64 distances are within 1e-9 of the best are
+    compared exactly as Fractions; of equally near levels the upper one
+    wins for t >= 0 and the lower one for t < 0.
+    """
     per = np.repeat(np.asarray(scales, dtype=np.float64),
                     group_size)[:values.size]
     idx = np.empty(values.size, dtype=np.int64)
@@ -51,7 +57,14 @@ def brute_force_indices(values, scales, levels, group_size):
     idx[zero] = levels.size // 2
     t = values[~zero] / per[~zero]
     dist = np.abs(t[:, None] - levels[None, :])
-    idx[~zero] = np.argmin(dist, axis=1)
+    best = np.argmin(dist, axis=1)
+    near = dist <= dist[np.arange(t.size), best][:, None] * (1 + 1e-9)
+    for i in np.flatnonzero(np.count_nonzero(near, axis=1) > 1):
+        exact = {int(j): abs(Fraction(t[i]) - Fraction(levels[j]))
+                 for j in np.flatnonzero(near[i])}
+        ties = [j for j, d in exact.items() if d == min(exact.values())]
+        best[i] = max(ties) if t[i] >= 0 else min(ties)
+    idx[~zero] = best
     return idx
 
 
@@ -141,30 +154,35 @@ def test_codebook_quantization_against_brute_force():
 
 @pytest.mark.criterion("C06", "rtn: worked example, sign symmetry, s/2 bound")
 def test_round_to_nearest_baseline():
-    q, s = rtn_quantize_group(np.array([1.0, -0.5, 0.1]), bits=4)
-    assert list(q) == [7, -4, 1]
-    assert s == np.float16(1.0 / 7.0)
+    ints = make_codebook(Schedule.RTN, 4).levels
+    assert list(ints) == list(range(-8, 8))
+    group = quantize_tensor(np.array([1.0, -0.5, 0.1]),
+                            QuantConfig(bits=4, group_size=3, schedule=Schedule.RTN))
+    assert list(ints[group.indices]) == [7, -4, 1]
+    assert group.scales[0] == np.float16(1.0 / 7.0)
 
     cfg = QuantConfig(bits=4, group_size=8, schedule=Schedule.RTN)
     values = broad_groups(seed=99)
     qt = quantize_tensor(values, cfg, "w")
     mirrored = quantize_tensor(-values, cfg, "w")
     assert np.array_equal(mirrored.scales, qt.scales)
-    assert np.array_equal(mirrored.indices, -qt.indices)
+    assert np.array_equal(ints[mirrored.indices], -ints[qt.indices])
 
     per = np.repeat(qt.scales.astype(np.float64), 8)[:values.size]
     rec = dequantize(qt).astype(np.float64)
     with np.errstate(invalid="ignore", divide="ignore"):
         t = np.where(per > 0, values / per, 0.0)
     raw = np.copysign(np.floor(np.abs(t) + 0.5), t)
-    unclamped = raw == qt.indices
+    unclamped = raw == ints[qt.indices]
     slack = np.abs(rec) * 2.0 ** -23 + 2.0 ** -149
     err = np.abs(values - rec)
     assert np.all(err[unclamped] <= (per / 2)[unclamped] * (1 + 1e-9)
                   + slack[unclamped])
 
-    q1, s1 = rtn_quantize_group(np.array([0.37]), bits=4)
-    assert abs(0.37 - int(q1[0]) * float(s1)) <= float(s1) / 2
+    one = quantize_tensor(np.array([0.37]),
+                          QuantConfig(bits=4, group_size=1, schedule=Schedule.RTN))
+    s1 = float(one.scales[0])
+    assert abs(0.37 - ints[one.indices[0]] * s1) <= s1 / 2
 
 
 def _schedule_mses(data):

@@ -1,13 +1,15 @@
 """Container formats: safetensors subset, nibble packing, .benq round trips."""
 
+import hashlib
 import json
 import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from benq import rng
 from benq.errors import ConfigError, FormatError
 from benq.io import (BENQ_MAGIC, WeightTensor, _content_digest, _demote,
                      _promote, pack_indices, packed_size, read_benq,
@@ -341,6 +343,42 @@ def tampered(blob, old, new):
     return blob.replace(old, new)
 
 
+# sha256 of the .benq files the writer produced for pinned_model() when rtn
+# codes were still stored as offset signed integers; a change here is a
+# change of the file format.
+PINNED_SHA256 = {
+    ("log", 3): "09615f59303bb3a9585e0a846ec032cca64cbcd9d723533c1cf9ff7a5a002ae3",
+    ("log", 4): "9da1c28b4bf8b6f21210dc165d38f845dac3eb78edcd61971a3ecca25100a3f3",
+    ("log", 8): "7b05425da34937f80b59118c2f8ca3adc794f418755324a42d281b22dcdcc07d",
+    ("linear", 3): "2fafd36bad5381ce39e846c387252a0dc4d61183cbcc77d23dee93c40c54615e",
+    ("linear", 4): "fa1c73b496e743f62f821491c71a289b47c2d3b205ec9c1e08cebce07e0c8b32",
+    ("linear", 8): "fd12e27a86bcc79b8d6a55b488cb3035076e54e10b4562b693298616217d1ca7",
+    ("rtn", 3): "000a61767bc06de4156a83509f38d15ee6e0d96c25e7e95c143f6ab172f1d6ce",
+    ("rtn", 4): "06f240ef8617794698f0bd34262b06288e26b3736adb08737d3871d4ae5f2206",
+    ("rtn", 8): "b933fa13f1044cbdafddd888876980f625e38588064500ccc230ec65f2df6443",
+}
+
+
+def pinned_model():
+    """Three quantized linears (one all-zero, one with a tail of 3) and two preserved tensors."""
+    specs = {
+        "model.embed_tokens.weight": "gaussian(0.05,256)",
+        "model.layers.0.self_attn.q_proj.weight": "loguniform(6,1003)",
+        "model.layers.0.self_attn.o_proj.weight": "constant(0,20)",
+        "model.layers.0.mlp.down_proj.weight": "gaussian(0.02,512)",
+        "model.layers.0.input_layernorm.weight": "lognormal(0,0.05,64)",
+    }
+    return {n: synth_tensor(s, rng.derive_seed(0, n)) for n, s in specs.items()}
+
+
+@pytest.mark.parametrize("schedule,bits", sorted(PINNED_SHA256))
+def test_benq_bytes_pinned(tmp_path, schedule, bits):
+    p = tmp_path / "m.benq"
+    cfg = QuantConfig(bits=bits, schedule=Schedule(schedule))
+    write_benq(str(p), apply_policy(pinned_model(), DEFAULT_POLICY, cfg))
+    assert hashlib.sha256(p.read_bytes()).hexdigest() == PINNED_SHA256[(schedule, bits)]
+
+
 class TestBenqValidation:
     @pytest.fixture
     def written(self, tmp_path):
@@ -512,3 +550,87 @@ class TestAtomicity:
         with pytest.raises(RuntimeError, match="midway"):
             io_mod._atomic_write(str(tmp_path / "out.bin"), broken_writer)
         assert os.listdir(tmp_path) == []
+
+
+# each shape with the element count an int()/int64 reading takes from it,
+# sized so that every other check of the entry passes
+HOSTILE_SHAPES = pytest.mark.parametrize(
+    "shape,n", [([-2, -2], 4), ([2.5], 2), ([2 ** 40, 2 ** 40], 0)],
+    ids=["negative", "fractional", "overflowing"])
+
+# anything JSON can hold where a shape belongs, plausible shapes most of all
+SHAPES = st.one_of(
+    st.lists(st.integers(-3, 70), max_size=3),
+    st.lists(st.integers(-2 ** 70, 2 ** 70), max_size=3),
+    st.lists(st.one_of(st.integers(0, 40), st.floats(), st.booleans(), st.none(),
+                       st.text(max_size=2), st.lists(st.integers(0, 4), max_size=2)),
+             max_size=3),
+    st.integers(-3, 40), st.floats(), st.text(max_size=3), st.none(), st.booleans(),
+)
+
+
+class TestHostileShapes:
+    """Shapes are outside input: only non-negative ints whose product fits the span."""
+
+    @HOSTILE_SHAPES
+    def test_safetensors_rejects(self, tmp_path, shape, n):
+        p = tmp_path / "bad.st"
+        build_safetensors(p, {"w": {"dtype": "F32", "shape": shape,
+                                    "data_offsets": [0, 4 * n]}}, bytes(16))
+        with pytest.raises(FormatError, match="shape|span"):
+            read_container(str(p))
+
+    @HOSTILE_SHAPES
+    def test_benq_quantized_rejects(self, tmp_path, shape, n):
+        n_groups = -(-n // 4)  # two-bit codes, two per byte, groups of 4
+        payload = bytes(8) + np.float16(1.0).tobytes() * n_groups + bytes(8 - 2 * n_groups)
+        directory = [{"name": "w", "shape": shape, "quantized": True,
+                      "n_groups": n_groups, "tail_len": n % 4,
+                      "indices": [0, -(-n // 2)], "scales": [8, 2 * n_groups]}]
+        p = tmp_path / "c.benq"
+        build_benq(p, TestBenqCrafted.CFG, QUANTIZE_ALL, directory, payload)
+        with pytest.raises(FormatError, match="shape|span"):
+            read_benq(str(p))
+
+    @HOSTILE_SHAPES
+    def test_benq_preserved_rejects(self, tmp_path, shape, n):
+        directory = [{"name": "w", "shape": shape, "quantized": False,
+                      "dtype": "F32", "data": [0, 4 * n]}]
+        p = tmp_path / "c.benq"
+        build_benq(p, TestBenqCrafted.CFG, QUANTIZE_ALL, directory, bytes(16))
+        with pytest.raises(FormatError, match="shape|span"):
+            read_benq(str(p))
+
+    @given(shape=SHAPES, which=st.integers(0, 3))
+    @settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_mutated_safetensors_shape(self, tmp_path, shape, which):
+        p = tmp_path / "m.st"
+        write_container(str(p), {"a": np.arange(6, dtype=np.float32).reshape(2, 3),
+                                 "b": np.ones(5, np.float32), "c": np.float32(2.0),
+                                 "d": np.zeros(0, np.float32)})
+        blob = p.read_bytes()
+        hlen = int.from_bytes(blob[:8], "little")
+        header = json.loads(blob[8:8 + hlen])
+        header[sorted(header)[which]]["shape"] = shape
+        build_safetensors(p, header, blob[8 + hlen:])
+        try:
+            read_container(str(p))
+        except (FormatError, ConfigError):
+            pass
+
+    @given(shape=SHAPES, which=st.integers(0, 3))
+    @settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_mutated_benq_shape(self, tmp_path, shape, which):
+        p = tmp_path / "m.benq"
+        write_benq(str(p), apply_policy(toy_model(), DEFAULT_POLICY,
+                                        QuantConfig(bits=3, group_size=8)))
+        header, hlen, blob = read_benq_header(p)
+        header["tensors"][which]["shape"] = shape
+        # re-sign the content digest so that the directory parser is reached
+        build_benq(p, QuantConfig.from_dict(header["config"]),
+                   QuantPolicy.from_dict(header["policy"]), header["tensors"],
+                   blob[12 + hlen:])
+        try:
+            read_benq(str(p))
+        except (FormatError, ConfigError):
+            pass

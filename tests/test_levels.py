@@ -93,9 +93,13 @@ def test_codebook_invariants(bits, epsilon, schedule):
     assert np.array_equal(levels, -levels[::-1])  # exact symmetry
 
 
-def test_make_codebook_rejects_rtn():
+def test_make_codebook_rtn_is_integer_table():
+    for bits in range(2, 9):
+        cb = make_codebook(Schedule.RTN, bits)
+        assert cb.levels.tolist() == list(range(-2 ** (bits - 1), 2 ** (bits - 1)))
+        assert cb.schedule is Schedule.RTN and cb.bits == bits
     with pytest.raises(ConfigError):
-        make_codebook(Schedule.RTN, 4)
+        make_codebook(Schedule.RTN, 9)
 
 
 def test_schedule_parse():

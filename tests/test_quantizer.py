@@ -1,19 +1,62 @@
+from bisect import bisect_left
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from benq.errors import ConfigError, DataError, FormatError
-from benq.levels import Schedule, generate_linear_levels, generate_log_uniform_levels
+from benq.levels import (Schedule, generate_linear_levels, generate_log_uniform_levels,
+                         make_codebook)
 from benq.quantizer import (DEFAULT_POLICY, QUANTIZE_ALL, QuantConfig, QuantPolicy,
                             QuantizedTensor, apply_policy, dequantize,
-                            nearest_level_indices, quantize_group, quantize_tensor,
-                            rtn_dequantize, rtn_quantize_group)
+                            nearest_level_indices, quantize_tensor)
+
+
+def exact_nearest(z, table):
+    """Nearest index of one float in a sorted list of Fraction levels.
+
+    Exact rational arithmetic; ties go away from zero: the upper candidate
+    for z >= 0, the lower one for z < 0.
+    """
+    fz = Fraction(float(z))
+    k = bisect_left(table, fz)  # table[k-1] < fz <= table[k]
+    if k == 0 or k == len(table):
+        return min(k, len(table) - 1)
+    below, above = fz - table[k - 1], table[k] - fz
+    if below != above:
+        return k - 1 if below < above else k
+    return k if fz >= 0 else k - 1
 
 
 def brute_nearest(values, levels):
-    """Reference: full argmin distance scan; first minimum wins ties."""
-    return np.argmin(np.abs(np.asarray(values, dtype=np.float64)[:, None]
-                            - levels[None, :]), axis=1)
+    """Reference: full argmin distance scan; ties go away from zero.
+
+    Rows whose best float64 distances are within 1e-9 of each other are
+    settled by exact_nearest, so float rounding cannot decide a near-tie.
+    """
+    x = np.asarray(values, dtype=np.float64)
+    d = np.abs(x[:, None] - levels[None, :])
+    best = d.min(axis=1)
+    out = np.argmin(d, axis=1)
+    near = np.count_nonzero(d <= best[:, None] * (1 + 1e-9), axis=1) > 1
+    table = [Fraction(v) for v in levels]
+    for i in np.flatnonzero(near):
+        out[i] = exact_nearest(x[i], table)
+    return out
+
+
+def one_group(values, bits, schedule=Schedule.LOG_UNIFORM):
+    """Quantize `values` as a single group; returns (indices, stored scale)."""
+    g = np.asarray(values, dtype=np.float64)
+    qt = quantize_tensor(g, QuantConfig(bits=bits, group_size=g.size, schedule=schedule), "g")
+    return qt.indices, qt.scales[0]
+
+
+def rtn_group(values, bits):
+    """One rtn group; returns (signed integer levels, stored scale)."""
+    idx, scale = one_group(values, bits, Schedule.RTN)
+    return make_codebook(Schedule.RTN, bits).levels[idx], scale
 
 
 def half_gaps(levels):
@@ -35,7 +78,7 @@ ALL_CONFIGS = [QuantConfig(bits=b, group_size=g, schedule=s)
                for b in (2, 3, 4, 8)
                for g in (1, 8)
                for s in (Schedule.LOG_UNIFORM, Schedule.LINEAR, Schedule.RTN)]
-CODEBOOK_CONFIGS = [c for c in ALL_CONFIGS if c.schedule is not Schedule.RTN]
+LOG_LINEAR_CONFIGS = [c for c in ALL_CONFIGS if c.schedule is not Schedule.RTN]
 RTN_CONFIGS = [c for c in ALL_CONFIGS if c.schedule is Schedule.RTN]
 
 
@@ -73,29 +116,38 @@ class TestConfig:
         with pytest.raises(ConfigError):
             QuantConfig.from_dict({"bits": 4})
 
-    def test_rtn_has_no_codebook(self):
-        assert QuantConfig(schedule=Schedule.RTN).codebook() is None
+    def test_rtn_codebook_is_integer_table(self):
+        levels = QuantConfig(bits=4, schedule=Schedule.RTN).codebook().levels
+        assert levels.tolist() == list(range(-8, 8))
+
+
+def generate_rtn_levels(bits):
+    return make_codebook(Schedule.RTN, bits)
 
 
 class TestNearestLevel:
-    @pytest.mark.parametrize("make", [generate_log_uniform_levels, generate_linear_levels])
+    @pytest.mark.parametrize("make", [generate_log_uniform_levels, generate_linear_levels,
+                                      generate_rtn_levels])
     @pytest.mark.parametrize("bits", [2, 3, 4, 8])
     def test_matches_brute_force(self, make, bits, rng_np):
         levels = make(bits).levels
-        z = np.concatenate([rng_np.uniform(-1.3, 1.3, 4000),
+        z = np.concatenate([rng_np.uniform(-1.3, 1.3, 4000) * levels[-1],
                             levels, (levels[:-1] + levels[1:]) / 2.0, [0.0, -0.0]])
         assert np.array_equal(nearest_level_indices(z, levels), brute_nearest(z, levels))
 
-    def test_exact_midpoint_takes_lower_index(self):
+    def test_exact_midpoint_goes_away_from_zero(self):
         levels = generate_linear_levels(4).levels   # positive side k/8 at 8..15
         # 3/16 is midway between 1/8 (index 8) and 2/8 (index 9)
-        assert nearest_level_indices(np.array([3.0 / 16.0]), levels)[0] == 8
+        assert nearest_level_indices(np.array([3.0 / 16.0]), levels)[0] == 9
         # -3/16 is midway between -2/8 (index 6) and -1/8 (index 7)
         assert nearest_level_indices(np.array([-3.0 / 16.0]), levels)[0] == 6
+        rtn = generate_rtn_levels(4).levels         # integers -8..7 at 0..15
+        assert nearest_level_indices(np.array([2.5, -2.5, 0.5, -0.5]), rtn).tolist() == \
+            [11, 5, 9, 7]
 
-    def test_zero_maps_to_smallest_negative_level(self):
+    def test_zero_maps_to_smallest_positive_level(self):
         cb = generate_log_uniform_levels(4)
-        assert nearest_level_indices(np.array([0.0]), cb.levels)[0] == 7
+        assert nearest_level_indices(np.array([0.0, -0.0]), cb.levels).tolist() == [8, 8]
 
     def test_out_of_range_clamps_to_endpoints(self):
         cb = generate_log_uniform_levels(3)
@@ -111,60 +163,89 @@ class TestNearestLevel:
                               brute_nearest(values, levels))
 
 
+class TestBoundaries:
+    """Every decision boundary of every table, checked against exact arithmetic."""
+
+    @pytest.mark.parametrize("schedule", list(Schedule), ids=lambda s: s.value)
+    def test_every_midpoint_matches_exact_oracle(self, schedule):
+        for bits in range(2, 9):
+            levels = make_codebook(schedule, bits).levels
+            table = [Fraction(v) for v in levels]
+            mids = (levels[:-1] + levels[1:]) / 2.0
+            z = np.concatenate([mids, np.nextafter(mids, -np.inf), np.nextafter(mids, np.inf)])
+            z = np.concatenate([z, -z])
+
+            def mismatches(got, seen):
+                want = [exact_nearest(v, table) for v in seen]
+                return [(float(v), int(g), w) for v, g, w in zip(seen, got, want) if g != w][:5]
+
+            assert not mismatches(nearest_level_indices(z, levels), z), bits
+            # values past the top level would move the group maximum that pins the scale
+            inside = z[np.abs(z) <= levels[-1]]
+            cfg = QuantConfig(bits=bits, group_size=2, schedule=schedule)
+            for scale in (1.0, 2.0 ** -14, 2.0 ** -24):
+                pin = np.full(inside.size, scale * levels[-1])
+                w = np.column_stack([pin, inside * scale]).ravel()
+                qt = quantize_tensor(w, cfg, "w")
+                assert np.all(qt.scales == scale), (bits, scale)
+                # w / scale is exact for a power-of-two scale; it is what the kernel sees
+                assert not mismatches(qt.indices[1::2], w[1::2] / scale), (bits, scale)
+                assert np.all(qt.indices[0::2] == levels.size - 1), (bits, scale)
+
+
 class TestQuantizeGroup:
+    """One group of the log schedule, quantized with group_size = len(group)."""
+
     def test_worked_example_two_bit(self):
-        cb = generate_log_uniform_levels(2)  # levels -1, -1e-7, 1e-7, 1
-        idx, scale = quantize_group(np.array([0.8, -0.05, 0.002]), cb)
+        # levels -1, -1e-7, 1e-7, 1
+        idx, scale = one_group([0.8, -0.05, 0.002], bits=2)
         assert idx.tolist() == [3, 1, 2]
         assert scale == np.float16(0.8)
 
     def test_identical_values_hit_top_level(self):
-        cb = generate_log_uniform_levels(4)
-        idx, scale = quantize_group(np.full(6, 0.35), cb)
+        idx, scale = one_group(np.full(6, 0.35), bits=4)
         assert idx.tolist() == [15] * 6
         assert scale == np.float16(0.35)
 
     def test_all_zero_group(self):
-        cb = generate_log_uniform_levels(4)
-        idx, scale = quantize_group(np.zeros(5), cb)
+        idx, scale = one_group(np.zeros(5), bits=4)
         assert scale == 0
         assert idx.tolist() == [8] * 5  # smallest positive level
 
     def test_scale_zero_only_for_all_zero_group(self):
-        cb = generate_log_uniform_levels(4)
-        _, scale = quantize_group(np.array([1e-10, -3e-12]), cb)
+        _, scale = one_group([1e-10, -3e-12], bits=4)
         assert scale > 0  # pinned to the float16 subnormal floor
 
     def test_scale_overflow_rejected(self):
         with pytest.raises(DataError):
-            quantize_group(np.array([7.0e4]), generate_log_uniform_levels(4))
+            one_group([7.0e4], bits=4)
 
     def test_non_finite_rejected(self):
         with pytest.raises(DataError):
-            quantize_group(np.array([1.0, np.nan]), generate_log_uniform_levels(4))
-        with pytest.raises(DataError):
-            quantize_group(np.array([]), generate_log_uniform_levels(4))
+            one_group([1.0, np.nan], bits=4)
 
 
 class TestRtnGroup:
+    """One group of the rtn schedule, quantized with group_size = len(group)."""
+
     def test_worked_example(self):
-        q, scale = rtn_quantize_group(np.array([1.0, -0.5, 0.1]), bits=4)
+        q, scale = rtn_group([1.0, -0.5, 0.1], 4)
         assert q.tolist() == [7, -4, 1]   # -0.5/s = -3.5, rounded away from zero
         assert scale == np.float16(1.0 / 7.0)
 
     def test_single_element_reconstructs_within_scale_rounding(self):
-        q, scale = rtn_quantize_group(np.array([0.7]), bits=4)
+        q, scale = rtn_group([0.7], 4)
         assert q.tolist() == [7]
         assert abs(float(q[0]) * float(scale) - 0.7) <= 0.7 * 2.0 ** -10
 
     def test_zero_group(self):
-        q, scale = rtn_quantize_group(np.zeros(3), bits=4)
+        q, scale = rtn_group(np.zeros(3), 4)
         assert scale == 0 and q.tolist() == [0, 0, 0]
 
     @given(finite_arrays(max_size=32), st.integers(2, 8))
     def test_negation_flips_exactly(self, values, bits):
-        q1, s1 = rtn_quantize_group(values, bits)
-        q2, s2 = rtn_quantize_group(-values, bits)
+        q1, s1 = rtn_group(values, bits)
+        q2, s2 = rtn_group(-values, bits)
         assert s1 == s2 or (np.isnan(s1) and np.isnan(s2))
         assert np.array_equal(q2, -q1)
 
@@ -194,14 +275,14 @@ class TestQuantizeTensor:
         assert qt.scales.tolist() == [np.float16(5.0), np.float16(0.25)]
 
     def test_matches_group_function(self, rng_np):
-        cb = generate_log_uniform_levels(4)
+        # each group is quantized on its own: the tensor agrees with its groups
         cfg = QuantConfig(bits=4, group_size=8)
         w = rng_np.normal(0, 0.3, 64)
         qt = quantize_tensor(w, cfg)
         for g in range(8):
-            idx, scale = quantize_group(w[8 * g:8 * g + 8], cb)
-            assert np.array_equal(qt.indices[8 * g:8 * g + 8], idx)
-            assert qt.scales[g] == scale
+            one = quantize_tensor(w[8 * g:8 * g + 8], cfg)
+            assert np.array_equal(qt.indices[8 * g:8 * g + 8], one.indices)
+            assert qt.scales[g] == one.scales[0]
 
     def test_empty_and_scalar_tensors(self):
         cfg = QuantConfig()
@@ -244,17 +325,14 @@ class TestRoundTripProperties:
         qt = quantize_tensor(values, cfg, "w")
         rec = dequantize(qt).astype(np.float64)
         scales = np.repeat(qt.scales.astype(np.float64), cfg.group_size)[:values.size]
-        if cfg.schedule is Schedule.RTN:
-            bound = scales * 0.5
-        else:
-            bound = scales * half_gaps(cfg.codebook().levels)[qt.indices]
+        bound = scales * half_gaps(cfg.codebook().levels)[qt.indices]
         # reconstruction is float32, so allow its half-ulp on top of the
         # mathematical bound (ties sit exactly on the bound and the output
         # rounding can land a hair past it)
         slack = np.abs(rec) * 2.0 ** -23 + 2.0 ** -149
         assert np.all(np.abs(values - rec) <= bound * (1 + 1e-9) + slack)
 
-    @given(finite_arrays(), st.sampled_from(CODEBOOK_CONFIGS))
+    @given(finite_arrays(), st.sampled_from(LOG_LINEAR_CONFIGS))
     @settings(max_examples=150)
     def test_fixed_point_codebook(self, values, cfg):
         qt1 = quantize_tensor(values, cfg, "w")
@@ -278,13 +356,13 @@ class TestRoundTripProperties:
         # reconstruction is exactly zero, so a second pass stores scale 0
         # instead of the clamped subnormal: quantization is not a fixed
         # point here, by design (the scale reflects the input, not the
-        # rounded output).  Codebook schedules have no zero level and are
-        # immune.
+        # rounded output).  The log and linear tables have no zero level
+        # and are immune.
         cfg = QuantConfig(bits=8, group_size=1, schedule=Schedule.RTN)
         values = np.array([5.585e-15])
         qt1 = quantize_tensor(values, cfg, "w")
         assert qt1.scales[0] == np.float16(2.0 ** -24)
-        assert qt1.indices[0] == 0
+        assert cfg.codebook().levels[qt1.indices[0]] == 0
         rec = dequantize(qt1)
         assert np.array_equal(rec, np.zeros(1))
         qt2 = quantize_tensor(rec, cfg, "w")
@@ -293,15 +371,15 @@ class TestRoundTripProperties:
 
     @given(finite_arrays(min_mag=1e-3), st.sampled_from(ALL_CONFIGS))
     @settings(max_examples=150)
+    @example(np.array([1.0, 0.55]), QuantConfig(bits=4, group_size=8))
+    @example(np.array([-8.0, -1.5]), QuantConfig(bits=4, group_size=8,
+                                                 schedule=Schedule.LINEAR))
     def test_sign_equivariance(self, values, cfg):
         qt_pos = quantize_tensor(values, cfg, "w")
         qt_neg = quantize_tensor(-values, cfg, "w")
         assert np.array_equal(qt_pos.scales, qt_neg.scales)
-        if cfg.schedule is Schedule.RTN:
-            assert np.array_equal(qt_neg.indices, -qt_pos.indices)
-        else:
-            assert np.array_equal(qt_neg.indices,
-                                  (2 ** cfg.bits - 1) - qt_pos.indices)
+        levels = cfg.codebook().levels
+        assert np.array_equal(levels[qt_neg.indices], -levels[qt_pos.indices])
         assert np.array_equal(dequantize(qt_neg), -dequantize(qt_pos))
 
     @given(finite_arrays(min_mag=1e-3, max_mag=4.0), st.integers(-3, 3),
@@ -329,16 +407,13 @@ class TestDequantizeValidation:
         rec = dequantize(qt, generate_log_uniform_levels(4))  # matching is fine
         assert rec.shape == (4,)
 
-    def test_rtn_takes_no_codebook(self):
+    def test_rtn_checks_supplied_codebook(self):
         qt = quantize_tensor(np.ones(4), QuantConfig(schedule=Schedule.RTN), "w")
         with pytest.raises(ConfigError):
             dequantize(qt, generate_log_uniform_levels(4))
-        assert np.array_equal(rtn_dequantize(qt), dequantize(qt))
-
-    def test_rtn_dequantize_rejects_codebook_tensors(self):
-        qt = quantize_tensor(np.ones(4), QuantConfig(), "w")
         with pytest.raises(ConfigError):
-            rtn_dequantize(qt)
+            dequantize(qt, make_codebook(Schedule.RTN, 3))
+        assert np.array_equal(dequantize(qt, make_codebook(Schedule.RTN, 4)), dequantize(qt))
 
     def test_corrupt_index_rejected(self):
         cfg = QuantConfig(bits=3)
@@ -349,7 +424,8 @@ class TestDequantizeValidation:
 
     def test_corrupt_rtn_value_rejected(self):
         cfg = QuantConfig(bits=3, schedule=Schedule.RTN)
-        qt = QuantizedTensor("w", (4,), np.array([5, 0, 0, 0], dtype=np.int8),
+        # the 3-bit rtn table has 8 levels, -4..3
+        qt = QuantizedTensor("w", (4,), np.array([8, 0, 0, 0]),
                              np.ones(1, dtype=np.float16), cfg)
         with pytest.raises(FormatError):
             dequantize(qt)
