@@ -184,7 +184,7 @@ def cmd_compare(args) -> int:
     tensors = read_container(args.container)
     rows = []
     for name, t in tensors.items():
-        for rep in compare_schedules(t.data, configs, name):
+        for rep in compare_schedules(t.data, configs, name, threads=args.threads):
             rows.append(rep.to_dict())
     text = json.dumps({"source": os.path.basename(args.container), "rows": rows},
                       indent=2) + "\n"

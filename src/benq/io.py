@@ -130,13 +130,21 @@ def _parse_header(blob: bytes) -> dict:
     return header
 
 
+def _nonneg_ints(raw: Any, name: str, key: str, length: int | None = None) -> list[int]:
+    """A header list of non-negative Python ints (no bools, no floats), of `length` if given."""
+    if (not isinstance(raw, list) or length not in (None, len(raw))
+            or not all(type(v) is int and v >= 0 for v in raw)):
+        size = "" if length is None else f"{length} "
+        raise FormatError(f"{name}: {key} {raw!r} is not a list of {size}non-negative integers")
+    return raw
+
+
 def _parse_shape(raw: Any, name: str, span: int, size_of) -> tuple[int, ...]:
     """A header shape: non-negative ints whose exact element count fills `span` bytes.
 
     `size_of(numel)` is the byte count of numel elements in the tensor's encoding.
     """
-    if not isinstance(raw, list) or not all(type(s) is int and s >= 0 for s in raw):
-        raise FormatError(f"{name}: shape {raw!r} is not a list of non-negative integers")
+    _nonneg_ints(raw, name, "shape")
     need = size_of(math.prod(raw))
     if need != span:
         raise FormatError(f"{name}: offsets span {span} bytes, expected {need} for shape {raw}")
@@ -180,9 +188,10 @@ def read_container(path: str) -> dict[str, WeightTensor]:
             try:
                 dtype = entry["dtype"]
                 raw_shape = entry["shape"]
-                start, end = (int(v) for v in entry["data_offsets"])
-            except (TypeError, KeyError, ValueError):
+                offsets = entry["data_offsets"]
+            except (TypeError, KeyError):
                 raise FormatError(f"malformed header entry for {name!r}") from None
+            start, end = _nonneg_ints(offsets, name, "data_offsets", 2)
             if dtype not in SUPPORTED_DTYPES:
                 raise FormatError(f"{name}: unsupported dtype {dtype!r} "
                                   f"(supported: {', '.join(SUPPORTED_DTYPES)})")
@@ -353,9 +362,9 @@ def read_benq(path: str) -> ModelQuantization:
              "content digest mismatch: header or payload corrupted")
 
     def span(entry: dict, key: str, name: str) -> bytes:
-        off, length = (int(v) for v in entry[key])
+        off, length = _nonneg_ints(entry[key], name, key, 2)
         _require(off % 8 == 0, f"{name}: {key} offset {off} is not 8-byte aligned")
-        _require(0 <= off and off + length <= len(payload),
+        _require(off + length <= len(payload),
                  f"{name}: {key} span outside payload")
         return payload[off:off + length]
 

@@ -22,6 +22,7 @@ above float16 range is a data error.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -35,7 +36,9 @@ from .errors import ConfigError, DataError, FormatError
 from .levels import DEFAULT_EPSILON, Codebook, Schedule, make_codebook
 
 _F16_TINY = np.float16(2.0 ** -24)
-_BLOCK_ELEMS = 1 << 22  # soft cap on per-chunk working-set size
+_BLOCK_ELEMS = 1 << 18  # elements per chunk of quantize_tensor and per compare block
+_KEY_SHIFT = 44          # a float64's top 20 bits: sign, exponent, 8 mantissa bits
+_HALF_KEYS = 1 << 19     # bucket keys of one sign
 
 
 @dataclass(frozen=True)
@@ -92,25 +95,48 @@ def _midpoint_thresholds(levels: np.ndarray) -> np.ndarray:
     return np.where(up, np.nextafter(mid, -np.inf), mid)
 
 
+@functools.lru_cache(maxsize=16)
+def _bucket_table(level_bytes: bytes) -> tuple[np.ndarray, np.ndarray, int]:
+    """(table, thresholds + [inf], rounds) for the float64 levels in `level_bytes`.
+
+    A bucket is every float64 sharing one top-20-bit key.  table[key] counts
+    the thresholds below the bucket, so it never exceeds the index of a
+    value in it, and `rounds` is the most thresholds one bucket holds.  The
+    table is built in value order, where negative keys run backwards, as
+    uint8 runs between the thresholds' buckets.
+    """
+    t = _midpoint_thresholds(np.frombuffer(level_bytes)) + 0.0  # -0.0 sorts as 0
+    key = (t.view(np.uint64) >> np.uint64(_KEY_SHIFT)).astype(np.int64)
+    pos = np.where(key >= _HALF_KEYS, 2 * _HALF_KEYS - 1 - key, key + _HALF_KEYS)
+    runs = np.diff(np.concatenate([[0], pos + 1, [2 * _HALF_KEYS]]))
+    by_value = np.repeat(np.arange(t.size + 1, dtype=np.ubyte), runs)
+    table = np.concatenate([by_value[_HALF_KEYS:], by_value[_HALF_KEYS - 1::-1]])
+    thresholds = np.append(t, np.inf)
+    table.flags.writeable = thresholds.flags.writeable = False
+    rounds = int(np.unique(pos, return_counts=True)[1].max()) if t.size else 0
+    return table, thresholds, rounds
+
+
 def nearest_level_indices(values: np.ndarray, levels: np.ndarray) -> np.ndarray:
     """Byte index of the nearest of at most 256 levels; ties go away from zero.
 
     Values beyond the table clamp to its ends, and an exact zero midway
-    between -l and +l takes +l.  A table of consecutive integers (rtn) is
-    rounded arithmetically; any other table is searched against its exact
-    midpoints.  Both give the exactly nearest level.
+    between -l and +l takes +l.  The level k is the count of exact midpoint
+    thresholds below the value.  A 2**20-entry uint8 table, cached per
+    level table and keyed by the value's top 20 bits (sign, exponent and 8
+    mantissa bits), gives the count of thresholds below the value's bucket;
+    the fix-up `k += x > thresholds[k]` then steps over the thresholds
+    inside the bucket, once for each threshold the fullest bucket holds (one
+    round for every default table).  The last threshold is +inf, so k stops
+    at the top level.
     """
     x = np.asarray(values, dtype=np.float64)
-    lo = levels[0]
-    if lo == np.floor(lo) and np.all(np.diff(levels) == 1.0):
-        q = np.rint(x)  # exact, but ties go to even
-        d = x - q       # exact
-        tie = np.abs(d, out=d) == 0.5
-        if tie.any():
-            q[tie] = x[tie] + np.copysign(0.5, x[tie])
-        q -= lo
-        return np.clip(q, 0, levels.size - 1, out=q).astype(np.ubyte)
-    return np.searchsorted(_midpoint_thresholds(levels), x).astype(np.ubyte)
+    table, thresholds, rounds = _bucket_table(np.asarray(levels, dtype=np.float64).tobytes())
+    # the arithmetic shift makes negative keys negative, which index from the end
+    k = table[x.view(np.int64) >> _KEY_SHIFT]
+    for _ in range(rounds):
+        k += x > thresholds[k]
+    return k
 
 
 def _stored_scales(raw_max: np.ndarray, context: str) -> np.ndarray:
@@ -120,6 +146,11 @@ def _stored_scales(raw_max: np.ndarray, context: str) -> np.ndarray:
     if np.any(np.isinf(s)):
         raise DataError(f"{context}: group scale exceeds float16 range")
     return np.where((s == 0) & (raw_max > 0), _F16_TINY, s)
+
+
+def _block_groups(group_size: int) -> int:
+    """Groups in one block: about _BLOCK_ELEMS elements, at least one group."""
+    return max(1, _BLOCK_ELEMS // group_size)
 
 
 def _grouped(flat: np.ndarray, group_size: int) -> np.ndarray:
@@ -187,15 +218,16 @@ def quantize_tensor(data: np.ndarray, config: QuantConfig, name: str = "") -> Qu
     out = np.empty(n_groups * G, dtype=np.ubyte)
     scales = np.empty(n_groups, dtype=np.float16)
 
-    block = max(1, _BLOCK_ELEMS // G)
+    block = _block_groups(G)
     for start in range(0, n_groups, block):
         chunk = groups[start:start + block]
         s = _stored_scales(np.max(np.abs(chunk), axis=1) / levels[-1],
                            f"tensor {name or '<unnamed>'}")
         scales[start:start + block] = s
-        # an all-zero group divides by 1 and lands on the zero tie code
-        z = chunk / np.where(s == 0, 1.0, s.astype(np.float64))[:, None]
-        out[start * G:start * G + chunk.size] = nearest_level_indices(z.ravel(), levels)
+        # in place: groups is a private copy.  An all-zero group divides by 1
+        # and lands on the zero tie code
+        chunk /= np.where(s == 0, 1.0, s.astype(np.float64))[:, None]
+        out[start * G:start * G + chunk.size] = nearest_level_indices(chunk.ravel(), levels)
 
     return QuantizedTensor(name, tuple(np.asarray(arr).shape), out[:flat.size], scales, config)
 

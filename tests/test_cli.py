@@ -9,7 +9,7 @@ import pytest
 
 from benq.cli import main
 from benq.io import read_benq, read_container
-from benq.quantizer import QuantizedTensor, dequantize
+from benq.quantizer import _BLOCK_ELEMS, QuantizedTensor, dequantize
 
 
 def run(capsys, *argv):
@@ -341,3 +341,20 @@ class TestThreads:
             outs.append(out.read_bytes())
         capsys.readouterr()
         assert outs[0] == outs[1]
+
+    def test_threaded_compare_matches_serial(self, capsys, tmp_path):
+        # three group-aligned blocks at G=8, the last one ending in a 3-element group
+        n = 2 * _BLOCK_ELEMS + 8 * 5 + 3
+        p = tmp_path / "big.safetensors"
+        assert main(["synth", "--tensor", f"layers.0.mlp.up_proj.weight=loguniform(5,{n})",
+                     "--tensor", "layers.0.input_layernorm.weight=lognormal(0,0.05,64)",
+                     "--out", str(p)]) == 0
+        outs = []
+        for threads in (1, 2, 4):
+            out = tmp_path / f"cmp{threads}.json"
+            assert main(["compare", str(p), "--group-size", "8", "--threads", str(threads),
+                         "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        capsys.readouterr()
+        assert outs[0] == outs[1] == outs[2]
+        assert len(json.loads(outs[0])["rows"]) == 2 * 3

@@ -634,3 +634,41 @@ class TestHostileShapes:
             read_benq(str(p))
         except (FormatError, ConfigError):
             pass
+
+
+# offset pairs an int() reading took for [0, 8], [1, 9] and [0, -8]
+HOSTILE_PAIRS = pytest.mark.parametrize(
+    "pair", [[0.9, 8.7], [True, 9], [0, -8]], ids=["fractional", "boolean", "negative"])
+
+
+class TestHostileOffsets:
+    """Offsets and spans are outside input too: pairs of non-negative ints only."""
+
+    @HOSTILE_PAIRS
+    def test_safetensors_rejects(self, tmp_path, pair):
+        p = tmp_path / "bad.st"
+        build_safetensors(p, {"w": {"dtype": "F32", "shape": [2],
+                                    "data_offsets": pair}}, bytes(16))
+        with pytest.raises(FormatError, match="data_offsets .* not a list of 2 non-negative"):
+            read_container(str(p))
+
+    @HOSTILE_PAIRS
+    def test_benq_preserved_rejects(self, tmp_path, pair):
+        directory = [{"name": "w", "shape": [2], "quantized": False,
+                      "dtype": "F32", "data": pair}]
+        p = tmp_path / "c.benq"
+        build_benq(p, TestBenqCrafted.CFG, QUANTIZE_ALL, directory, bytes(16))
+        with pytest.raises(FormatError, match="data .* not a list of 2 non-negative"):
+            read_benq(str(p))
+
+    @HOSTILE_PAIRS
+    def test_benq_quantized_rejects(self, tmp_path, pair):
+        # 32 two-bit codes fill 8 bytes; their 8 scales follow
+        payload = bytes(8) + np.float16(1.0).tobytes() * 8
+        directory = [{"name": "w", "shape": [32], "quantized": True,
+                      "n_groups": 8, "tail_len": 0,
+                      "indices": pair, "scales": [8, 16]}]
+        p = tmp_path / "c.benq"
+        build_benq(p, TestBenqCrafted.CFG, QUANTIZE_ALL, directory, payload)
+        with pytest.raises(FormatError, match="indices .* not a list of 2 non-negative"):
+            read_benq(str(p))

@@ -12,7 +12,7 @@ from benq import rng
 from benq.errors import DataError
 from benq.levels import Schedule
 from benq.metrics import DistortionReport, compare_schedules, distortion
-from benq.quantizer import QuantConfig
+from benq.quantizer import _BLOCK_ELEMS, QuantConfig, dequantize, quantize_tensor
 from benq.synth import synth_tensor
 
 
@@ -105,13 +105,29 @@ class TestCompareSchedules:
         assert all(r.name == "t" for r in reps)
 
     def test_agrees_with_manual_pipeline(self):
-        from benq.quantizer import dequantize, quantize_tensor
         data = synth_tensor("gaussian(0.5,512)", seed=7)
         cfg = QuantConfig(bits=4, group_size=8, schedule=Schedule.LOG_UNIFORM)
         (rep,) = compare_schedules(data, [cfg], "g")
         manual = distortion(data, dequantize(quantize_tensor(data, cfg, "g")),
                             name="g", config=cfg)
         assert rep == manual
+
+    def test_blocked_tensor_agrees_with_manual_pipeline(self):
+        # three group-aligned blocks, the last one ending in a short group
+        data = synth_tensor(f"loguniform(5,{2 * _BLOCK_ELEMS + 8 * 5 + 3})", seed=3)
+        cfgs = [QuantConfig(bits=b, group_size=8, schedule=s)
+                for b, s in ((4, Schedule.LOG_UNIFORM), (3, Schedule.LINEAR), (8, Schedule.RTN))]
+        reps = compare_schedules(data, cfgs, "b")
+        for rep, cfg in zip(reps, cfgs):
+            manual = distortion(data, dequantize(quantize_tensor(data, cfg, "b")),
+                                name="b", config=cfg)
+            assert rep.max_abs_err == manual.max_abs_err
+            assert rep.mse == pytest.approx(manual.mse, rel=1e-12, abs=0)
+            assert rep.rel_fro_err == pytest.approx(manual.rel_fro_err, rel=1e-12, abs=0)
+
+    def test_empty_tensor(self):
+        (rep,) = compare_schedules(np.zeros(0, np.float32), [QuantConfig()], "e", threads=2)
+        assert (rep.mse, rep.max_abs_err, rep.rel_fro_err) == (0.0, 0.0, 0.0)
 
 
 # MSEs measured once with the brute-force nearest-level oracle in the loop,

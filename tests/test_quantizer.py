@@ -10,7 +10,8 @@ from benq.levels import (Schedule, generate_linear_levels, generate_log_uniform_
                          make_codebook)
 from benq.quantizer import (DEFAULT_POLICY, QUANTIZE_ALL, QuantConfig, QuantPolicy,
                             QuantizedTensor, apply_policy, dequantize,
-                            nearest_level_indices, quantize_tensor)
+                            _KEY_SHIFT, _bucket_table, nearest_level_indices,
+                            quantize_tensor)
 
 
 def exact_nearest(z, table):
@@ -191,6 +192,58 @@ class TestBoundaries:
                 # w / scale is exact for a power-of-two scale; it is what the kernel sees
                 assert not mismatches(qt.indices[1::2], w[1::2] / scale), (bits, scale)
                 assert np.all(qt.indices[0::2] == levels.size - 1), (bits, scale)
+
+
+# (schedule, epsilon): the default tables, and log tables whose crowded
+# top levels put several thresholds in one bucket
+KERNEL_TABLES = [(Schedule.LOG_UNIFORM, 1e-7), (Schedule.LINEAR, 1e-7), (Schedule.RTN, 1e-7),
+                 (Schedule.LOG_UNIFORM, 0.5), (Schedule.LOG_UNIFORM, 0.99),
+                 (Schedule.LOG_UNIFORM, 0.999999)]
+
+
+class TestBucketKernel:
+    """The bucket-table search against exact arithmetic, at its edges."""
+
+    SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300]
+
+    @staticmethod
+    def edge_inputs(levels):
+        mids = (levels[:-1] + levels[1:]) / 2.0
+        z = np.concatenate([mids, np.nextafter(mids, -np.inf), np.nextafter(mids, np.inf),
+                            levels])
+        # the first and the last float64 of each midpoint's bucket
+        shift = np.uint64(_KEY_SHIFT)
+        low = mids.view(np.uint64) >> shift << shift
+        ends = np.concatenate([low, low | np.uint64(2 ** _KEY_SHIFT - 1)]).view(np.float64)
+        top = levels[-1]
+        beyond = [np.nextafter(top, np.inf), 1.5 * top, 2.0 * top, 1e6 * top]
+        return np.concatenate([z, ends, beyond, -z, -ends, np.negative(beyond),
+                               TestBucketKernel.SPECIAL])
+
+    @pytest.mark.parametrize("schedule,epsilon", KERNEL_TABLES,
+                             ids=lambda v: getattr(v, "value", repr(v)))
+    def test_matches_exact_oracle(self, schedule, epsilon):
+        for bits in range(2, 9):
+            levels = make_codebook(schedule, bits, epsilon).levels
+            table = [Fraction(v) for v in levels]
+            z = self.edge_inputs(levels)
+            want = [exact_nearest(v, table) for v in z]
+            bad = [(float(v), int(g), w) for v, g, w in
+                   zip(z, nearest_level_indices(z, levels), want) if g != w]
+            assert not bad, (bits, bad[:5])
+
+    def test_rounds_follow_the_fullest_bucket(self):
+        def rounds(schedule, bits, epsilon=1e-7):
+            levels = make_codebook(schedule, bits, epsilon).levels
+            return _bucket_table(levels.tobytes())[2]
+
+        assert {rounds(s, b) for s in Schedule for b in range(2, 9)} == {1}
+        assert rounds(Schedule.LOG_UNIFORM, 8, 0.999999) > 100
+
+    def test_special_values(self):
+        levels = make_codebook(Schedule.LINEAR, 3).levels   # -1 .. -1/4, 1/4 .. 1
+        z = np.array(self.SPECIAL + [np.inf, -np.inf])
+        assert nearest_level_indices(z, levels).tolist() == [4, 4, 4, 3, 4, 3, 7, 0, 7, 0]
 
 
 class TestQuantizeGroup:
