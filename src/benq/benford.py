@@ -10,10 +10,26 @@ Benford probabilities is the compliance score used throughout:
 
 Zeros carry no leading digit and are skipped (counted separately); NaN or
 Inf anywhere in a tensor is a data error.
+
+Digits are read from the float's bits and are exact for every finite
+float32 and float64.  float32 and float64 tensors are read in their own
+dtype, float16 as float32 (exact), anything else as float64.  For each of
+the two formats a table, built once per process in integer arithmetic,
+holds the bits of the smallest float >= d * 10**k for every digit d and
+decade k; positive floats order like their bits, so a magnitude's digit
+follows from the number of boundaries at or below its bits.  The tensor is
+walked in blocks of 2**20 elements.  Each value is keyed on its top 16 bits
+(sign, exponent and leading mantissa bits), and a bincount over the 2**16
+keys does most of the work: a key that holds no boundary has one digit for
+all its values.  Only the values of split keys (a boundary strictly inside,
+about 2% of a smooth float32 tensor; key 0, which holds zero and the
+smallest subnormals, is always split) are looked up with `searchsorted`.
+Keys with an all-ones exponent hold NaN and Inf.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import statistics
 from concurrent.futures import ThreadPoolExecutor
@@ -35,41 +51,124 @@ SUBSAMPLE_THRESHOLD = 50_000_000
 SUBSAMPLE_SIZE = 10_000_000
 
 
-def _leading_digits(values: np.ndarray) -> tuple[np.ndarray, int]:
-    """Digits (1..9) of the nonzero entries plus the count of exact zeros."""
-    x = np.abs(np.asarray(values, dtype=np.float64).ravel())
-    if not np.all(np.isfinite(x)):
+_KEY_BITS = 16            # a key is a float's sign, exponent and leading mantissa bits
+_DIGIT_BLOCK = 1 << 20    # elements per block of the digit walk
+_SPLIT, _NON_FINITE = 10, 11  # key classes beside the digits 1..9
+
+
+@dataclass(frozen=True)
+class _DigitTables:
+    """Exact digit tables for one float format (float32 or float64), read-only.
+
+    The key classes (a key's digit, _SPLIT or _NON_FINITE) are stored as
+    runs of equal class over the keys in order, so that per-key counts add
+    up by class in one `reduceat`.
+    """
+
+    boundaries: np.ndarray   # bits of the smallest float >= d * 10**k, ascending
+    digit_after: np.ndarray  # [i]: digit of a magnitude with i boundaries at or below it
+    split: np.ndarray        # per key: a boundary lies strictly inside it (and key 0)
+    run_starts: np.ndarray   # first key of each run of equal class
+    run_class: np.ndarray    # class of each run
+
+    def digits(self, bits: np.ndarray) -> np.ndarray:
+        """Leading digits of the values with these bits, 0 for zero, for any key."""
+        magnitude = bits & (np.iinfo(bits.dtype).max >> 1)
+        return self.digit_after[np.searchsorted(self.boundaries, magnitude, side="right")]
+
+
+def _ceil_to_float(num: int, den: int, info: np.finfo) -> float:
+    """num/den > 0 rounded up to the float format `info`, in exact integer arithmetic."""
+    e = num.bit_length() - den.bit_length()  # 2**e <= num/den < 2**(e+1), or one above
+    if (num << max(-e, 0)) < (den << max(e, 0)):
+        e -= 1
+    q = max(e, info.minexp) - info.nmant  # exponent of one ulp at num/den
+    m = -((-num << max(-q, 0)) // (den << max(q, 0)))
+    return math.ldexp(m, q)
+
+
+@functools.lru_cache(maxsize=None)
+def _digit_tables(dtype: type) -> _DigitTables:
+    """Tables over the decades from the smallest subnormal's to the largest
+    finite float's; boundaries past the largest finite float are left out.
+
+    A normal key spans a ratio of at most 1 + 2**-7 (float32) or 1 + 2**-4
+    (float64), below 10/9, so it holds at most one boundary; subnormal keys
+    can hold several, which `searchsorted` resolves alike.
+    """
+    info = np.finfo(dtype)
+    uint = np.dtype(f"u{info.bits // 8}")
+    shift = info.bits - _KEY_BITS
+    top_num, top_den = float(info.max).as_integer_ratio()
+    values, digits = [], []
+    for k in range(math.floor(math.log10(float(info.smallest_subnormal))),
+                   math.floor(math.log10(float(info.max))) + 1):
+        for d in range(1, 10):
+            num, den = d * 10 ** max(k, 0), 10 ** max(-k, 0)
+            if num * top_den > top_num * den:
+                break
+            values.append(_ceil_to_float(num, den, info))
+            digits.append(d)
+    boundaries = np.array(values).astype(dtype).view(uint)
+    digit_after = np.array([0] + digits, dtype=np.uint8)
+
+    first = np.arange(1 << (_KEY_BITS - 1), dtype=uint) << shift  # positive keys' first values
+    key_class = digit_after[np.searchsorted(boundaries, first, side="right")]
+    key = boundaries >> shift
+    key_class[key[boundaries != first[key]]] = _SPLIT
+    key_class[0] = _SPLIT  # zero and the smallest subnormals
+    key_class[int(np.array(np.inf, dtype=dtype).view(uint) >> shift):] = _NON_FINITE
+    key_class = np.tile(key_class, 2)  # the sign bit does not change the digit
+    run_starts = np.flatnonzero(np.diff(key_class, prepend=0))
+    tables = _DigitTables(boundaries, digit_after, key_class == _SPLIT,
+                          run_starts, key_class[run_starts])
+    for a in (boundaries, digit_after, tables.split, run_starts, tables.run_class):
+        a.flags.writeable = False
+    return tables
+
+
+def _read_dtype(dtype: np.dtype) -> type:
+    """float16 and float32 are read as float32, everything else as float64."""
+    return np.float32 if dtype.kind == "f" and dtype.itemsize <= 4 else np.float64
+
+
+def _digit_counts(flat: np.ndarray) -> np.ndarray:
+    """Counts of zeros (slot 0) and of digits 1..9 over a flat array."""
+    dtype = _read_dtype(flat.dtype)
+    t = _digit_tables(dtype)
+    uint = t.boundaries.dtype
+    per_class = np.zeros(_NON_FINITE + 1)  # float64 adds counts exactly below 2**53
+    counts = np.zeros(10, dtype=np.int64)  # values of split keys
+    key_buffer = np.empty(min(flat.size, _DIGIT_BLOCK), dtype=np.intp)
+    for i in range(0, flat.size, _DIGIT_BLOCK):
+        bits = np.ascontiguousarray(flat[i:i + _DIGIT_BLOCK], dtype=dtype).view(uint)
+        # the shift runs in the unsigned type; keys < 2**16 fit any index type
+        keys = np.right_shift(bits, 8 * uint.itemsize - _KEY_BITS,
+                              out=key_buffer[:bits.size], casting="unsafe")
+        key_counts = np.bincount(keys, minlength=1 << _KEY_BITS)
+        per_class += np.bincount(t.run_class, weights=np.add.reduceat(key_counts, t.run_starts),
+                                 minlength=_NON_FINITE + 1)
+        counts += np.bincount(t.digits(bits[t.split[keys]]), minlength=10)
+    if per_class[_NON_FINITE]:
         raise DataError("leading digit is undefined for NaN or Inf values")
-    nonzero = x[x != 0.0]
-    zeros = x.size - nonzero.size
-    if nonzero.size == 0:
-        return np.empty(0, dtype=np.int64), zeros
-    e = np.floor(np.log10(nonzero))
-    # 10.0**e degrades near the subnormal range and overflows past 1e308;
-    # scaling by 100 decades keeps the leading digit and lands in safe range
-    extreme = (e < -290) | (e > 290)
-    if np.any(extreme):
-        nonzero = nonzero.copy()
-        nonzero[e < -290] *= 1e100
-        nonzero[e > 290] *= 1e-100
-        e = np.floor(np.log10(nonzero))
-    m = nonzero / np.power(10.0, e)
-    # floor(log10) can be off by one decade at representation boundaries
-    m[m < 1.0] *= 10.0
-    m[m >= 10.0] /= 10.0
-    d = m.astype(np.int64)
-    np.clip(d, 1, 9, out=d)
-    return d, zeros
+    counts[1:] += per_class[1:10].astype(np.int64)
+    return counts
 
 
 def first_digit(x: float) -> int | None:
-    """Leading digit of x, or None for an exact zero."""
+    """Leading digit of x, or None for an exact zero.
+
+    One value is looked up in the boundary table directly, the step that
+    resolves split keys in a histogram; the per-key tables pay off only
+    over many values.
+    """
     if not math.isfinite(x):
         raise DataError(f"leading digit is undefined for {x!r}")
-    if x == 0.0:
-        return None
-    d, _ = _leading_digits(np.array([x]))
-    return int(d[0])
+    value = np.asarray(x)
+    dtype = _read_dtype(value.dtype)
+    tables = _digit_tables(dtype)
+    bits = value.astype(dtype).reshape(1).view(tables.boundaries.dtype)
+    return int(tables.digits(bits)[0]) or None
 
 
 @dataclass(frozen=True)
@@ -98,9 +197,8 @@ class DigitHistogram:
 
 def digit_histogram(values: np.ndarray) -> DigitHistogram:
     """Histogram of leading digits over a tensor (zeros skipped, not counted)."""
-    d, zeros = _leading_digits(np.asarray(values))
-    counts = np.bincount(d, minlength=10)[1:10]
-    return DigitHistogram(counts, zeros)
+    counts = _digit_counts(np.asarray(values).ravel())
+    return DigitHistogram(counts[1:], int(counts[0]))
 
 
 def mad_from_probs(probs: np.ndarray) -> float:

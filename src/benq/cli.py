@@ -223,9 +223,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="base seed for any randomness")
     common.add_argument("--threads", type=int, default=None,
                         help="worker threads (default: BENQ_THREADS or all cores)")
+
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0, help="base seed for any randomness")
 
     grid = argparse.ArgumentParser(add_help=False)
     grid.add_argument("--bits", type=int, default=4, help="bit width (2..8)")
@@ -237,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schedule", choices=["log", "linear"], default="log")
     p.set_defaults(func=cmd_levels)
 
-    p = sub.add_parser("analyze", parents=[common],
+    p = sub.add_parser("analyze", parents=[common, seeded],
                        help="first-digit compliance report for a checkpoint")
     p.add_argument("container", help="safetensors file")
     p.add_argument("--policy", help="policy JSON (family patterns)")
@@ -269,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", help="also write the table as CSV")
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("synth", parents=[common],
+    p = sub.add_parser("synth", parents=[common, seeded],
                        help="generate a synthetic safetensors checkpoint")
     p.add_argument("--tensor", action="append", required=True, metavar="NAME=DIST(...)",
                    help="e.g. w=loguniform(6,1000000); repeatable")

@@ -1,9 +1,10 @@
 import math
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from benq import benford, rng
 from benq.benford import (DigitHistogram, Family, classify_family, digit_histogram,
@@ -29,6 +30,8 @@ class TestFirstDigit:
         (1e308, 1), (5e-324, 4), (7.0, 7), (-0.07, 7),
         # the double nearest 1e-308 is 9.9999...e-309; its true digit is 9
         (1e-308, 9),
+        # doubles within an ulp of a decimal boundary d * 10**k
+        (7e-111, 7), (7e70, 7), (1e-307, 9), (2e-307, 1),
     ])
     def test_examples(self, value, digit):
         assert first_digit(value) == digit
@@ -56,6 +59,113 @@ class TestFirstDigit:
     def test_scale_invariance_by_decades(self, lead, frac, exp):
         x = float(f"{lead}.{frac:04d}")
         assert first_digit(x * 10.0 ** exp) == first_digit(x)
+
+
+def exact_boundaries(dtype) -> np.ndarray:
+    """Smallest positive `dtype` float >= d * 10**k for every digit d and every
+    decade k from the smallest subnormal's to the largest finite float's."""
+    info = np.finfo(dtype)
+    top = Fraction(float(info.max))
+    up, down = dtype(np.inf), dtype(0.0)
+    out = []
+    for k in range(Decimal(float(info.smallest_subnormal)).adjusted(),
+                   Decimal(float(info.max)).adjusted() + 1):
+        for d in range(1, 10):
+            target = d * Fraction(10) ** k
+            if target > top:
+                break
+            f = dtype(float(target))
+            while Fraction(float(f)) < target:
+                f = np.nextafter(f, up)
+            while (p := np.nextafter(f, down)) > 0 and Fraction(float(p)) >= target:
+                f = p
+            out.append(f)
+    return np.array(out, dtype=dtype)
+
+
+def oracle_counts(values: np.ndarray) -> np.ndarray:
+    """Zeros (slot 0) and digits 1..9 by the decimal oracle."""
+    return np.bincount([decimal_digit(float(v)) for v in values], minlength=10)
+
+
+class TestDigitBoundaries:
+    """Every decimal boundary of float32 and float64, exhaustively."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_every_boundary_matches_decimal_oracle(self, dtype):
+        info = np.finfo(dtype)
+        b = exact_boundaries(dtype)
+        near = np.concatenate([b, np.nextafter(b, dtype(np.inf)), np.nextafter(b, dtype(0.0)),
+                               [0.0, info.smallest_subnormal, info.max]]).astype(dtype)
+        values = np.concatenate([near, -near])
+        assert np.all(np.isfinite(values))
+        expected = oracle_counts(values)
+        for v in values:
+            assert (first_digit(v) or 0) == decimal_digit(float(v)), v
+        # more than two blocks, the last one partly filled
+        reps = 2 * benford._DIGIT_BLOCK // values.size + 1
+        h = digit_histogram(np.tile(values, reps))
+        assert h.counts.tolist() == (reps * expected[1:]).tolist()
+        assert h.zeros_skipped == reps * expected[0]
+
+
+class TestDigitKernel:
+    @pytest.mark.parametrize("dtype,uint", [(np.float32, np.uint32), (np.float64, np.uint64)])
+    @given(data=st.data())
+    def test_random_bit_patterns_match_decimal_oracle(self, dtype, uint, data):
+        n_bits = 8 * np.dtype(uint).itemsize
+        patterns = data.draw(st.lists(st.integers(0, 2 ** n_bits - 1), min_size=1, max_size=64))
+        values = np.array(patterns, dtype=uint).view(dtype)
+        assume(np.all(np.isfinite(values)))
+        expected = oracle_counts(values)
+        h = digit_histogram(values)
+        assert h.counts.tolist() == expected[1:].tolist()
+        assert h.zeros_skipped == expected[0]
+        for v in values:
+            assert (first_digit(v) or 0) == decimal_digit(float(v))
+
+    @pytest.mark.parametrize("dtype,bad_bits", [
+        (np.float32, 0x7FC00000), (np.float32, 0xFFC00000),   # quiet NaN, sign set
+        (np.float32, 0x7F800001), (np.float32, 0xFFBFFFFF),   # payload NaNs
+        (np.float32, 0x7F800000), (np.float32, 0xFF800000),   # +inf, -inf
+        (np.float64, 0x7FF8000000000000), (np.float64, 0xFFF8000000000000),
+        (np.float64, 0x7FF0000000000001), (np.float64, 0xFFFFFFFFFFFFFFFF),
+        (np.float64, 0x7FF0000000000000), (np.float64, 0xFFF0000000000000),
+    ])
+    def test_non_finite_in_last_block_rejected(self, dtype, bad_bits):
+        values = np.ones(2 * benford._DIGIT_BLOCK + 5, dtype=dtype)
+        uint = np.dtype(f"u{values.itemsize}")
+        values.view(uint)[-1] = bad_bits
+        assert not np.isfinite(values[-1])
+        with pytest.raises(DataError):
+            digit_histogram(values)
+
+    def test_every_float16_matches_decimal_oracle(self):
+        values = np.arange(2 ** 16, dtype=np.uint32).astype(np.uint16).view(np.float16)
+        values = values[np.isfinite(values)]
+        expected = oracle_counts(values)
+        h = digit_histogram(values)
+        assert h.counts.tolist() == expected[1:].tolist()
+        assert h.zeros_skipped == expected[0]
+
+    @pytest.mark.parametrize("values", [
+        np.append(np.arange(-1000, 1001), [-(2 ** 63), 2 ** 63 - 1]),
+        np.array([0, 7, 10 ** 18, 2 ** 63, 2 ** 64 - 1], dtype=np.uint64),
+        np.arange(-128, 128, dtype=np.int8),
+        [0.0042, -350.0, 0.0, 7e-111, 1e-307, 3, True],
+    ], ids=["int64", "uint64", "int8", "list"])
+    def test_non_float_inputs_read_as_float64(self, values):
+        as_float = np.asarray(values, dtype=np.float64)
+        expected = oracle_counts(as_float)
+        h = digit_histogram(values)
+        assert h.counts.tolist() == expected[1:].tolist()
+        assert h.zeros_skipped == expected[0]
+
+    @pytest.mark.parametrize("values", [np.array([]), [], np.zeros((0, 3), dtype=np.float32)])
+    def test_empty_input_has_zero_counts(self, values):
+        h = digit_histogram(values)
+        assert h.counts.tolist() == [0] * 9
+        assert h.zeros_skipped == 0
 
 
 class TestHistogram:

@@ -278,6 +278,22 @@ class TestManifest:
         assert man["config"]["tensors"] == {"w": "gaussian(1,8)"}
         assert man["seed"] == 0
 
+    def test_seed_only_where_it_is_read(self, capsys, tmp_path):
+        p = make_model(capsys, tmp_path)
+        b = tmp_path / "m.benq"
+        assert main(["quantize", str(p), "--out", str(b)]) == 0
+        assert main(["dequantize", str(b), "--out", str(tmp_path / "r.st")]) == 0
+        assert main(["compare", str(p), "--out", str(tmp_path / "c.json")]) == 0
+        assert main(["analyze", str(p), "--seed", "3", "--out", str(tmp_path / "a.json")]) == 0
+        capsys.readouterr()
+        seeds = {out: json.loads((tmp_path / (out + ".manifest.json")).read_text())["seed"]
+                 for out in ("m.benq", "r.st", "c.json", "a.json")}
+        assert seeds == {"m.benq": None, "r.st": None, "c.json": None, "a.json": 3}
+        for argv in (["quantize", str(p)], ["dequantize", str(b)], ["compare", str(p)]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--seed", "1"])
+            assert exc.value.code == 2
+
 
 class TestExitCodes:
     def test_missing_input_file(self, capsys, tmp_path):
