@@ -32,13 +32,13 @@ from __future__ import annotations
 import functools
 import math
 import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
+from ._pool import _map
 from .errors import DataError
 from .levels import BENFORD_PROBS
 from . import rng
@@ -231,6 +231,7 @@ class Family(str, Enum):
 # Ordered substring rules; the first family whose pattern matches wins.
 # Bias is recognized by name suffix ahead of everything else so that e.g.
 # a projection bias lands in the bias family rather than with its matrix.
+# The default policy quantizes exactly the two linear families.
 DEFAULT_FAMILY_PATTERNS: tuple[tuple[str, tuple[str, ...]], ...] = (
     (Family.NORM.value, ("norm", "ln")),
     (Family.EMBEDDING.value, ("embed", "wte", "wpe", "lm_head")),
@@ -240,14 +241,15 @@ DEFAULT_FAMILY_PATTERNS: tuple[tuple[str, tuple[str, ...]], ...] = (
 
 
 def classify_family(name: str, policy: "QuantPolicy | None" = None) -> Family:
-    """Map a tensor name to its structural family by substring rules.
+    """Map a tensor name to its structural family.
 
-    A policy may carry its own ordered pattern table (family name -> substrings);
-    otherwise the default transformer naming conventions apply.
+    A `.bias` suffix comes first; then the first family of the ordered
+    pattern table (the policy's, else DEFAULT_FAMILY_PATTERNS) with a
+    substring of the lowercased name; else OTHER.
     """
     if name.endswith(".bias"):
         return Family.BIAS
-    patterns = getattr(policy, "family_patterns", None) or DEFAULT_FAMILY_PATTERNS
+    patterns = DEFAULT_FAMILY_PATTERNS if policy is None else policy.family_patterns
     lowered = name.lower()
     for family_name, subs in patterns:
         if any(s in lowered for s in subs):
@@ -324,10 +326,16 @@ def tensor_report(name: str, data: np.ndarray, policy: "QuantPolicy | None" = No
     flat = np.asarray(data).ravel()
     sub_seed = None
     if flat.size > SUBSAMPLE_THRESHOLD:
+        # sample i is flat[int(u_i * size)], u_i the stream's i-th uniform;
+        # drawn, gathered and counted a block at a time to bound the temporaries
         sub_seed = rng.derive_seed(seed, name)
-        pick = (rng.uniform01(sub_seed, 0, SUBSAMPLE_SIZE) * flat.size).astype(np.int64)
-        flat = flat[pick]
-    hist = digit_histogram(flat)
+        counts = np.zeros(10, dtype=np.int64)
+        for i in range(0, SUBSAMPLE_SIZE, _DIGIT_BLOCK):
+            u = rng.uniform01(sub_seed, i, min(_DIGIT_BLOCK, SUBSAMPLE_SIZE - i))
+            counts += _digit_counts(flat[(u * flat.size).astype(np.int64)])
+        hist = DigitHistogram(counts[1:], int(counts[0]))
+    else:
+        hist = digit_histogram(flat)
     mad = mad_score(hist) if hist.total > 0 else None
     return DigitReport(name, classify_family(name, policy), int(np.asarray(data).size),
                        hist, mad, sub_seed)
@@ -340,12 +348,8 @@ def model_report(tensors: Mapping[str, np.ndarray], policy: "QuantPolicy | None"
     Tensors are ordered by descending MAD (degenerate tensors last); family
     summaries aggregate the non-degenerate tensors in declaration order.
     """
-    items = list(tensors.items())
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(lambda kv: tensor_report(kv[0], kv[1], policy, seed), items))
-    else:
-        reports = [tensor_report(name, data, policy, seed) for name, data in items]
+    reports = _map(lambda kv: tensor_report(kv[0], kv[1], policy, seed),
+                   list(tensors.items()), threads)
     reports.sort(key=lambda r: (r.mad is None, -(r.mad or 0.0), r.name))
 
     summaries = []

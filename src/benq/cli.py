@@ -56,9 +56,10 @@ def _load_policy(path: str | None, no_policy: bool) -> QuantPolicy:
             obj = json.load(f)
         except json.JSONDecodeError as e:
             raise ConfigError(f"{path}: invalid policy JSON: {e}") from None
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: policy must be a JSON object")
-    return QuantPolicy.from_dict(obj)
+    try:
+        return QuantPolicy.from_dict(obj)
+    except ConfigError as e:
+        raise ConfigError(f"{path}: {e}") from None
 
 
 def _emit_manifest(args, command: str, config: dict, inputs: list[str],
@@ -242,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", parents=[common, seeded],
                        help="first-digit compliance report for a checkpoint")
     p.add_argument("container", help="safetensors file")
-    p.add_argument("--policy", help="policy JSON (family patterns)")
+    p.add_argument("--policy", help="policy JSON; its family_patterns classify the tensors")
     p.add_argument("--out", help="report JSON path (default: stdout)")
     p.add_argument("--csv", help="also write the per-tensor table as CSV")
     p.set_defaults(func=cmd_analyze)
@@ -251,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="quantize a checkpoint into a .benq file")
     p.add_argument("container", help="safetensors file")
     p.add_argument("--schedule", choices=["log", "linear", "rtn"], default="log")
-    p.add_argument("--policy", help="policy JSON overriding the default layer rules")
+    p.add_argument("--policy",
+                   help="policy JSON: family_patterns and the quantize_families to quantize")
     p.add_argument("--no-policy", action="store_true", help="quantize every tensor")
     p.add_argument("--out", help="output .benq path (default: input with .benq suffix)")
     p.set_defaults(func=cmd_quantize)

@@ -10,9 +10,9 @@ safetensors layout (subset: F32, F16, BF16 tensors):
 
     b"BNQ1" | u64 LE header length | header JSON (space-padded) | payload
     header: {
-      "version": 1,
+      "version": 2,
       "config":  {"bits", "group_size", "schedule", "epsilon"?},
-      "policy":  {...}, "policy_digest": sha256 hex,
+      "policy":  {"family_patterns", "quantize_families"}, "policy_digest": sha256 hex,
       "content_digest": sha256 hex,
       "tensors": [
         {"name", "shape", "quantized": true,  "n_groups", "tail_len",
@@ -52,7 +52,7 @@ from .quantizer import ModelQuantization, QuantConfig, QuantizedTensor, QuantPol
 
 SUPPORTED_DTYPES = ("F32", "F16", "BF16")
 BENQ_MAGIC = b"BNQ1"
-BENQ_VERSION = 1
+BENQ_VERSION = 2
 
 _MAX_HEADER = 1 << 30
 

@@ -6,12 +6,12 @@ All statistics are accumulated in float64 regardless of input dtype.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from ._pool import _map
 from .errors import DataError
 from .quantizer import QuantConfig, _block_groups, dequantize, quantize_tensor
 
@@ -98,12 +98,7 @@ def compare_schedules(data: np.ndarray, configs: Sequence[QuantConfig],
         block = flat[start:stop]
         return _sums(block, dequantize(quantize_tensor(block, configs[i], name)))
 
-    if threads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(work, items))
-    else:
-        partials = [work(item) for item in items]
-
+    partials = _map(work, items, threads)
     totals = [[0.0, 0.0, 0.0] for _ in configs]
     for (i, _, _), (sum_sq_err, sum_sq, max_abs) in zip(items, partials):
         t = totals[i]

@@ -26,12 +26,13 @@ import functools
 import hashlib
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Mapping
 
 import numpy as np
 
+from ._pool import _map
+from .benford import DEFAULT_FAMILY_PATTERNS, Family, classify_family
 from .errors import ConfigError, DataError, FormatError
 from .levels import DEFAULT_EPSILON, Codebook, Schedule, make_codebook
 
@@ -255,67 +256,64 @@ def dequantize(qt: QuantizedTensor, codebook: Codebook | None = None) -> np.ndar
     return rec.reshape(qt.shape).astype(np.float32)
 
 
-# Substrings of the transformational linears the default policy quantizes,
-# and of the statistically fragile tensors it preserves.  Skip wins when
-# both match the same name.
-_QUANTIZE_PATTERNS = ("q_proj", "k_proj", "v_proj", "o_proj", "attn",
-                      "fc", "mlp", "gate_proj", "up_proj", "down_proj", "dense")
-_SKIP_PATTERNS = ("norm", "ln", "embed", "wte", "wpe", "lm_head", ".bias")
+_FAMILIES = tuple(f.value for f in Family)
+
+
+def _strings(raw: Any, what: str) -> tuple[str, ...]:
+    """A policy's list of strings as a tuple; a bare string is not a list."""
+    if not isinstance(raw, (list, tuple)) or not all(isinstance(s, str) for s in raw):
+        raise ConfigError(f"policy {what} must be a list of strings, got {raw!r}")
+    return tuple(raw)
+
+
+def _family(raw: Any) -> str:
+    """A family named in a policy, as its plain string value."""
+    if not isinstance(raw, str) or raw not in _FAMILIES:
+        raise ConfigError(f"unknown family {raw!r} in policy (known: {', '.join(_FAMILIES)})")
+    return Family(raw).value
 
 
 @dataclass(frozen=True)
 class QuantPolicy:
-    """Name-pattern rules deciding which tensors are quantized.
+    """Quantize the tensors whose family is one of `quantize_families`.
 
-    A name matching any skip pattern is preserved; otherwise a name matching
-    any quantize pattern is quantized; otherwise `default_action` applies.
-    `family_patterns` optionally overrides the family table used in reports.
+    A tensor's family is `classify_family(name, policy)`: a `.bias` suffix
+    first, then the first entry of the ordered `family_patterns` table
+    (family, substrings of the lowercased name) with a matching substring,
+    else "other".  `analyze` reports and `quantize` decisions read this one
+    table.  By default the attention and MLP linears, whose weights follow
+    the digit law, are quantized and every other family is preserved.
     """
 
-    quantize_patterns: tuple[str, ...] = _QUANTIZE_PATTERNS
-    skip_patterns: tuple[str, ...] = _SKIP_PATTERNS
-    default_action: str = "skip"
-    family_patterns: tuple[tuple[str, tuple[str, ...]], ...] | None = None
+    family_patterns: tuple[tuple[str, tuple[str, ...]], ...] = DEFAULT_FAMILY_PATTERNS
+    quantize_families: tuple[str, ...] = (Family.ATTENTION_LINEAR.value, Family.MLP_LINEAR.value)
 
     def __post_init__(self) -> None:
-        if self.default_action not in ("skip", "quantize"):
-            raise ConfigError(f"default_action must be 'skip' or 'quantize', "
-                              f"got {self.default_action!r}")
-        object.__setattr__(self, "quantize_patterns", tuple(self.quantize_patterns))
-        object.__setattr__(self, "skip_patterns", tuple(self.skip_patterns))
-        if self.family_patterns is not None:
-            object.__setattr__(self, "family_patterns", tuple(
-                (str(fam), tuple(subs)) for fam, subs in self.family_patterns))
+        pairs = self.family_patterns
+        if not isinstance(pairs, (list, tuple)) or not all(
+                isinstance(p, (list, tuple)) and len(p) == 2 for p in pairs):
+            raise ConfigError(f"policy family_patterns must be a list of "
+                              f"[family, [substrings]] pairs, got {pairs!r}")
+        object.__setattr__(self, "family_patterns", tuple(
+            (_family(fam), _strings(subs, f"patterns of {fam!r}")) for fam, subs in pairs))
+        object.__setattr__(self, "quantize_families", tuple(
+            _family(f) for f in _strings(self.quantize_families, "quantize_families")))
 
     def should_quantize(self, name: str) -> bool:
-        lowered = name.lower()
-        if any(p in lowered for p in self.skip_patterns):
-            return False
-        if any(p in lowered for p in self.quantize_patterns):
-            return True
-        return self.default_action == "quantize"
+        return classify_family(name, self) in self.quantize_families
 
     def to_dict(self) -> dict:
-        out = {"quantize_patterns": list(self.quantize_patterns),
-               "skip_patterns": list(self.skip_patterns),
-               "default_action": self.default_action}
-        if self.family_patterns is not None:
-            out["family_patterns"] = [[fam, list(subs)] for fam, subs in self.family_patterns]
-        return out
+        return {"family_patterns": [[fam, list(subs)] for fam, subs in self.family_patterns],
+                "quantize_families": list(self.quantize_families)}
 
     @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "QuantPolicy":
-        bad = set(d) - {"quantize_patterns", "skip_patterns", "default_action", "family_patterns"}
+    def from_dict(cls, d: Any) -> "QuantPolicy":
+        if not isinstance(d, Mapping):
+            raise ConfigError(f"policy must be a JSON object, got {d!r}")
+        bad = set(d) - {"family_patterns", "quantize_families"}
         if bad:
             raise ConfigError(f"unknown policy fields: {sorted(bad)}")
-        fams = d.get("family_patterns")
-        return cls(
-            quantize_patterns=tuple(d.get("quantize_patterns", _QUANTIZE_PATTERNS)),
-            skip_patterns=tuple(d.get("skip_patterns", _SKIP_PATTERNS)),
-            default_action=d.get("default_action", "skip"),
-            family_patterns=None if fams is None else tuple(
-                (fam, tuple(subs)) for fam, subs in fams),
-        )
+        return cls(**d)
 
     def digest(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -323,7 +321,7 @@ class QuantPolicy:
 
 
 DEFAULT_POLICY = QuantPolicy()
-QUANTIZE_ALL = QuantPolicy(quantize_patterns=(), skip_patterns=(), default_action="quantize")
+QUANTIZE_ALL = QuantPolicy(quantize_families=_FAMILIES)
 
 
 @dataclass
@@ -377,9 +375,4 @@ def apply_policy(model: Mapping[str, Any], policy: QuantPolicy, config: QuantCon
             return quantize_tensor(np.asarray(getattr(t, "data", t)), config, name)
         return t
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, names))
-    else:
-        results = [work(n) for n in names]
-    return ModelQuantization(dict(zip(names, results)), config, policy)
+    return ModelQuantization(dict(zip(names, _map(work, names, threads))), config, policy)

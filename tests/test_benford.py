@@ -328,3 +328,20 @@ class TestModelReport:
         assert np.array_equal(r1.histogram.counts, r2.histogram.counts)
         r3 = tensor_report("big", data, seed=4)
         assert not np.array_equal(r1.histogram.counts, r3.histogram.counts)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_blocked_subsample_matches_one_shot_draw(self, monkeypatch, dtype):
+        # 3500 samples in blocks of 1000: three full blocks and a short one
+        monkeypatch.setattr(benford, "SUBSAMPLE_THRESHOLD", 2000)
+        monkeypatch.setattr(benford, "SUBSAMPLE_SIZE", 3500)
+        monkeypatch.setattr(benford, "_DIGIT_BLOCK", 1000)
+        data = (10.0 ** (-6 * rng.uniform01(5, 0, 5003))).astype(dtype)
+        data[::7] = 0.0
+        rep = tensor_report("big", data.reshape(-1, 1), seed=2)
+        seed = rng.derive_seed(2, "big")
+        pick = (rng.uniform01(seed, 0, 3500) * data.size).astype(np.int64)
+        want = digit_histogram(data[pick])
+        assert np.array_equal(rep.histogram.counts, want.counts)
+        assert rep.histogram.zeros_skipped == want.zeros_skipped > 0
+        assert rep.histogram.total + want.zeros_skipped == 3500
+        assert rep.numel == 5003 and rep.subsample_seed == seed

@@ -181,9 +181,7 @@ class TestQuantizePipeline:
     def test_policy_file_override(self, capsys, tmp_path):
         p = make_model(capsys, tmp_path)
         pol = tmp_path / "policy.json"
-        pol.write_text(json.dumps({"quantize_patterns": ["norm"],
-                                   "skip_patterns": [],
-                                   "default_action": "skip"}))
+        pol.write_text(json.dumps({"quantize_families": ["norm"]}))
         out = tmp_path / "odd.benq"
         code, _, _ = run(capsys, "quantize", str(p), "--policy", str(pol),
                          "--out", str(out))
@@ -312,6 +310,20 @@ class TestExitCodes:
                            "--out", str(tmp_path / "t.st"))
         assert code == 1
         assert "unknown distribution" in err
+
+    @pytest.mark.parametrize("command", ["analyze", "quantize"])
+    @pytest.mark.parametrize("policy", [
+        5, {"family_patterns": 5}, {"family_patterns": [["foo", ["x"]]]},
+        {"quantize_patterns": "norm"}, {"quantize_families": "norm"}],
+        ids=["int", "patterns-int", "unknown-family", "old-field", "bare-families"])
+    def test_bad_policy_file(self, capsys, tmp_path, command, policy):
+        p = make_model(capsys, tmp_path)
+        pol = tmp_path / "policy.json"
+        pol.write_text(json.dumps(policy))
+        code, _, err = run(capsys, command, str(p), "--policy", str(pol),
+                           "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert err.startswith(f"error: {pol}: ")
 
     def test_usage_errors_exit_two(self, capsys):
         for argv in (["frobnicate"], ["synth"], []):

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from benq import rng
 from benq.errors import ConfigError, FormatError
-from benq.io import (BENQ_MAGIC, WeightTensor, _content_digest, _demote,
-                     _promote, pack_indices, packed_size, read_benq,
+from benq.io import (BENQ_MAGIC, BENQ_VERSION, WeightTensor, _content_digest,
+                     _demote, _promote, pack_indices, packed_size, read_benq,
                      read_container, unpack_indices, write_benq,
                      write_container)
 from benq.levels import Schedule
@@ -343,19 +343,20 @@ def tampered(blob, old, new):
     return blob.replace(old, new)
 
 
-# sha256 of the .benq files the writer produced for pinned_model() when rtn
-# codes were still stored as offset signed integers; a change here is a
-# change of the file format.
+# sha256 of the .benq files the writer produces for pinned_model().  Their
+# content digests (config, directory, payload) are unchanged since rtn codes
+# were stored as offset signed integers; version 2 changed only the version,
+# policy and policy_digest fields.  A change here is a change of the file format.
 PINNED_SHA256 = {
-    ("log", 3): "09615f59303bb3a9585e0a846ec032cca64cbcd9d723533c1cf9ff7a5a002ae3",
-    ("log", 4): "9da1c28b4bf8b6f21210dc165d38f845dac3eb78edcd61971a3ecca25100a3f3",
-    ("log", 8): "7b05425da34937f80b59118c2f8ca3adc794f418755324a42d281b22dcdcc07d",
-    ("linear", 3): "2fafd36bad5381ce39e846c387252a0dc4d61183cbcc77d23dee93c40c54615e",
-    ("linear", 4): "fa1c73b496e743f62f821491c71a289b47c2d3b205ec9c1e08cebce07e0c8b32",
-    ("linear", 8): "fd12e27a86bcc79b8d6a55b488cb3035076e54e10b4562b693298616217d1ca7",
-    ("rtn", 3): "000a61767bc06de4156a83509f38d15ee6e0d96c25e7e95c143f6ab172f1d6ce",
-    ("rtn", 4): "06f240ef8617794698f0bd34262b06288e26b3736adb08737d3871d4ae5f2206",
-    ("rtn", 8): "b933fa13f1044cbdafddd888876980f625e38588064500ccc230ec65f2df6443",
+    ("log", 3): "190fabdb523429e628e44bc8263b07ee6b5d7d22b38af56ac1cb2f354ed27d6a",
+    ("log", 4): "164bfe646f2158af2876e3ea43bf8efe5218b075857537891404bb685c2611a0",
+    ("log", 8): "e75d5aedd0ef35b615b9b5a75bac14c77a70415ca13665d9ad6fbe9d4e4ec2c4",
+    ("linear", 3): "9cd2205b0668bd2b7ac75fff8afbdab64964e7fa82f2a4a47bdc52d3110cdb27",
+    ("linear", 4): "ee2c8e8d7d404461417c269ec917299d4eb1e457297b40703d4d2cbbe94754a4",
+    ("linear", 8): "e506ba395574d52b859da0d3a1f9d751b63efd895def2246c64acef99b0ec1fc",
+    ("rtn", 3): "881a5b87026aa144fc984bc695719ddeb6a50f0399448d09ee070c227005268c",
+    ("rtn", 4): "9b20b3a8a1e8ab537e516f79ce2009f24c6cac6fd8651a0335d2944444121e06",
+    ("rtn", 8): "381e8b0722898d54194f0a4fe10a4085f684f966d7e0ea3aa0c6bdfbbc287f54",
 }
 
 
@@ -411,7 +412,7 @@ class TestBenqValidation:
     def test_unsupported_version(self, tmp_path, written):
         _, blob = written
         self.expect_reject(tmp_path,
-                           tampered(blob, b'"version":1', b'"version":2'),
+                           tampered(blob, b'"version":2', b'"version":1'),
                            "unsupported version")
 
     def test_policy_digest_tamper(self, tmp_path, written):
@@ -441,7 +442,7 @@ class TestBenqValidation:
 def build_benq(path, cfg, policy, directory, payload):
     """Handcraft a structurally valid file with a correct content digest."""
     header_obj = {
-        "version": 1,
+        "version": BENQ_VERSION,
         "config": cfg.to_dict(),
         "policy": policy.to_dict(),
         "policy_digest": policy.digest(),
@@ -520,6 +521,39 @@ class TestBenqCrafted:
         p = tmp_path / "c.benq"
         build_benq(p, self.CFG, QUANTIZE_ALL, directory, bytes(8))
         with pytest.raises(FormatError, match="unsupported dtype 'I8'"):
+            read_benq(str(p))
+
+
+# policies a header (or a --policy file) may hold that name no valid policy
+HOSTILE_POLICIES = pytest.mark.parametrize("policy", [
+    5, None, "norm", [], {"family_patterns": 5},
+    {"family_patterns": [["foo", ["x"]]]},
+    {"family_patterns": [["norm", "ln"]]},
+    {"family_patterns": [["norm"]]},
+    {"family_patterns": [["norm", [1]]]},
+    {"family_patterns": [[["norm"], ["ln"]]]},
+    {"quantize_families": "mlp_linear"},
+    {"quantize_families": [5]},
+    {"quantize_families": [["norm"]]},
+    {"quantize_patterns": "norm"},
+], ids=["int", "null", "string", "list", "patterns-int", "unknown-family",
+        "bare-substring", "not-a-pair", "int-substring", "list-family",
+        "bare-families", "int-family", "list-in-families", "old-field"])
+
+
+class TestHostilePolicy:
+    """The header's policy is outside the content digest: any shape must give ConfigError."""
+
+    @HOSTILE_POLICIES
+    def test_header_policy_rejected(self, tmp_path, policy):
+        p = tmp_path / "m.benq"
+        write_benq(str(p), apply_policy(toy_model(), DEFAULT_POLICY, QuantConfig()))
+        header, hlen, blob = read_benq_header(p)
+        header["policy"] = policy
+        raw = json.dumps(header, separators=(",", ":")).encode()
+        raw += b" " * (-(4 + 8 + len(raw)) % 8)
+        p.write_bytes(BENQ_MAGIC + len(raw).to_bytes(8, "little") + raw + blob[12 + hlen:])
+        with pytest.raises(ConfigError, match="policy|family"):
             read_benq(str(p))
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from benq.benford import Family, classify_family
 from benq.errors import ConfigError, DataError, FormatError
 from benq.levels import (Schedule, generate_linear_levels, generate_log_uniform_levels,
                          make_codebook)
@@ -521,9 +522,12 @@ class TestPolicy:
         assert not DEFAULT_POLICY.should_quantize("h.0.self_attn_layer_norm.weight")
 
     def test_default_action(self):
-        policy = QuantPolicy(quantize_patterns=(), skip_patterns=(), default_action="skip")
-        assert not policy.should_quantize("anything")
+        # a name no pattern matches is "other", which only QUANTIZE_ALL quantizes
+        assert classify_family("anything") is Family.OTHER
+        assert not DEFAULT_POLICY.should_quantize("anything")
+        assert not QuantPolicy(quantize_families=()).should_quantize("anything")
         assert QUANTIZE_ALL.should_quantize("anything")
+        assert QUANTIZE_ALL.quantize_families == tuple(f.value for f in Family)
 
     def test_dict_round_trip_and_digest(self):
         p = QuantPolicy(family_patterns=(("norm", ("gamma",)),))
@@ -534,9 +538,22 @@ class TestPolicy:
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            QuantPolicy(default_action="maybe")
+            QuantPolicy(quantize_families=("maybe",))
         with pytest.raises(ConfigError):
-            QuantPolicy.from_dict({"quantise_patterns": []})
+            QuantPolicy.from_dict({"quantise_families": []})
+
+    def test_decision_is_the_family(self):
+        # one table: every decision is the reported family's membership
+        names = TOY_NAMES + ["h.0.self_attn_layer_norm.weight", "rotary.inv_freq",
+                             "m.bias.q_proj.weight", "x.q_proj.BIAS", "x.q_proj.bias"]
+        for policy in (DEFAULT_POLICY, QUANTIZE_ALL,
+                       QuantPolicy(family_patterns=(("mlp_linear", ("inv_freq",)),))):
+            for n in names:
+                assert policy.should_quantize(n) == (
+                    classify_family(n, policy) in policy.quantize_families), n
+        assert DEFAULT_POLICY.should_quantize("m.bias.q_proj.weight")
+        assert DEFAULT_POLICY.should_quantize("x.q_proj.BIAS")
+        assert not DEFAULT_POLICY.should_quantize("x.q_proj.bias")
 
 
 class TestApplyPolicy:
