@@ -1,4 +1,4 @@
-"""The ordered thread map shared by apply_policy, model_report and compare_schedules."""
+"""The ordered thread map of apply_policy, model_report, compare_schedules and dequantize."""
 
 from __future__ import annotations
 

@@ -20,6 +20,7 @@ import sys
 import time
 
 from . import __version__, benford, rng, synth
+from ._pool import _map
 from .errors import BenqError, ConfigError
 from .io import read_benq, read_container, write_benq, write_container
 from .levels import DEFAULT_EPSILON, Schedule, make_codebook
@@ -165,9 +166,13 @@ def cmd_quantize(args) -> int:
 def cmd_dequantize(args) -> int:
     t0 = time.perf_counter()
     mq = read_benq(args.model)
-    out_tensors = {}
-    for name, t in mq.entries.items():
-        out_tensors[name] = dequantize(t) if isinstance(t, QuantizedTensor) else t.data
+    names = list(mq.entries)
+
+    def work(name: str):
+        t = mq.entries[name]
+        return dequantize(t) if isinstance(t, QuantizedTensor) else t.data
+
+    out_tensors = dict(zip(names, _map(work, names, args.threads)))
     out = args.out or os.path.splitext(args.model)[0] + ".dequant.safetensors"
     write_container(out, out_tensors)
     _emit_manifest(args, "dequantize", mq.config.to_dict(), [args.model],

@@ -1,6 +1,11 @@
 """Reconstruction-error metrics and schedule comparisons.
 
 All statistics are accumulated in float64 regardless of input dtype.
+`compare_schedules` walks a tensor once per block of groups: every
+schedule of one group size shares the block's float64 promotion, its
+non-finite check, its group maxima and its sum of squares, and each
+schedule then quantizes, reconstructs and measures the block through the
+kernel steps `quantize_tensor` and `dequantize` are made of.
 """
 
 from __future__ import annotations
@@ -13,7 +18,10 @@ import numpy as np
 
 from ._pool import _map
 from .errors import DataError
-from .quantizer import QuantConfig, _block_groups, dequantize, quantize_tensor
+# dequantize and quantize_tensor are not called here: compare runs the block
+# steps they are made of.  perfbench's tracer still wraps both names on this module.
+from .quantizer import (QuantConfig, _block_groups, _promote_block, _quantize_groups,
+                        _reconstruct, dequantize, quantize_tensor)
 
 
 @dataclass(frozen=True)
@@ -36,20 +44,20 @@ class DistortionReport:
         }
 
 
-def _sums(original: np.ndarray, reconstructed: np.ndarray) -> tuple[float, float, float]:
-    """(sum of squared errors, sum of squared originals, max |error|) of flat arrays.
+def _err_sums(original: np.ndarray, reconstructed: np.ndarray,
+              out: np.ndarray | None = None) -> tuple[float, float]:
+    """(sum of squared errors, max |error|) of flat arrays, the error kept in `out`.
 
     Computed in float64 whatever the input dtype.  The sums are numpy's
     pairwise sums, as in np.mean; np.dot and np.linalg.norm would run on
     the BLAS thread pool.
     """
-    err = np.subtract(original, reconstructed, dtype=np.float64)
+    err = np.subtract(original, reconstructed, dtype=np.float64, out=out)
     if not err.size:
-        return 0.0, 0.0, 0.0
+        return 0.0, 0.0
     np.abs(err, out=err)
     max_abs = float(err.max())
-    return (float(np.square(err, out=err).sum()),
-            float(np.square(original, dtype=np.float64).sum()), max_abs)
+    return float(np.square(err, out=err).sum()), max_abs
 
 
 def _report(name: str, config: QuantConfig | None, numel: int,
@@ -75,34 +83,55 @@ def distortion(original: np.ndarray, reconstructed: np.ndarray, *,
     b = np.asarray(reconstructed, dtype=np.float64)
     if a.shape != b.shape:
         raise DataError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return _report(name, config, a.size, *_sums(a.ravel(), b.ravel()))
+    flat = a.ravel()
+    sum_sq_err, max_abs = _err_sums(flat, b.ravel())
+    return _report(name, config, a.size, sum_sq_err, float(np.square(flat).sum()), max_abs)
 
 
 def compare_schedules(data: np.ndarray, configs: Sequence[QuantConfig],
                       name: str = "", threads: int = 1) -> list[DistortionReport]:
     """Quantize and reconstruct one tensor under each config, in given order.
 
-    The tensor is walked in the group-aligned blocks of quantize_tensor.
-    Each (config, block) item keeps only its float64 sums, and the sums
-    are added in block order, so the reports do not depend on `threads`;
-    a tensor of one block gives exactly `distortion` of its reconstruction.
+    The tensor is walked once per group size, in the group-aligned blocks
+    of quantize_tensor.  A block is promoted to float64, checked and
+    reduced to group maxima and Σw² once; then each config of that group
+    size takes its scales, quotients and nearest levels, rebuilds the
+    float32 reconstruction and keeps Σerr² and max|err|, reusing one
+    float64 scratch buffer.  Only these sums leave a block, and they are
+    added in block order, so the reports do not depend on `threads`; a
+    tensor of one block gives exactly `distortion` of its reconstruction.
     """
     flat = np.asarray(data).ravel()
-    items = []  # (config index, block start, block stop)
+    context = f"tensor {name or '<unnamed>'}"
+    levels = [cfg.codebook().levels for cfg in configs]
+    by_size: dict[int, list[int]] = {}  # group size -> its configs' positions
     for i, cfg in enumerate(configs):
-        step = _block_groups(cfg.group_size) * cfg.group_size
-        items += [(i, start, start + step) for start in range(0, flat.size, step)]
+        by_size.setdefault(cfg.group_size, []).append(i)
+    items = []  # (group size, block start, block stop)
+    for G in by_size:
+        step = _block_groups(G) * G
+        items += [(G, start, min(start + step, flat.size)) for start in range(0, flat.size, step)]
 
     def work(item):
-        i, start, stop = item
-        block = flat[start:stop]
-        return _sums(block, dequantize(quantize_tensor(block, configs[i], name)))
+        G, start, stop = item
+        groups, gmax = _promote_block(flat[start:stop], G, context)
+        w = groups.ravel()[:stop - start]
+        buf = np.empty(groups.size)  # the quotient, then the reconstruction, then the error
+        sum_sq = float(np.square(w, out=buf[:w.size]).sum())
 
-    partials = _map(work, items, threads)
+        def measure(i: int) -> tuple[float, float]:
+            # one schedule; its indices and float32 reconstruction die on return
+            idx, s = _quantize_groups(groups, gmax, levels[i], context, buf.reshape(groups.shape))
+            rec = _reconstruct(idx, s, levels[i], G, buf)
+            return _err_sums(w, rec[:w.size], buf[:w.size])
+
+        return sum_sq, [measure(i) for i in by_size[G]]
+
     totals = [[0.0, 0.0, 0.0] for _ in configs]
-    for (i, _, _), (sum_sq_err, sum_sq, max_abs) in zip(items, partials):
-        t = totals[i]
-        t[0] += sum_sq_err
-        t[1] += sum_sq
-        t[2] = max(t[2], max_abs)
+    for (G, _, _), (sum_sq, sums) in zip(items, _map(work, items, threads)):
+        for i, (sum_sq_err, max_abs) in zip(by_size[G], sums):
+            t = totals[i]
+            t[0] += sum_sq_err
+            t[1] += sum_sq
+            t[2] = max(t[2], max_abs)
     return [_report(name, cfg, flat.size, *t) for cfg, t in zip(configs, totals)]

@@ -37,7 +37,8 @@ from .errors import ConfigError, DataError, FormatError
 from .levels import DEFAULT_EPSILON, Codebook, Schedule, make_codebook
 
 _F16_TINY = np.float16(2.0 ** -24)
-_BLOCK_ELEMS = 1 << 18  # elements per chunk of quantize_tensor and per compare block
+_BLOCK_ELEMS = 1 << 18  # elements per block of quantize_tensor, dequantize and compare
+_FOLD_MAX_GROUP = 16     # _group_max folds columns up to this group size
 _KEY_SHIFT = 44          # a float64's top 20 bits: sign, exponent, 8 mantissa bits
 _HALF_KEYS = 1 << 19     # bucket keys of one sign
 
@@ -69,13 +70,21 @@ class QuantConfig:
         return out
 
     @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "QuantConfig":
-        try:
-            return cls(bits=d["bits"], group_size=d["group_size"],
-                       schedule=Schedule.parse(d["schedule"]),
-                       epsilon=d.get("epsilon", DEFAULT_EPSILON))
-        except KeyError as e:
-            raise ConfigError(f"quantization config is missing field {e.args[0]!r}") from None
+    def from_dict(cls, d: Any) -> "QuantConfig":
+        """A config from its JSON object: int bits and group_size (no bools), a number epsilon."""
+        if not isinstance(d, Mapping):
+            raise ConfigError(f"quantization config must be a JSON object, got {d!r}")
+        for key in ("bits", "group_size", "schedule"):
+            if key not in d:
+                raise ConfigError(f"quantization config is missing field {key!r}")
+        for key in ("bits", "group_size"):
+            if type(d[key]) is not int:
+                raise ConfigError(f"quantization config {key} must be an integer, got {d[key]!r}")
+        epsilon = d.get("epsilon", DEFAULT_EPSILON)
+        if type(epsilon) not in (int, float):
+            raise ConfigError(f"quantization config epsilon must be a number, got {epsilon!r}")
+        return cls(bits=d["bits"], group_size=d["group_size"],
+                   schedule=Schedule.parse(d["schedule"]), epsilon=epsilon)
 
 
 def _midpoint_thresholds(levels: np.ndarray) -> np.ndarray:
@@ -155,12 +164,71 @@ def _block_groups(group_size: int) -> int:
 
 
 def _grouped(flat: np.ndarray, group_size: int) -> np.ndarray:
-    """Zero-padded (n_groups, group_size) view of a flat tensor."""
+    """A flat block promoted into a zero-padded float64 (n_groups, group_size) array."""
     n = flat.size
     n_groups = -(-n // group_size) if n else 0
-    padded = np.zeros(n_groups * group_size, dtype=np.float64)
+    padded = np.empty(n_groups * group_size, dtype=np.float64)
     padded[:n] = flat
+    padded[n:] = 0.0
     return padded.reshape(n_groups, group_size)
+
+
+def _group_max(groups: np.ndarray) -> np.ndarray:
+    """max|w| of each row, the same bits as np.max(np.abs(groups), axis=1).
+
+    numpy reduces a short inner axis slowly, so groups of up to
+    _FOLD_MAX_GROUP columns fold their columns with np.maximum instead (a
+    maximum is exact in any order).  Both propagate nan.
+    """
+    if groups.shape[1] > _FOLD_MAX_GROUP:
+        return np.max(np.abs(groups), axis=1)
+    m = np.abs(groups[:, 0])
+    for j in range(1, groups.shape[1]):
+        np.maximum(m, np.abs(groups[:, j]), out=m)
+    return m
+
+
+def _promote_block(block: np.ndarray, group_size: int,
+                   context: str) -> tuple[np.ndarray, np.ndarray]:
+    """(groups, group maxima) of one block; non-finite values are a data error."""
+    groups = _grouped(block, group_size)
+    gmax = _group_max(groups)
+    if not np.all(np.isfinite(gmax)):
+        raise DataError(f"{context} contains non-finite values")
+    return groups, gmax
+
+
+def _quantize_groups(groups: np.ndarray, gmax: np.ndarray, levels: np.ndarray,
+                     context: str, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(indices, float16 scales) of a block of groups with maxima `gmax`.
+
+    The quotient w / scale is written to the float64 array `out` (groups
+    itself, or scratch of its shape).  An all-zero group divides by 1 and
+    lands on the zero tie code.
+    """
+    s = _stored_scales(gmax / levels[-1], context)
+    np.divide(groups, np.where(s == 0, 1.0, s.astype(np.float64))[:, None], out=out)
+    return nearest_level_indices(out.ravel(), levels), s
+
+
+def _reconstruct(idx: np.ndarray, scales: np.ndarray, levels: np.ndarray, group_size: int,
+                 buf: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """float32 levels[idx] * scale, each scale broadcast over its group.
+
+    `idx` holds the elements of `scales.size` groups, the last one possibly
+    short.  The product is formed in the float64 scratch `buf` and rounded
+    into `out`, which is allocated when not given.
+    """
+    rec = buf[:scales.size * group_size]
+    # mode="clip" writes straight into rec; the default mode buffers it
+    np.take(levels, idx, out=rec[:idx.size], mode="clip")
+    rec[idx.size:] = 0.0
+    groups = rec.reshape(scales.size, group_size)
+    np.multiply(groups, scales.astype(np.float64)[:, None], out=groups)
+    if out is None:  # allocated after the gather's index copy is freed
+        out = np.empty(idx.size, dtype=np.float32)
+    out[...] = rec[:idx.size]
+    return out
 
 
 @dataclass(frozen=True)
@@ -206,40 +274,29 @@ class QuantizedTensor:
 
 
 def quantize_tensor(data: np.ndarray, config: QuantConfig, name: str = "") -> QuantizedTensor:
-    """Quantize a whole tensor group-wise (row-major order, chunked)."""
+    """Quantize a whole tensor group-wise (row-major order, in blocks of groups)."""
     arr = np.asarray(getattr(data, "data", data))
-    flat = np.asarray(arr, dtype=np.float64).ravel()
-    if not np.all(np.isfinite(flat)):
-        raise DataError(f"tensor {name or '<unnamed>'} contains non-finite values")
+    flat = arr.ravel()
     G = config.group_size
-    groups = _grouped(flat, G)
-    n_groups = groups.shape[0]
-
     levels = config.codebook().levels
+    context = f"tensor {name or '<unnamed>'}"
+    n_groups = -(-flat.size // G)
     out = np.empty(n_groups * G, dtype=np.ubyte)
     scales = np.empty(n_groups, dtype=np.float16)
 
-    block = _block_groups(G)
-    for start in range(0, n_groups, block):
-        chunk = groups[start:start + block]
-        s = _stored_scales(np.max(np.abs(chunk), axis=1) / levels[-1],
-                           f"tensor {name or '<unnamed>'}")
-        scales[start:start + block] = s
-        # in place: groups is a private copy.  An all-zero group divides by 1
-        # and lands on the zero tie code
-        chunk /= np.where(s == 0, 1.0, s.astype(np.float64))[:, None]
-        out[start * G:start * G + chunk.size] = nearest_level_indices(chunk.ravel(), levels)
+    step = _block_groups(G) * G
+    for start in range(0, flat.size, step):
+        groups, gmax = _promote_block(flat[start:start + step], G, context)
+        # in place: groups is a private copy
+        idx, s = _quantize_groups(groups, gmax, levels, context, groups)
+        out[start:start + idx.size] = idx
+        scales[start // G:start // G + s.size] = s
 
-    return QuantizedTensor(name, tuple(np.asarray(arr).shape), out[:flat.size], scales, config)
-
-
-def _per_element_scales(qt: QuantizedTensor) -> np.ndarray:
-    s = qt.scales.astype(np.float64)
-    return np.repeat(s, qt.config.group_size)[:qt.numel]
+    return QuantizedTensor(name, arr.shape, out[:flat.size], scales, config)
 
 
 def dequantize(qt: QuantizedTensor, codebook: Codebook | None = None) -> np.ndarray:
-    """Reconstruct a float32 tensor as level * scale.
+    """Reconstruct a float32 tensor as level * scale, in blocks of groups.
 
     A codebook may be supplied (it must match the tensor's config) or is
     derived from the config when omitted.
@@ -252,8 +309,14 @@ def dequantize(qt: QuantizedTensor, codebook: Codebook | None = None) -> np.ndar
         raise ConfigError(f"{qt.name}: supplied codebook does not match tensor config")
     if qt.indices.size and qt.indices.max() >= codebook.n_levels:
         raise FormatError(f"{qt.name}: level index outside {qt.config.bits}-bit codebook")
-    rec = codebook.levels[qt.indices] * _per_element_scales(qt)
-    return rec.reshape(qt.shape).astype(np.float32)
+    G = qt.config.group_size
+    step = _block_groups(G)
+    out = np.empty(qt.numel, dtype=np.float32)
+    buf = np.empty(min(step, qt.n_groups) * G, dtype=np.float64)
+    for g in range(0, qt.n_groups, step):
+        span = slice(g * G, (g + step) * G)
+        _reconstruct(qt.indices[span], qt.scales[g:g + step], codebook.levels, G, buf, out[span])
+    return out.reshape(qt.shape)
 
 
 _FAMILIES = tuple(f.value for f in Family)

@@ -325,6 +325,24 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith(f"error: {pol}: ")
 
+    @pytest.mark.parametrize("config", [5, {"group_size": "a"}, {"group_size": True}],
+                             ids=["int", "group-string", "group-bool"])
+    def test_hostile_benq_config(self, capsys, tmp_path, config):
+        p = make_model(capsys, tmp_path)
+        q = tmp_path / "m.benq"
+        assert run(capsys, "quantize", str(p), "--out", str(q))[0] == 0
+        blob = q.read_bytes()
+        hlen = int.from_bytes(blob[4:12], "little")
+        header = json.loads(blob[12:12 + hlen])
+        header["config"] = {**header["config"], **config} if isinstance(config, dict) else config
+        raw = json.dumps(header).encode()
+        raw += b" " * (-(4 + 8 + len(raw)) % 8)
+        q.write_bytes(blob[:4] + len(raw).to_bytes(8, "little") + raw + blob[12 + hlen:])
+        code, _, err = run(capsys, "dequantize", str(q), "--out", str(tmp_path / "d.st"))
+        assert code == 1
+        assert err.startswith("error: ") and "config" in err
+        assert not (tmp_path / "d.st").exists()
+
     def test_usage_errors_exit_two(self, capsys):
         for argv in (["frobnicate"], ["synth"], []):
             with pytest.raises(SystemExit) as exc:
@@ -369,6 +387,19 @@ class TestThreads:
             outs.append(out.read_bytes())
         capsys.readouterr()
         assert outs[0] == outs[1]
+
+    def test_threaded_dequantize_matches_serial(self, capsys, tmp_path):
+        p = make_model(capsys, tmp_path)
+        q = tmp_path / "m.benq"
+        assert main(["quantize", str(p), "--no-policy", "--out", str(q)]) == 0
+        outs = []
+        for threads in (1, 2, 4):
+            out = tmp_path / f"d{threads}.safetensors"
+            assert main(["dequantize", str(q), "--threads", str(threads),
+                         "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        capsys.readouterr()
+        assert outs[0] == outs[1] == outs[2]
 
     def test_threaded_compare_matches_serial(self, capsys, tmp_path):
         # three group-aligned blocks at G=8, the last one ending in a 3-element group

@@ -524,6 +524,15 @@ class TestBenqCrafted:
             read_benq(str(p))
 
 
+def rewrite_header(path, edit):
+    """Apply `edit` to a .benq header in place, without re-signing the file."""
+    header, hlen, blob = read_benq_header(path)
+    edit(header)
+    raw = json.dumps(header, separators=(",", ":")).encode()
+    raw += b" " * (-(4 + 8 + len(raw)) % 8)
+    path.write_bytes(BENQ_MAGIC + len(raw).to_bytes(8, "little") + raw + blob[12 + hlen:])
+
+
 # policies a header (or a --policy file) may hold that name no valid policy
 HOSTILE_POLICIES = pytest.mark.parametrize("policy", [
     5, None, "norm", [], {"family_patterns": 5},
@@ -548,12 +557,44 @@ class TestHostilePolicy:
     def test_header_policy_rejected(self, tmp_path, policy):
         p = tmp_path / "m.benq"
         write_benq(str(p), apply_policy(toy_model(), DEFAULT_POLICY, QuantConfig()))
-        header, hlen, blob = read_benq_header(p)
-        header["policy"] = policy
-        raw = json.dumps(header, separators=(",", ":")).encode()
-        raw += b" " * (-(4 + 8 + len(raw)) % 8)
-        p.write_bytes(BENQ_MAGIC + len(raw).to_bytes(8, "little") + raw + blob[12 + hlen:])
+        rewrite_header(p, lambda h: h.update(policy=policy))
         with pytest.raises(ConfigError, match="policy|family"):
+            read_benq(str(p))
+
+
+# configs a header may hold: the whole value, or fields merged into a valid one
+HOSTILE_CONFIGS = pytest.mark.parametrize("config", [
+    5, None, "log", [], {"bits": "x"}, {"group_size": "a"}, {"epsilon": "e"},
+    {"group_size": True}, {"bits": True}, {"bits": 4.0}, {"group_size": 8.5},
+    {"epsilon": None}, {"epsilon": False}, {"schedule": 5}, {"group_size": None},
+], ids=["int", "null", "string", "list", "bits-string", "group-string", "epsilon-string",
+        "group-bool", "bits-bool", "bits-float", "group-fraction", "epsilon-null",
+        "epsilon-bool", "schedule-int", "group-null"])
+
+
+def set_config(config):
+    def edit(header):
+        header["config"] = ({**header["config"], **config} if isinstance(config, dict)
+                            else config)
+    return edit
+
+
+class TestHostileConfig:
+    """The config is parsed before the content digest is checked: a bad one gives ConfigError."""
+
+    @HOSTILE_CONFIGS
+    def test_header_config_rejected(self, tmp_path, config):
+        p = tmp_path / "m.benq"
+        write_benq(str(p), apply_policy(toy_model(), DEFAULT_POLICY, QuantConfig()))
+        rewrite_header(p, set_config(config))
+        with pytest.raises(ConfigError, match="config|schedule"):
+            read_benq(str(p))
+
+    def test_missing_field_rejected(self, tmp_path):
+        p = tmp_path / "m.benq"
+        write_benq(str(p), apply_policy(toy_model(), DEFAULT_POLICY, QuantConfig()))
+        rewrite_header(p, lambda h: h["config"].pop("group_size"))
+        with pytest.raises(ConfigError, match="missing field 'group_size'"):
             read_benq(str(p))
 
 

@@ -125,6 +125,31 @@ class TestCompareSchedules:
             assert rep.mse == pytest.approx(manual.mse, rel=1e-12, abs=0)
             assert rep.rel_fro_err == pytest.approx(manual.rel_fro_err, rel=1e-12, abs=0)
 
+    def test_mixed_group_sizes_agree_with_manual_pipeline(self):
+        # three blocks at G=8 and at G=32, each ending in a 3-element group
+        data = synth_tensor(f"loguniform(5,{2 * _BLOCK_ELEMS + 32 * 5 + 3})", seed=5)
+        cfgs = [QuantConfig(bits=b, group_size=g, schedule=s)
+                for b, g, s in ((4, 8, Schedule.LOG_UNIFORM), (3, 32, Schedule.LINEAR),
+                                (8, 8, Schedule.RTN), (4, 32, Schedule.LOG_UNIFORM))]
+        reps = compare_schedules(data, cfgs, "m", threads=2)
+        assert [(r.schedule, r.group_size) for r in reps] == \
+            [(c.schedule.value, c.group_size) for c in cfgs]
+        for rep, cfg in zip(reps, cfgs):
+            manual = distortion(data, dequantize(quantize_tensor(data, cfg, "m")),
+                                name="m", config=cfg)
+            assert rep.max_abs_err == manual.max_abs_err
+            assert rep.mse == pytest.approx(manual.mse, rel=1e-12, abs=0)
+            assert rep.rel_fro_err == pytest.approx(manual.rel_fro_err, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_in_last_block_rejected(self, bad):
+        data = np.ones(2 * _BLOCK_ELEMS + 11, dtype=np.float32)
+        data[-1] = bad
+        for threads in (1, 2):
+            with pytest.raises(DataError, match="tensor t contains non-finite values"):
+                compare_schedules(data, [QuantConfig(schedule=s) for s in Schedule], "t",
+                                  threads=threads)
+
     def test_empty_tensor(self):
         (rep,) = compare_schedules(np.zeros(0, np.float32), [QuantConfig()], "e", threads=2)
         assert (rep.mse, rep.max_abs_err, rep.rel_fro_err) == (0.0, 0.0, 0.0)

@@ -11,8 +11,8 @@ from benq.levels import (Schedule, generate_linear_levels, generate_log_uniform_
                          make_codebook)
 from benq.quantizer import (DEFAULT_POLICY, QUANTIZE_ALL, QuantConfig, QuantPolicy,
                             QuantizedTensor, apply_policy, dequantize,
-                            _KEY_SHIFT, _bucket_table, nearest_level_indices,
-                            quantize_tensor)
+                            _BLOCK_ELEMS, _KEY_SHIFT, _bucket_table, _group_max,
+                            nearest_level_indices, quantize_tensor)
 
 
 def exact_nearest(z, table):
@@ -245,6 +245,42 @@ class TestBucketKernel:
         levels = make_codebook(Schedule.LINEAR, 3).levels   # -1 .. -1/4, 1/4 .. 1
         z = np.array(self.SPECIAL + [np.inf, -np.inf])
         assert nearest_level_indices(z, levels).tolist() == [4, 4, 4, 3, 4, 3, 7, 0, 7, 0]
+
+
+class TestBlockKernel:
+    """The per-block steps quantize_tensor, dequantize and compare share."""
+
+    SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1050, -(2.0 ** -1050), 1e300, -1e300]
+
+    @pytest.mark.parametrize("G", list(range(1, 41)) + [64, 128, 1024])
+    def test_group_max_is_np_max_bit_for_bit(self, G, rng_np):
+        pool = np.concatenate([self.SPECIAL, rng_np.normal(0, 1, 16), rng_np.normal(0, 1e-310, 4)])
+        g = rng_np.choice(pool, size=(37, G))
+        g[0] = -0.0                                  # all negative zeros
+        g[1] = np.resize(self.SPECIAL[2:6], G)       # all subnormal
+        got, want = _group_max(g), np.max(np.abs(g), axis=1)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_non_finite_in_last_block_rejected(self):
+        w = np.ones(2 * _BLOCK_ELEMS + 11, dtype=np.float32)
+        w[-1] = np.nan
+        with pytest.raises(DataError, match="tensor w contains non-finite values"):
+            quantize_tensor(w, QuantConfig(group_size=8), "w")
+
+    def test_blocked_dequantize_is_one_shot_bit_for_bit(self, rng_np):
+        # three blocks at G=8, the last ending in a 3-element tail group
+        G, n = 8, 2 * _BLOCK_ELEMS + 8 * 5 + 3
+        for cfg in (QuantConfig(bits=4, group_size=G),
+                    QuantConfig(bits=8, group_size=G, schedule=Schedule.RTN)):
+            # zero, subnormal and normal float16 scales
+            scales = np.exp2(rng_np.uniform(-26, 15, -(-n // G))).astype(np.float16)
+            idx = rng_np.integers(0, 2 ** cfg.bits, n).astype(np.uint8)
+            qt = QuantizedTensor("w", (n,), idx, scales, cfg)
+            levels = cfg.codebook().levels
+            want = (levels[idx] * np.repeat(scales.astype(np.float64), G)[:n]).astype(np.float32)
+            got = dequantize(qt)
+            assert got.dtype == np.float32
+            assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
 
 
 class TestQuantizeGroup:
