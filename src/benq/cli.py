@@ -22,7 +22,7 @@ import time
 from . import __version__, benford, rng, synth
 from ._pool import _map
 from .errors import BenqError, ConfigError
-from .io import read_benq, read_container, write_benq, write_container
+from .io import parse_json, read_benq, read_container, write_benq, write_container
 from .levels import DEFAULT_EPSILON, Schedule, make_codebook
 from .metrics import compare_schedules
 from .quantizer import (DEFAULT_POLICY, QUANTIZE_ALL, QuantConfig, QuantPolicy,
@@ -52,14 +52,12 @@ def _load_policy(path: str | None, no_policy: bool) -> QuantPolicy:
         return QUANTIZE_ALL
     if path is None:
         return DEFAULT_POLICY
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            obj = json.load(f)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"{path}: invalid policy JSON: {e}") from None
+    with open(path, "rb") as f:
+        blob = f.read()
     try:
-        return QuantPolicy.from_dict(obj)
-    except ConfigError as e:
+        # a policy file overrides the default policy field by field
+        return QuantPolicy.from_dict({**DEFAULT_POLICY.to_dict(), **parse_json(blob, "policy")})
+    except BenqError as e:
         raise ConfigError(f"{path}: {e}") from None
 
 

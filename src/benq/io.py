@@ -3,23 +3,33 @@
 safetensors layout (subset: F32, F16, BF16 tensors):
 
     u64 LE header length | header JSON | payload
-    header: {name: {"dtype", "shape", "data_offsets": [start, end]}, ...}
-    offsets are relative to the payload; tensors are read one at a time.
+    header: {name: {"dtype": "F32" | "F16" | "BF16", "shape": [uint, ...],
+                    "data_offsets": [start uint, end uint]}, ..., "__metadata__"?: any}
+    offsets are relative to the payload; tensors are read one at a time.  The
+    format is external, so an entry may hold more keys and __metadata__ is skipped.
 
 .benq layout (one quantization run over a tensor set):
 
     b"BNQ1" | u64 LE header length | header JSON (space-padded) | payload
     header: {
       "version": 2,
-      "config":  {"bits", "group_size", "schedule", "epsilon"?},
-      "policy":  {"family_patterns", "quantize_families"}, "policy_digest": sha256 hex,
-      "content_digest": sha256 hex,
+      "config":  {"bits": int, "group_size": int, "schedule": "log" | "linear" | "rtn",
+                  "epsilon": number (log only; optional)},
+      "policy":  {"family_patterns": [[family, [str, ...]], ...],
+                  "quantize_families": [family, ...]},
+      "policy_digest": sha256 hex str, "content_digest": sha256 hex str,
       "tensors": [
-        {"name", "shape", "quantized": true,  "n_groups", "tail_len",
-         "indices": [offset, length], "scales": [offset, length]},
-        {"name", "shape", "quantized": false, "dtype", "data": [offset, length]},
+        {"name": str, "shape": [uint, ...], "quantized": true, "n_groups": int,
+         "tail_len": int, "indices": [offset uint, length uint], "scales": [offset, length]},
+        {"name": str, "shape": [uint, ...], "quantized": false,
+         "dtype": "F32" | "F16" | "BF16", "data": [offset, length]},
       ]
     }
+
+Every .benq object holds exactly the keys shown; an int or uint (>= 0) is
+never a bool or a float.  Each object is checked against its table before any
+value in it is used: a hostile header is a FormatError (ConfigError for the
+config and the policy), never a traceback.
 
 Payload offsets are relative to the payload start and 8-byte aligned (the
 payload itself starts at a multiple of 8 from the file start).  Quantized
@@ -47,7 +57,8 @@ from typing import Any, BinaryIO, Mapping
 
 import numpy as np
 
-from .errors import ConfigError, FormatError
+from .errors import (ANY, BOOL, INT, NONNEG, OBJECT, STR, ConfigError, FormatError, checked,
+                     list_of, one_of, tuple_of)
 from .quantizer import ModelQuantization, QuantConfig, QuantizedTensor, QuantPolicy
 
 SUPPORTED_DTYPES = ("F32", "F16", "BF16")
@@ -76,16 +87,14 @@ class WeightTensor:
         object.__setattr__(self, "data", data)
 
 
-def _promote(raw: bytes, dtype: str, shape: tuple[int, ...], name: str) -> np.ndarray:
+def _promote(raw: bytes, dtype: str, shape: tuple[int, ...]) -> np.ndarray:
     if dtype == "F32":
         arr = np.frombuffer(raw, dtype=np.float32).copy()
     elif dtype == "F16":
         arr = np.frombuffer(raw, dtype=np.float16).astype(np.float32)
-    elif dtype == "BF16":
+    else:  # BF16
         u = np.frombuffer(raw, dtype=np.uint16).astype(np.uint32)
         arr = (u << np.uint32(16)).view(np.float32)
-    else:
-        raise FormatError(f"{name}: unsupported dtype {dtype!r}")
     return arr.reshape(shape)
 
 
@@ -114,37 +123,41 @@ def _read_exact(f: BinaryIO, n: int, what: str) -> bytes:
 
 
 def _no_duplicate_keys(pairs):
-    keys = [k for k, _ in pairs]
-    if len(keys) != len(set(keys)):
-        raise FormatError("duplicate keys in header")
-    return dict(pairs)
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        raise ValueError("duplicate keys")
+    return obj
 
 
-def _parse_header(blob: bytes) -> dict:
+def parse_json(blob: bytes, what: str) -> dict:
+    """The JSON object `what` in `blob`; bad UTF-8 or JSON, a duplicate key, nesting
+    past the recursion limit or an int past the digit limit is a FormatError."""
     try:
-        header = json.loads(blob.decode("utf-8"), object_pairs_hook=_no_duplicate_keys)
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise FormatError(f"malformed header JSON: {e}") from None
-    if not isinstance(header, dict):
-        raise FormatError("header is not a JSON object")
-    return header
+        obj = json.loads(blob.decode("utf-8"), object_pairs_hook=_no_duplicate_keys)
+    except (ValueError, RecursionError) as e:  # UnicodeDecodeError and JSONDecodeError too
+        raise FormatError(f"malformed {what} JSON: {e}") from None
+    if not isinstance(obj, dict):
+        raise FormatError(f"{what} is not a JSON object")
+    return obj
 
 
-def _nonneg_ints(raw: Any, name: str, key: str, length: int | None = None) -> list[int]:
-    """A header list of non-negative Python ints (no bools, no floats), of `length` if given."""
-    if (not isinstance(raw, list) or length not in (None, len(raw))
-            or not all(type(v) is int and v >= 0 for v in raw)):
-        size = "" if length is None else f"{length} "
-        raise FormatError(f"{name}: {key} {raw!r} is not a list of {size}non-negative integers")
-    return raw
+# One table per header object kind, as in the module docstring; QuantConfig
+# and QuantPolicy hold the tables of the config and the policy.
+_DTYPE = one_of(*SUPPORTED_DTYPES)
+_SHAPE = list_of(NONNEG, "non-negative integers")
+_SPAN = tuple_of(NONNEG, NONNEG, expected="a list of 2 non-negative integers")
+_SAFETENSORS_ENTRY = {"dtype": _DTYPE, "shape": _SHAPE, "data_offsets": _SPAN}
+_BENQ_HEADER = {"version": one_of(BENQ_VERSION), "config": ANY, "policy": ANY,
+                "policy_digest": STR, "content_digest": STR,
+                "tensors": list_of(OBJECT, "JSON objects")}
+_QUANTIZED_ENTRY = {"name": STR, "shape": _SHAPE, "quantized": BOOL,
+                    "n_groups": INT, "tail_len": INT, "indices": _SPAN, "scales": _SPAN}
+_PRESERVED_ENTRY = {"name": STR, "shape": _SHAPE, "quantized": BOOL,
+                    "dtype": _DTYPE, "data": _SPAN}
 
 
-def _parse_shape(raw: Any, name: str, span: int, size_of) -> tuple[int, ...]:
-    """A header shape: non-negative ints whose exact element count fills `span` bytes.
-
-    `size_of(numel)` is the byte count of numel elements in the tensor's encoding.
-    """
-    _nonneg_ints(raw, name, "shape")
+def _shape(raw: list[int], name: str, span: int, size_of) -> tuple[int, ...]:
+    """A checked shape whose element count fills `span` bytes; size_of(n) gives n's bytes."""
     need = size_of(math.prod(raw))
     if need != span:
         raise FormatError(f"{name}: offsets span {span} bytes, expected {need} for shape {raw}")
@@ -177,7 +190,7 @@ def read_container(path: str) -> dict[str, WeightTensor]:
         hlen = int.from_bytes(_read_exact(f, 8, "header length"), "little")
         if hlen > min(size - 8, _MAX_HEADER):
             raise FormatError(f"header length {hlen} exceeds file size")
-        header = _parse_header(_read_exact(f, hlen, "header"))
+        header = parse_json(_read_exact(f, hlen, "header"), "header")
         payload_size = size - 8 - hlen
         payload_base = 8 + hlen
 
@@ -185,23 +198,16 @@ def read_container(path: str) -> dict[str, WeightTensor]:
         for name, entry in header.items():
             if name == "__metadata__":
                 continue
-            try:
-                dtype = entry["dtype"]
-                raw_shape = entry["shape"]
-                offsets = entry["data_offsets"]
-            except (TypeError, KeyError):
-                raise FormatError(f"malformed header entry for {name!r}") from None
-            start, end = _nonneg_ints(offsets, name, "data_offsets", 2)
-            if dtype not in SUPPORTED_DTYPES:
-                raise FormatError(f"{name}: unsupported dtype {dtype!r} "
-                                  f"(supported: {', '.join(SUPPORTED_DTYPES)})")
-            if not 0 <= start <= end <= payload_size:
+            checked(entry, _SAFETENSORS_ENTRY, f"malformed header entry for {name!r}",
+                    FormatError, extra=True)
+            dtype = entry["dtype"]
+            start, end = entry["data_offsets"]
+            if not start <= end <= payload_size:
                 raise FormatError(f"{name}: data offsets [{start}, {end}] outside payload")
-            shape = _parse_shape(raw_shape, name, end - start,
-                                 lambda n: n * _itemsize(dtype))
+            shape = _shape(entry["shape"], name, end - start, lambda n: n * _itemsize(dtype))
             f.seek(payload_base + start)
             raw = _read_exact(f, end - start, f"tensor {name!r}")
-            out[name] = WeightTensor(name, _promote(raw, dtype, shape, name), dtype)
+            out[name] = WeightTensor(name, _promote(raw, dtype, shape), dtype)
     if not out:
         warnings.warn(f"{path}: container holds no tensors", stacklevel=2)
     return out
@@ -346,62 +352,53 @@ def read_benq(path: str) -> ModelQuantization:
         _require(_read_exact(f, 4, "magic") == BENQ_MAGIC, f"{path}: not a .benq file")
         hlen = int.from_bytes(_read_exact(f, 8, "header length"), "little")
         _require(hlen <= min(size - 12, _MAX_HEADER), f"header length {hlen} exceeds file size")
-        header = _parse_header(_read_exact(f, hlen, "header"))
+        header = checked(parse_json(_read_exact(f, hlen, "header"), "header"), _BENQ_HEADER,
+                         "header", FormatError)
         payload = f.read()
 
-    _require(header.get("version") == BENQ_VERSION,
-             f"unsupported version {header.get('version')!r}")
-    for key in ("config", "policy", "policy_digest", "content_digest", "tensors"):
-        _require(key in header, f"header is missing {key!r}")
     config = QuantConfig.from_dict(header["config"])
     policy = QuantPolicy.from_dict(header["policy"])
     _require(policy.digest() == header["policy_digest"], "policy digest mismatch")
     directory = header["tensors"]
-    _require(isinstance(directory, list), "tensor directory is not a list")
+    for i, entry in enumerate(directory):
+        checked(entry, _QUANTIZED_ENTRY if entry.get("quantized") is True else _PRESERVED_ENTRY,
+                f"malformed tensor directory entry {i}", FormatError)
     _require(_content_digest(config, directory, payload) == header["content_digest"],
              "content digest mismatch: header or payload corrupted")
 
-    def span(entry: dict, key: str, name: str) -> bytes:
-        off, length = _nonneg_ints(entry[key], name, key, 2)
+    def span(entry: dict, key: str) -> bytes:
+        name, (off, length) = entry["name"], entry[key]
         _require(off % 8 == 0, f"{name}: {key} offset {off} is not 8-byte aligned")
-        _require(off + length <= len(payload),
-                 f"{name}: {key} span outside payload")
+        _require(off + length <= len(payload), f"{name}: {key} span outside payload")
         return payload[off:off + length]
 
     entries: dict[str, Any] = {}
     for entry in directory:
-        try:
-            _read_directory_entry(entry, entries, config, span)
-        except (KeyError, TypeError, ValueError) as e:
-            raise FormatError(f"malformed tensor directory entry: {e}") from None
+        name = entry["name"]
+        _require(name not in entries, f"duplicate tensor name {name!r}")
+        entries[name] = _read_directory_entry(entry, config, span)
     return ModelQuantization(entries, config, policy)
 
 
-def _read_directory_entry(entry, entries, config, span) -> None:
-    name = entry.get("name")
-    _require(isinstance(name, str) and name not in entries,
-             f"bad or duplicate tensor name {name!r}")
-    if entry.get("quantized"):
-        raw_idx = span(entry, "indices", name)
-        shape = _parse_shape(entry["shape"], name, len(raw_idx),
-                             lambda n: packed_size(n, config.bits))
-        numel = math.prod(shape)
-        n_groups = -(-numel // config.group_size) if numel else 0
-        _require(entry["n_groups"] == n_groups,
-                 f"{name}: header claims {entry['n_groups']} groups, expected {n_groups}")
-        _require(entry["tail_len"] == numel % config.group_size,
-                 f"{name}: tail length mismatch")
-        raw_scales = span(entry, "scales", name)
-        _require(len(raw_scales) == 2 * n_groups,
-                 f"{name}: {len(raw_scales)} scale bytes for {n_groups} groups")
-        indices = unpack_indices(raw_idx, config.bits, numel)
-        _require(not indices.size or int(indices.max()) < 2 ** config.bits,
-                 f"{name}: stored value outside the {config.bits}-bit range")
-        scales = np.frombuffer(raw_scales, dtype="<f2").copy()
-        entries[name] = QuantizedTensor(name, shape, indices, scales, config)
-    else:
-        dtype = entry.get("dtype")
-        _require(dtype in SUPPORTED_DTYPES, f"{name}: unsupported dtype {dtype!r}")
-        raw = span(entry, "data", name)
-        shape = _parse_shape(entry["shape"], name, len(raw), lambda n: n * _itemsize(dtype))
-        entries[name] = WeightTensor(name, _promote(raw, dtype, shape, name), dtype)
+def _read_directory_entry(entry: dict, config: QuantConfig, span) -> Any:
+    name = entry["name"]
+    if not entry["quantized"]:
+        dtype = entry["dtype"]
+        raw = span(entry, "data")
+        shape = _shape(entry["shape"], name, len(raw), lambda n: n * _itemsize(dtype))
+        return WeightTensor(name, _promote(raw, dtype, shape), dtype)
+    raw_idx = span(entry, "indices")
+    shape = _shape(entry["shape"], name, len(raw_idx), lambda n: packed_size(n, config.bits))
+    numel = math.prod(shape)
+    n_groups = -(-numel // config.group_size) if numel else 0
+    _require(entry["n_groups"] == n_groups,
+             f"{name}: header claims {entry['n_groups']} groups, expected {n_groups}")
+    _require(entry["tail_len"] == numel % config.group_size, f"{name}: tail length mismatch")
+    raw_scales = span(entry, "scales")
+    _require(len(raw_scales) == 2 * n_groups,
+             f"{name}: {len(raw_scales)} scale bytes for {n_groups} groups")
+    indices = unpack_indices(raw_idx, config.bits, numel)
+    _require(not indices.size or int(indices.max()) < 2 ** config.bits,
+             f"{name}: stored value outside the {config.bits}-bit range")
+    scales = np.frombuffer(raw_scales, dtype="<f2").copy()
+    return QuantizedTensor(name, shape, indices, scales, config)

@@ -33,7 +33,8 @@ import numpy as np
 
 from ._pool import _map
 from .benford import DEFAULT_FAMILY_PATTERNS, Family, classify_family
-from .errors import ConfigError, DataError, FormatError
+from .errors import (INT, NUMBER, STR, ConfigError, DataError, FormatError, checked, list_of,
+                     one_of, tuple_of)
 from .levels import DEFAULT_EPSILON, Codebook, Schedule, make_codebook
 
 _F16_TINY = np.float16(2.0 ** -24)
@@ -71,20 +72,16 @@ class QuantConfig:
 
     @classmethod
     def from_dict(cls, d: Any) -> "QuantConfig":
-        """A config from its JSON object: int bits and group_size (no bools), a number epsilon."""
-        if not isinstance(d, Mapping):
-            raise ConfigError(f"quantization config must be a JSON object, got {d!r}")
-        for key in ("bits", "group_size", "schedule"):
-            if key not in d:
-                raise ConfigError(f"quantization config is missing field {key!r}")
-        for key in ("bits", "group_size"):
-            if type(d[key]) is not int:
-                raise ConfigError(f"quantization config {key} must be an integer, got {d[key]!r}")
-        epsilon = d.get("epsilon", DEFAULT_EPSILON)
-        if type(epsilon) not in (int, float):
-            raise ConfigError(f"quantization config epsilon must be a number, got {epsilon!r}")
-        return cls(bits=d["bits"], group_size=d["group_size"],
-                   schedule=Schedule.parse(d["schedule"]), epsilon=epsilon)
+        """A config from its JSON object; epsilon is optional, and only for log."""
+        checked(d, _CONFIG_FIELDS, "quantization config", ConfigError, optional=("epsilon",))
+        if "epsilon" in d and d["schedule"] != Schedule.LOG_UNIFORM.value:
+            raise ConfigError(f"quantization config: epsilon is for the log schedule only, "
+                              f"not {d['schedule']!r}")
+        return cls(**d)
+
+
+_CONFIG_FIELDS = {"bits": INT, "group_size": INT,
+                  "schedule": one_of(*(s.value for s in Schedule)), "epsilon": NUMBER}
 
 
 def _midpoint_thresholds(levels: np.ndarray) -> np.ndarray:
@@ -320,20 +317,27 @@ def dequantize(qt: QuantizedTensor, codebook: Codebook | None = None) -> np.ndar
 
 
 _FAMILIES = tuple(f.value for f in Family)
-
-
-def _strings(raw: Any, what: str) -> tuple[str, ...]:
-    """A policy's list of strings as a tuple; a bare string is not a list."""
-    if not isinstance(raw, (list, tuple)) or not all(isinstance(s, str) for s in raw):
-        raise ConfigError(f"policy {what} must be a list of strings, got {raw!r}")
-    return tuple(raw)
+_STRINGS = list_of(STR, "strings")
+# the family names themselves are checked by QuantPolicy, for direct construction too
+_POLICY_FIELDS = {
+    "family_patterns": list_of(tuple_of(STR, _STRINGS, expected="a [family, [substrings]] pair"),
+                               "[family, [substrings]] pairs"),
+    "quantize_families": _STRINGS,
+}
 
 
 def _family(raw: Any) -> str:
     """A family named in a policy, as its plain string value."""
-    if not isinstance(raw, str) or raw not in _FAMILIES:
+    if raw not in _FAMILIES:
         raise ConfigError(f"unknown family {raw!r} in policy (known: {', '.join(_FAMILIES)})")
     return Family(raw).value
+
+
+def _substrings(raw: Any, family: str) -> tuple[str, ...]:
+    """A family's substrings as a tuple; a bare string would match letter by letter."""
+    if isinstance(raw, str):
+        raise ConfigError(f"policy patterns of {family!r} must be a list of strings, got {raw!r}")
+    return tuple(raw)
 
 
 @dataclass(frozen=True)
@@ -352,15 +356,10 @@ class QuantPolicy:
     quantize_families: tuple[str, ...] = (Family.ATTENTION_LINEAR.value, Family.MLP_LINEAR.value)
 
     def __post_init__(self) -> None:
-        pairs = self.family_patterns
-        if not isinstance(pairs, (list, tuple)) or not all(
-                isinstance(p, (list, tuple)) and len(p) == 2 for p in pairs):
-            raise ConfigError(f"policy family_patterns must be a list of "
-                              f"[family, [substrings]] pairs, got {pairs!r}")
+        # from_dict has checked the JSON types; a direct construction needs these checks too
         object.__setattr__(self, "family_patterns", tuple(
-            (_family(fam), _strings(subs, f"patterns of {fam!r}")) for fam, subs in pairs))
-        object.__setattr__(self, "quantize_families", tuple(
-            _family(f) for f in _strings(self.quantize_families, "quantize_families")))
+            (_family(fam), _substrings(subs, fam)) for fam, subs in self.family_patterns))
+        object.__setattr__(self, "quantize_families", tuple(map(_family, self.quantize_families)))
 
     def should_quantize(self, name: str) -> bool:
         return classify_family(name, self) in self.quantize_families
@@ -371,12 +370,7 @@ class QuantPolicy:
 
     @classmethod
     def from_dict(cls, d: Any) -> "QuantPolicy":
-        if not isinstance(d, Mapping):
-            raise ConfigError(f"policy must be a JSON object, got {d!r}")
-        bad = set(d) - {"family_patterns", "quantize_families"}
-        if bad:
-            raise ConfigError(f"unknown policy fields: {sorted(bad)}")
-        return cls(**d)
+        return cls(**checked(d, _POLICY_FIELDS, "policy", ConfigError))
 
     def digest(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))

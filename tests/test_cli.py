@@ -3,13 +3,18 @@
 import csv
 import io as stdio
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from benq.cli import main
-from benq.io import read_benq, read_container
-from benq.quantizer import _BLOCK_ELEMS, QuantizedTensor, dequantize
+from benq.io import BENQ_MAGIC, _content_digest, read_benq, read_container
+from benq.quantizer import _BLOCK_ELEMS, QuantConfig, QuantizedTensor, dequantize
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run(capsys, *argv):
@@ -354,6 +359,68 @@ class TestExitCodes:
             main(["--version"])
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("benq ")
+
+
+def run_process(*argv):
+    """benq in a process of its own, so that a traceback would reach stderr."""
+    path = filter(None, [SRC, os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    return subprocess.run([sys.executable, "-m", "benq.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+DEEP = b"[" * 200_000 + b"]" * 200_000
+
+
+def resigned_non_object_entry(capsys, tmp_path):
+    """A .benq whose directory is [5], with its content digest re-signed."""
+    q = tmp_path / "m.benq"
+    assert run(capsys, "quantize", str(make_model(capsys, tmp_path)), "--out", str(q))[0] == 0
+    blob = q.read_bytes()
+    hlen = int.from_bytes(blob[4:12], "little")
+    header = json.loads(blob[12:12 + hlen])
+    header["tensors"] = [5]
+    header["content_digest"] = _content_digest(QuantConfig.from_dict(header["config"]),
+                                               [5], blob[12 + hlen:])
+    raw = json.dumps(header).encode()
+    q.write_bytes(BENQ_MAGIC + len(raw).to_bytes(8, "little") + raw + blob[12 + hlen:])
+    return ["dequantize", str(q), "--out", str(tmp_path / "d.st")]
+
+
+def safetensors_header(header):
+    def build(capsys, tmp_path):
+        p = tmp_path / "bad.st"
+        p.write_bytes(len(header).to_bytes(8, "little") + header + bytes(4))
+        return ["analyze", str(p)]
+    return build
+
+
+def policy_file(blob):
+    def build(capsys, tmp_path):
+        pol = tmp_path / "policy.json"
+        pol.write_bytes(blob)
+        return ["analyze", str(make_model(capsys, tmp_path)), "--policy", str(pol)]
+    return build
+
+
+class TestHostileFileExits:
+    """A hostile header or policy file exits 1 with one `error:` line, never a traceback."""
+
+    @pytest.mark.parametrize("build", [
+        resigned_non_object_entry,
+        safetensors_header(DEEP),
+        safetensors_header(b'{"w":{"dtype":"F32","shape":[' + b"1" * 5000
+                           + b'],"data_offsets":[0,4]}}'),
+        policy_file(b'{"quantize_families":["norm\xff"]}'),
+        policy_file(DEEP),
+        policy_file(b'{"quantize_families":["norm"],"quantize_families":["norm"]}'),
+    ], ids=["resigned-non-object-entry", "deep-header", "huge-int-header",
+            "policy-not-utf8", "policy-deep", "policy-duplicate-key"])
+    def test_exit_one(self, capsys, tmp_path, build):
+        done = run_process(*build(capsys, tmp_path))
+        assert done.returncode == 1, done.stderr
+        assert done.stderr.startswith("error:")
+        assert "Traceback" not in done.stderr
 
 
 class TestThreads:

@@ -163,7 +163,7 @@ class TestSafetensors:
 class TestDtypePromotion:
     def test_f16_promote_demote_identity(self):
         raw = np.arange(0, 60000, 7, dtype=np.uint16).tobytes()
-        arr = _promote(raw, "F16", (len(raw) // 2,), "w")
+        arr = _promote(raw, "F16", (len(raw) // 2,))
         # skip nan patterns: they do not compare equal but also never
         # arise from finite weights
         finite = np.isfinite(arr)
@@ -173,7 +173,7 @@ class TestDtypePromotion:
 
     def test_bf16_promote_demote_identity(self):
         raw = np.arange(0, 60000, 11, dtype=np.uint16).tobytes()
-        arr = _promote(raw, "BF16", (len(raw) // 2,), "w")
+        arr = _promote(raw, "BF16", (len(raw) // 2,))
         finite = np.isfinite(arr)
         back = np.frombuffer(_demote(arr, "BF16"), dtype=np.uint16)
         orig = np.frombuffer(raw, dtype=np.uint16)
@@ -253,8 +253,7 @@ def toy_model():
             np.float16(np.linspace(0.9, 1.1, 6)).astype(np.float32), "F16"),
         "model.embed_tokens.weight": WeightTensor(
             "model.embed_tokens.weight",
-            _promote(np.arange(100, 116, dtype="<u2").tobytes(), "BF16",
-                     (4, 4), "e"), "BF16"),
+            _promote(np.arange(100, 116, dtype="<u2").tobytes(), "BF16", (4, 4)), "BF16"),
     }
 
 
@@ -747,3 +746,190 @@ class TestHostileOffsets:
         build_benq(p, TestBenqCrafted.CFG, QUANTIZE_ALL, directory, payload)
         with pytest.raises(FormatError, match="indices .* not a list of 2 non-negative"):
             read_benq(str(p))
+
+
+def one_quantized_entry(n):
+    """(directory, payload) of one 2-bit tensor of n <= 8 elements, groups of 4, no tail."""
+    n_groups = n // 4
+    entry = {"name": "w", "shape": [n], "quantized": True, "n_groups": n_groups,
+             "tail_len": 0, "indices": [0, n // 2], "scales": [8, 2 * n_groups]}
+    payload = bytes(8) + np.float16(1.0).tobytes() * n_groups + bytes(8 - 2 * n_groups)
+    return [entry], payload
+
+
+def header_bytes(path, header):
+    """A .benq file whose header is the raw bytes `header`, with no payload."""
+    path.write_bytes(BENQ_MAGIC + len(header).to_bytes(8, "little") + header)
+
+
+# headers no JSON reader may turn into a traceback
+DEEP = b"[" * 200_000 + b"]" * 200_000
+HUGE_INT = b"1" * 5000  # past Python's 4300-digit int conversion limit
+
+
+class TestHeaderSchema:
+    """Each header field has one exact JSON type: a bool is never an int, nor a float an int."""
+
+    @pytest.mark.parametrize("directory", [[5], [["a"]], ["s"], [None]],
+                             ids=["int", "list", "string", "null"])
+    def test_entry_not_an_object(self, tmp_path, directory):
+        p = tmp_path / "c.benq"
+        build_benq(p, TestBenqCrafted.CFG, QUANTIZE_ALL, directory, bytes(8))
+        with pytest.raises(FormatError, match="tensors .* not a list of JSON objects"):
+            read_benq(str(p))
+
+    @pytest.mark.parametrize("n,key,value", [
+        (8, "quantized", "yes"), (8, "quantized", 1), (8, "n_groups", 2.0),
+        (4, "n_groups", True), (8, "tail_len", False), (8, "tail_len", 0.0),
+    ], ids=["quantized-string", "quantized-int", "groups-float", "groups-bool",
+            "tail-bool", "tail-float"])
+    def test_quantized_entry_field_type(self, tmp_path, n, key, value):
+        directory, payload = one_quantized_entry(n)
+        directory[0][key] = value
+        p = tmp_path / "c.benq"
+        build_benq(p, TestBenqCrafted.CFG, QUANTIZE_ALL, directory, payload)
+        with pytest.raises(FormatError, match=f"malformed tensor directory entry 0: .*{key}"):
+            read_benq(str(p))
+
+    @pytest.mark.parametrize("value", [0, None, "", []], ids=["int", "null", "string", "list"])
+    def test_preserved_entry_quantized_flag(self, tmp_path, value):
+        directory = [{"name": "w", "shape": [2], "quantized": value,
+                      "dtype": "F32", "data": [0, 8]}]
+        p = tmp_path / "c.benq"
+        build_benq(p, TestBenqCrafted.CFG, QUANTIZE_ALL, directory, bytes(8))
+        with pytest.raises(FormatError, match="quantized .* not true or false"):
+            read_benq(str(p))
+
+    def test_float_version(self, tmp_path):
+        p = tmp_path / "m.benq"
+        write_benq(str(p), apply_policy(toy_model(), DEFAULT_POLICY, QuantConfig()))
+        rewrite_header(p, lambda h: h.update(version=float(BENQ_VERSION)))
+        with pytest.raises(FormatError, match="unsupported version"):
+            read_benq(str(p))
+
+    def test_unknown_header_key(self, tmp_path):
+        p = tmp_path / "m.benq"
+        write_benq(str(p), apply_policy(toy_model(), DEFAULT_POLICY, QuantConfig()))
+        rewrite_header(p, lambda h: h.update(comment="hi"))
+        with pytest.raises(FormatError, match=r"header: unknown fields \['comment'\]"):
+            read_benq(str(p))
+
+    @pytest.mark.parametrize("quantized", [True, False])
+    def test_unknown_entry_key(self, tmp_path, quantized):
+        if quantized:
+            directory, payload = one_quantized_entry(8)
+        else:
+            directory = [{"name": "w", "shape": [2], "quantized": False,
+                          "dtype": "F32", "data": [0, 8]}]
+            payload = bytes(8)
+        directory[0]["comment"] = "hi"
+        p = tmp_path / "c.benq"
+        build_benq(p, TestBenqCrafted.CFG, QUANTIZE_ALL, directory, payload)
+        with pytest.raises(FormatError, match=r"unknown fields \['comment'\]"):
+            read_benq(str(p))
+
+    @pytest.mark.parametrize("schedule,extra", [
+        (Schedule.LOG_UNIFORM, {"comment": "hi"}), (Schedule.LINEAR, {"epsilon": 0.5}),
+        (Schedule.RTN, {"epsilon": 1e-7})], ids=["log-comment", "linear-epsilon", "rtn-epsilon"])
+    def test_unknown_config_key(self, tmp_path, schedule, extra):
+        # the content digest covers the parsed config, so the extra key is unsigned
+        p = tmp_path / "m.benq"
+        write_benq(str(p), apply_policy(toy_model(), DEFAULT_POLICY,
+                                        QuantConfig(schedule=schedule)))
+        rewrite_header(p, set_config(extra))
+        with pytest.raises(ConfigError, match="quantization config"):
+            read_benq(str(p))
+
+    @pytest.mark.parametrize("header", [
+        DEEP, b'{"w":{"dtype":"F32","shape":[' + HUGE_INT + b'],"data_offsets":[0,4]}}'],
+        ids=["deep", "huge-int"])
+    def test_safetensors_unreadable_json(self, tmp_path, header):
+        p = tmp_path / "bad.st"
+        build_safetensors(p, header, bytes(4))
+        with pytest.raises(FormatError, match="malformed header JSON"):
+            read_container(str(p))
+
+    @pytest.mark.parametrize("header", [DEEP, b'{"version":' + HUGE_INT + b"}"],
+                             ids=["deep", "huge-int"])
+    def test_benq_unreadable_json(self, tmp_path, header):
+        p = tmp_path / "c.benq"
+        header_bytes(p, header)
+        with pytest.raises(FormatError, match="malformed header JSON"):
+            read_benq(str(p))
+
+
+# any JSON value, the plausible small ints and strings most of all
+JSON_VALUES = st.recursive(
+    st.one_of(st.integers(-2, 70), st.integers(-2 ** 70, 2 ** 70), st.booleans(), st.floats(),
+              st.text(max_size=3), st.sampled_from(["F32", "BF16", "log", "norm"]), st.none()),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=6)
+
+
+def json_paths(obj, prefix=()):
+    """The key path of every value below the root of a JSON object or list."""
+    items = obj.items() if isinstance(obj, dict) else \
+        enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from json_paths(value, prefix + (key,))
+
+
+def replaced(obj, path, value):
+    """A copy of `obj` with the value at `path` replaced."""
+    obj = json.loads(json.dumps(obj))
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return obj
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("valid")
+    st_path, benq_path = d / "m.st", d / "m.benq"
+    write_container(str(st_path), {"a": np.arange(6, dtype=np.float32).reshape(2, 3),
+                                   "b": np.ones(5, np.float32), "c": np.float32(2.0)})
+    write_benq(str(benq_path), apply_policy(toy_model(), DEFAULT_POLICY,
+                                            QuantConfig(bits=3, group_size=8)))
+    return st_path.read_bytes(), read_benq_header(benq_path)
+
+
+class TestHostileHeaders:
+    """Any field at any depth replaced by any JSON value: FormatError, ConfigError or a read."""
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_mutated_safetensors_header(self, tmp_path, valid_files, data):
+        blob = valid_files[0]
+        hlen = int.from_bytes(blob[:8], "little")
+        header = json.loads(blob[8:8 + hlen])
+        path = data.draw(st.sampled_from(list(json_paths(header))))
+        p = tmp_path / "m.st"
+        build_safetensors(p, replaced(header, path, data.draw(JSON_VALUES)), blob[8 + hlen:])
+        try:
+            read_container(str(p))
+        except (FormatError, ConfigError):
+            pass
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_mutated_benq_header(self, tmp_path, valid_files, data):
+        header, hlen, blob = valid_files[1]
+        path = data.draw(st.sampled_from(list(json_paths(header))))
+        header = replaced(header, path, data.draw(JSON_VALUES))
+        payload = blob[12 + hlen:]
+        if path[0] != "config":  # the config is parsed before the digest is checked
+            header["content_digest"] = _content_digest(QuantConfig.from_dict(header["config"]),
+                                                       header["tensors"], payload)
+        raw = json.dumps(header, separators=(",", ":")).encode()
+        p = tmp_path / "m.benq"
+        p.write_bytes(BENQ_MAGIC + len(raw).to_bytes(8, "little") + raw + payload)
+        try:
+            read_benq(str(p))
+        except (FormatError, ConfigError):
+            pass
