@@ -32,9 +32,10 @@ from __future__ import annotations
 import functools
 import math
 import statistics
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -341,15 +342,22 @@ def tensor_report(name: str, data: np.ndarray, policy: "QuantPolicy | None" = No
                        hist, mad, sub_seed)
 
 
-def model_report(tensors: Mapping[str, np.ndarray], policy: "QuantPolicy | None" = None,
+def model_report(tensors: Mapping[str, np.ndarray] | Iterable[tuple[str, Any]],
+                 policy: "QuantPolicy | None" = None,
                  *, source: str = "", seed: int = 0, threads: int = 1) -> ModelReport:
     """Per-tensor and per-family digit statistics for a named tensor set.
 
-    Tensors are ordered by descending MAD (degenerate tensors last); family
-    summaries aggregate the non-degenerate tensors in declaration order.
+    `tensors` is a mapping, or (name, array or WeightTensor) pairs read as
+    they arrive, at most `threads` at a time.  Tensors are ordered by
+    descending MAD (degenerate tensors last); family summaries aggregate the
+    non-degenerate tensors in declaration order.
     """
-    reports = _map(lambda kv: tensor_report(kv[0], kv[1], policy, seed),
-                   list(tensors.items()), threads)
+    def report(item: tuple[str, Any]) -> DigitReport:
+        name, t = item
+        return tensor_report(name, getattr(t, "data", t), policy, seed)
+
+    items = tensors.items() if isinstance(tensors, Mapping) else tensors
+    reports = list(_map(report, items, threads))
     reports.sort(key=lambda r: (r.mad is None, -(r.mad or 0.0), r.name))
 
     summaries = []

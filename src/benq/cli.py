@@ -14,19 +14,25 @@ import argparse
 import csv
 import hashlib
 import io as stdio
+import itertools
 import json
+import math
 import os
 import sys
 import time
 
 from . import __version__, benford, rng, synth
 from ._pool import _map
-from .errors import BenqError, ConfigError
-from .io import parse_json, read_benq, read_container, write_benq, write_container
+from .errors import BenqError, ConfigError, DataError
+# read_container, read_benq, write_benq and apply_policy hold a whole tensor set;
+# the commands stream instead.  perfbench's tracer still wraps these names here.
+from .io import (iter_container, open_benq, open_container, parse_json, read_benq,  # noqa: F401
+                 read_container, write_benq, write_benq_stream, write_container,
+                 write_container_stream)
 from .levels import DEFAULT_EPSILON, Schedule, make_codebook
 from .metrics import compare_schedules
-from .quantizer import (DEFAULT_POLICY, QUANTIZE_ALL, QuantConfig, QuantPolicy,
-                        QuantizedTensor, apply_policy, dequantize)
+from .quantizer import (DEFAULT_POLICY, QUANTIZE_ALL, QuantConfig, QuantPolicy,  # noqa: F401
+                        QuantizedTensor, apply_policy, dequantize, quantize_stream)
 
 
 def _default_threads() -> int:
@@ -37,6 +43,24 @@ def _default_threads() -> int:
         except ValueError:
             raise ConfigError(f"BENQ_THREADS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
+
+
+class _Timed:
+    """An iterator over `items` that adds the time spent in their next() to `.s`."""
+
+    def __init__(self, items):
+        self._items = iter(items)
+        self.s = 0.0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        t0 = time.perf_counter()
+        try:
+            return next(self._items)
+        finally:
+            self.s += time.perf_counter() - t0
 
 
 def _sha256(path: str) -> str:
@@ -119,8 +143,7 @@ def cmd_levels(args) -> int:
 def cmd_analyze(args) -> int:
     t0 = time.perf_counter()
     policy = _load_policy(args.policy, no_policy=False)
-    tensors = read_container(args.container)
-    report = benford.model_report({n: t.data for n, t in tensors.items()}, policy,
+    report = benford.model_report(iter_container(args.container), policy,
                                   source=os.path.basename(args.container),
                                   seed=args.seed, threads=args.threads)
     text = json.dumps(report.to_dict(), indent=2) + "\n"
@@ -142,38 +165,43 @@ def cmd_quantize(args) -> int:
     t0 = time.perf_counter()
     config = _parse_config(args)
     policy = _load_policy(args.policy, args.no_policy)
-    tensors = read_container(args.container)
-    t1 = time.perf_counter()
-    mq = apply_policy(tensors, policy, config, threads=args.threads)
-    t2 = time.perf_counter()
     out = args.out or os.path.splitext(args.container)[0] + ".benq"
-    write_benq(out, mq)
-    t3 = time.perf_counter()
-    s = mq.summary()
-    print(f"quantize pass: {t2 - t1:.2f}s "
-          f"({s['n_quantized']} quantized / {s['n_preserved']} preserved, "
-          f"fraction {s['quantized_fraction']:.4f})", file=sys.stderr)
+    with open_container(args.container) as (specs, tensors):
+        if not specs:
+            raise DataError("cannot apply a policy to an empty tensor set")
+        layout = [s._replace(dtype=None) if policy.should_quantize(s.name) else s
+                  for s in specs]
+        # the main thread's time: reading tensors, waiting for quantized ones, the rest writing
+        reading = _Timed(tensors)
+        entries = _Timed(quantize_stream(reading, policy, config, args.threads))
+        t1 = time.perf_counter()
+        write_benq_stream(out, config, policy, layout, entries)
+        t2 = time.perf_counter()
+    quantized = [s for s in layout if s.dtype is None]
+    total = sum(math.prod(s.shape) for s in layout)
+    fraction = sum(math.prod(s.shape) for s in quantized) / total if total else 0.0
+    print(f"quantize pass: {entries.s - reading.s:.2f}s "
+          f"({len(quantized)} quantized / {len(layout) - len(quantized)} preserved, "
+          f"fraction {fraction:.4f})", file=sys.stderr)
     _emit_manifest(args, "quantize",
                    {**config.to_dict(), "policy_digest": policy.digest()},
                    [args.container] + ([args.policy] if args.policy else []),
-                   {"read": t1 - t0, "quantize": t2 - t1, "write": t3 - t2,
-                    "total": t3 - t0}, out)
+                   {"read": t1 - t0 + reading.s, "quantize": entries.s - reading.s,
+                    "write": t2 - t1 - entries.s, "total": t2 - t0}, out)
     return 0
+
+
+def _reconstruction(item):
+    _, t = item
+    return dequantize(t) if isinstance(t, QuantizedTensor) else t.data
 
 
 def cmd_dequantize(args) -> int:
     t0 = time.perf_counter()
-    mq = read_benq(args.model)
-    names = list(mq.entries)
-
-    def work(name: str):
-        t = mq.entries[name]
-        return dequantize(t) if isinstance(t, QuantizedTensor) else t.data
-
-    out_tensors = dict(zip(names, _map(work, names, args.threads)))
     out = args.out or os.path.splitext(args.model)[0] + ".dequant.safetensors"
-    write_container(out, out_tensors)
-    _emit_manifest(args, "dequantize", mq.config.to_dict(), [args.model],
+    with open_benq(args.model) as (config, _, specs, entries):
+        write_container_stream(out, specs, _map(_reconstruction, entries, args.threads))
+    _emit_manifest(args, "dequantize", config.to_dict(), [args.model],
                    {"total": time.perf_counter() - t0}, out)
     return 0
 
@@ -185,11 +213,14 @@ def cmd_compare(args) -> int:
         raise ConfigError("--schedules needs at least one schedule")
     configs = [QuantConfig(bits=args.bits, group_size=args.group_size,
                            schedule=s, epsilon=args.epsilon) for s in schedules]
-    tensors = read_container(args.container)
-    rows = []
-    for name, t in tensors.items():
-        for rep in compare_schedules(t.data, configs, name, threads=args.threads):
-            rows.append(rep.to_dict())
+
+    def measure(item) -> list[dict]:
+        # one tensor at a time; compare_schedules spreads its blocks over the threads
+        name, t = item
+        return [rep.to_dict() for rep in
+                compare_schedules(t.data, configs, name, threads=args.threads)]
+
+    rows = list(itertools.chain.from_iterable(map(measure, iter_container(args.container))))
     text = json.dumps({"source": os.path.basename(args.container), "rows": rows},
                       indent=2) + "\n"
     _write_text(args.out, text)

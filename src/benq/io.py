@@ -5,8 +5,8 @@ safetensors layout (subset: F32, F16, BF16 tensors):
     u64 LE header length | header JSON | payload
     header: {name: {"dtype": "F32" | "F16" | "BF16", "shape": [uint, ...],
                     "data_offsets": [start uint, end uint]}, ..., "__metadata__"?: any}
-    offsets are relative to the payload; tensors are read one at a time.  The
-    format is external, so an entry may hold more keys and __metadata__ is skipped.
+    offsets are relative to the payload.  The format is external, so an
+    entry may hold more keys and __metadata__ is skipped.
 
 .benq layout (one quantization run over a tensor set):
 
@@ -41,11 +41,22 @@ so rtn integer q is stored as index q + 2**(bits-1).  Preserved tensors
 store their original bytes in their source dtype.  content_digest covers
 the config, the tensor directory and the payload, so any header tampering
 or payload corruption is rejected before a single tensor is materialized.
-All writes go through a temp file and atomic rename.
+
+Both formats are streamed a tensor at a time.  A reader (`open_container`,
+`open_benq`) checks the whole header, and for .benq the content digest,
+before it reads any tensor, then reads the tensors lazily in header order.
+A writer (`write_container_stream`, `write_benq_stream`) builds the header
+from the tensors' names, shapes and dtypes alone and then streams each
+tensor's bytes, so only the tensors in flight are ever in memory.
+`read_container`, `write_container`, `read_benq` and `write_benq` hold a
+whole tensor set and are thin wrappers over these.  All writes go through a
+temp file and atomic rename, so a run that fails midway leaves no partial
+output.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -53,12 +64,12 @@ import os
 import tempfile
 import warnings
 from dataclasses import dataclass
-from typing import Any, BinaryIO, Mapping
+from typing import Any, BinaryIO, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (ANY, BOOL, INT, NONNEG, OBJECT, STR, ConfigError, FormatError, checked,
-                     list_of, one_of, tuple_of)
+from .errors import (ANY, BOOL, INT, NONNEG, OBJECT, STR, ConfigError, DataError, FormatError,
+                     checked, list_of, one_of, tuple_of)
 from .quantizer import ModelQuantization, QuantConfig, QuantizedTensor, QuantPolicy
 
 SUPPORTED_DTYPES = ("F32", "F16", "BF16")
@@ -66,6 +77,7 @@ BENQ_MAGIC = b"BNQ1"
 BENQ_VERSION = 2
 
 _MAX_HEADER = 1 << 30
+_CHUNK = 1 << 20  # bytes per read of the digest pass, 16-bit elements per staged read
 
 
 @dataclass(frozen=True)
@@ -87,15 +99,42 @@ class WeightTensor:
         object.__setattr__(self, "data", data)
 
 
-def _promote(raw: bytes, dtype: str, shape: tuple[int, ...]) -> np.ndarray:
+class TensorSpec(NamedTuple):
+    """What a file's header says of one tensor, known before any tensor is read.
+
+    `dtype` is the stored dtype, None for a quantized .benq tensor.
+    """
+
+    name: str
+    shape: tuple[int, ...]
+    dtype: str | None
+
+
+def _spec(name: str, t: Any) -> TensorSpec:
+    """The spec of an in-memory tensor: a QuantizedTensor, a WeightTensor or an array."""
+    if isinstance(t, QuantizedTensor):
+        return TensorSpec(name, t.shape, None)
+    return TensorSpec(name, np.shape(getattr(t, "data", t)), getattr(t, "source_dtype", "F32"))
+
+
+def _promote(raw, dtype: str, shape: tuple[int, ...],
+             out: np.ndarray | None = None) -> np.ndarray:
+    """float32 values of the stored `dtype` bytes in the buffer `raw`.
+
+    They fill a new array of `shape`, or the float32 array `out` when one is given.
+    """
+    if out is None:
+        out = np.empty(shape, dtype=np.float32)
+    flat = out.reshape(-1)
     if dtype == "F32":
-        arr = np.frombuffer(raw, dtype=np.float32).copy()
+        flat[...] = np.frombuffer(raw, dtype=np.float32)
     elif dtype == "F16":
-        arr = np.frombuffer(raw, dtype=np.float16).astype(np.float32)
-    else:  # BF16
-        u = np.frombuffer(raw, dtype=np.uint16).astype(np.uint32)
-        arr = (u << np.uint32(16)).view(np.float32)
-    return arr.reshape(shape)
+        flat[...] = np.frombuffer(raw, dtype=np.float16)
+    else:  # BF16: the upper half of a float32
+        u = flat.view(np.uint32)
+        u[...] = np.frombuffer(raw, dtype=np.uint16)
+        u <<= np.uint32(16)
+    return out
 
 
 def _demote(data: np.ndarray, dtype: str) -> bytes:
@@ -120,6 +159,47 @@ def _read_exact(f: BinaryIO, n: int, what: str) -> bytes:
     if len(buf) != n:
         raise FormatError(f"truncated file while reading {what}")
     return buf
+
+
+def _read_at(f: BinaryIO, offset: int, n: int, what: str) -> bytes:
+    f.seek(offset)
+    return _read_exact(f, n, what)
+
+
+def _read_into(f: BinaryIO, offset: int, out: np.ndarray, what: str) -> None:
+    """Fill the flat array `out` with the file's bytes at `offset`."""
+    view = memoryview(out.view(np.uint8))
+    f.seek(offset)
+    while view:
+        n = f.readinto(view)
+        if not n:
+            raise FormatError(f"truncated file while reading {what}")
+        view = view[n:]
+
+
+def _read_array(f: BinaryIO, offset: int, dtype: str, shape: tuple[int, ...],
+                what: str) -> np.ndarray:
+    """The float32 array of `shape` stored as `dtype` at file `offset`.
+
+    F32 bytes are read straight into the array; F16 and BF16 go through a
+    staging block of _CHUNK elements and are widened into place.
+    """
+    out = np.empty(shape, dtype=np.float32)
+    flat = out.reshape(-1)
+    if dtype == "F32":
+        _read_into(f, offset, flat, what)
+        return out
+    stage = np.empty(max(1, min(flat.size, _CHUNK)), dtype=np.uint16)
+    for i in range(0, flat.size, stage.size):
+        part = stage[:flat.size - i]
+        _read_into(f, offset + 2 * i, part, what)
+        _promote(part, dtype, part.shape, out=flat[i:i + part.size])
+    return out
+
+
+def _as_bytes(arr: np.ndarray) -> np.ndarray:
+    """An array's bytes in C order, without a copy when it is contiguous."""
+    return arr.reshape(-1).view(np.uint8)
 
 
 def _no_duplicate_keys(pairs):
@@ -183,18 +263,49 @@ def _atomic_write(path: str, writer) -> None:
         raise
 
 
-def read_container(path: str) -> dict[str, WeightTensor]:
-    """Read a safetensors file into named float32 tensors (stream per tensor)."""
-    size = os.path.getsize(path)
+_END = object()
+
+
+def _pull(it: Iterator, spec: TensorSpec) -> Any:
+    item = next(it, _END)
+    if item is _END:
+        raise DataError(f"the tensor stream ended before {spec.name!r}")
+    return item
+
+
+def _stream(specs: Sequence[TensorSpec], items: Iterable, put) -> None:
+    """put(spec, item) for every spec and the next of `items`, which must match in count.
+
+    No name here holds an item between calls, so each is freed once put returns.
+    """
+    it = iter(items)
+    for spec in specs:
+        put(spec, _pull(it, spec))
+    if next(it, _END) is not _END:
+        raise DataError("more tensors than the header names")
+
+
+def _mismatch(spec: TensorSpec, what: str) -> DataError:
+    return DataError(f"{spec.name}: streamed tensor does not match its header entry ({what})")
+
+
+@contextlib.contextmanager
+def open_container(path: str) -> Iterator[tuple[list[TensorSpec], Iterator]]:
+    """(specs, tensors) of a safetensors file, its tensors read as they are iterated.
+
+    Every header entry is checked, its span against the file's size too,
+    before any tensor is read.  `tensors` yields (name, float32 WeightTensor)
+    in header order, reading each from the open file when it is reached.
+    """
     with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
         hlen = int.from_bytes(_read_exact(f, 8, "header length"), "little")
         if hlen > min(size - 8, _MAX_HEADER):
             raise FormatError(f"header length {hlen} exceeds file size")
         header = parse_json(_read_exact(f, hlen, "header"), "header")
         payload_size = size - 8 - hlen
-        payload_base = 8 + hlen
 
-        out: dict[str, WeightTensor] = {}
+        located = []  # (spec, file offset)
         for name, entry in header.items():
             if name == "__metadata__":
                 continue
@@ -205,36 +316,66 @@ def read_container(path: str) -> dict[str, WeightTensor]:
             if not start <= end <= payload_size:
                 raise FormatError(f"{name}: data offsets [{start}, {end}] outside payload")
             shape = _shape(entry["shape"], name, end - start, lambda n: n * _itemsize(dtype))
-            f.seek(payload_base + start)
-            raw = _read_exact(f, end - start, f"tensor {name!r}")
-            out[name] = WeightTensor(name, _promote(raw, dtype, shape), dtype)
-    if not out:
-        warnings.warn(f"{path}: container holds no tensors", stacklevel=2)
-    return out
+            located.append((TensorSpec(name, shape, dtype), 8 + hlen + start))
+        if not located:
+            warnings.warn(f"{path}: container holds no tensors", stacklevel=3)
+        tensors = ((s.name, WeightTensor(s.name, _read_array(f, at, s.dtype, s.shape,
+                                                             f"tensor {s.name!r}"), s.dtype))
+                   for s, at in located)
+        yield [s for s, _ in located], tensors
 
 
-def write_container(path: str, tensors: Mapping[str, Any]) -> None:
-    """Write named tensors as an F32 safetensors file (atomic, deterministic)."""
+def iter_container(path: str) -> Iterator[tuple[str, WeightTensor]]:
+    """(name, float32 WeightTensor) of a safetensors file, one at a time in header order.
+
+    The whole header is checked before the first tensor is read, and no
+    tensor is held here once it has been yielded.
+    """
+    with open_container(path) as (_, tensors):
+        yield from tensors
+
+
+def read_container(path: str) -> dict[str, WeightTensor]:
+    """Every tensor of a safetensors file at once, as named float32 tensors."""
+    return dict(iter_container(path))
+
+
+def write_container_stream(path: str, specs: Sequence[TensorSpec], arrays: Iterable) -> None:
+    """Write an F32 safetensors file of `specs`, each tensor taken from `arrays` in turn.
+
+    The header comes from the names and shapes alone (every tensor is
+    written as F32, whatever its spec's dtype); each array or WeightTensor
+    is written as it arrives and must have its spec's shape.  Atomic and
+    deterministic.
+    """
     entries = {}
-    blobs = []
     offset = 0
-    for name, t in tensors.items():
-        arr = np.asarray(getattr(t, "data", t), dtype=np.float32)
-        raw = arr.tobytes()  # serializes in C order, keeps 0-d shapes intact
-        entries[name] = {"dtype": "F32", "shape": list(arr.shape),
-                         "data_offsets": [offset, offset + len(raw)]}
-        blobs.append(raw)
-        offset += len(raw)
+    for s in specs:
+        n = 4 * math.prod(s.shape)
+        entries[s.name] = {"dtype": "F32", "shape": list(s.shape),
+                           "data_offsets": [offset, offset + n]}
+        offset += n
     header = json.dumps(entries, separators=(",", ":")).encode("utf-8")
     header += b" " * (-(8 + len(header)) % 8)
 
     def writer(f: BinaryIO) -> None:
         f.write(len(header).to_bytes(8, "little"))
         f.write(header)
-        for raw in blobs:
-            f.write(raw)
+
+        def put(spec: TensorSpec, t: Any) -> None:
+            arr = np.asarray(getattr(t, "data", t), dtype=np.float32)
+            if arr.shape != spec.shape:
+                raise _mismatch(spec, f"shape {arr.shape}, expected {spec.shape}")
+            f.write(_as_bytes(arr))
+
+        _stream(specs, arrays, put)
 
     _atomic_write(path, writer)
+
+
+def write_container(path: str, tensors: Mapping[str, Any]) -> None:
+    """Write named tensors as an F32 safetensors file (atomic, deterministic)."""
+    write_container_stream(path, [_spec(n, t) for n, t in tensors.items()], tensors.values())
 
 
 def pack_indices(values: np.ndarray, bits: int) -> bytes:
@@ -272,67 +413,113 @@ def packed_size(count: int, bits: int) -> int:
     return -(-count // 2) if bits <= 4 else count
 
 
-def _directory_and_payload(mq: ModelQuantization) -> tuple[list[dict], bytes]:
+def _benq_directory(config: QuantConfig, specs: Sequence[TensorSpec]) -> list[dict]:
+    """The .benq tensor directory of `specs`: every span follows from the shapes alone."""
     directory = []
-    chunks: list[bytes] = []
     offset = 0
 
-    def put(raw: bytes) -> tuple[int, int]:
+    def span(length: int) -> list[int]:
         nonlocal offset
         start = offset
-        pad = -len(raw) % 8
-        chunks.append(raw)
-        if pad:
-            chunks.append(b"\0" * pad)
-        offset += len(raw) + pad
-        return start, len(raw)
+        offset += length + (-length % 8)
+        return [start, length]
 
-    for name, t in mq.entries.items():
-        if isinstance(t, QuantizedTensor):
-            ioff, ilen = put(pack_indices(t.indices, t.config.bits))
-            soff, slen = put(t.scales.astype("<f2").tobytes())
-            directory.append({"name": name, "shape": list(t.shape), "quantized": True,
-                              "n_groups": t.n_groups, "tail_len": t.tail_len,
-                              "indices": [ioff, ilen], "scales": [soff, slen]})
+    for s in specs:
+        numel = math.prod(s.shape)
+        if s.dtype is None:
+            n_groups = -(-numel // config.group_size)
+            directory.append({"name": s.name, "shape": list(s.shape), "quantized": True,
+                              "n_groups": n_groups, "tail_len": numel % config.group_size,
+                              "indices": span(packed_size(numel, config.bits)),
+                              "scales": span(2 * n_groups)})
         else:
-            data = np.asarray(getattr(t, "data", t))
-            dtype = getattr(t, "source_dtype", "F32")
-            doff, dlen = put(_demote(data, dtype))
-            directory.append({"name": name, "shape": list(data.shape), "quantized": False,
-                              "dtype": dtype, "data": [doff, dlen]})
-    return directory, b"".join(chunks)
+            directory.append({"name": s.name, "shape": list(s.shape), "quantized": False,
+                              "dtype": s.dtype, "data": span(numel * _itemsize(s.dtype))})
+    return directory
 
 
-def _content_digest(config: QuantConfig, directory: list[dict], payload: bytes) -> str:
+def _content_hash(config: QuantConfig, directory: list[dict]):
+    """sha256 over the config and the directory, ready for the payload bytes."""
     h = hashlib.sha256()
     h.update(json.dumps({"config": config.to_dict(), "tensors": directory},
                         sort_keys=True, separators=(",", ":")).encode("utf-8"))
     h.update(b"\0")
+    return h
+
+
+def _content_digest(config: QuantConfig, directory: list[dict], payload: bytes) -> str:
+    h = _content_hash(config, directory)
     h.update(payload)
     return h.hexdigest()
 
 
-def write_benq(path: str, mq: ModelQuantization) -> None:
-    """Write a quantization result as a .benq file (atomic, deterministic)."""
-    directory, payload = _directory_and_payload(mq)
-    header_obj = {
-        "version": BENQ_VERSION,
-        "config": mq.config.to_dict(),
-        "policy": mq.policy.to_dict(),
-        "policy_digest": mq.policy.digest(),
-        "content_digest": _content_digest(mq.config, directory, payload),
-        "tensors": directory,
-    }
-    header = json.dumps(header_obj, separators=(",", ":")).encode("utf-8")
-    header += b" " * (-(len(BENQ_MAGIC) + 8 + len(header)) % 8)
+def _payload(spec: TensorSpec, t: Any, config: QuantConfig) -> tuple:
+    """The payload pieces of one tensor, each padded to 8 bytes on disk."""
+    if spec.dtype is None:
+        if not isinstance(t, QuantizedTensor) or t.shape != spec.shape:
+            raise _mismatch(spec, "expected a quantized tensor of shape "
+                                  f"{spec.shape}, got {_spec(spec.name, t)}")
+        if t.config.to_dict() != config.to_dict():
+            raise ConfigError(f"{spec.name}: quantized under {t.config.to_dict()}, "
+                              f"not the run's {config.to_dict()}")
+        return pack_indices(t.indices, config.bits), t.scales.astype("<f2").tobytes()
+    if _spec(spec.name, t) != spec:
+        raise _mismatch(spec, f"got {_spec(spec.name, t)}, expected {spec}")
+    return (_demote(getattr(t, "data", t), spec.dtype),)
+
+
+def write_benq_stream(path: str, config: QuantConfig, policy: QuantPolicy,
+                      specs: Sequence[TensorSpec], entries: Iterable) -> None:
+    """Write a .benq file of `specs`, each entry taken from `entries` in turn.
+
+    An entry is a QuantizedTensor under `config` where its spec's dtype is
+    None, else the preserved tensor of that dtype.  The header is built from
+    the specs and reserved first (a sha256 hex digest always has 64
+    characters, so the header's length is known); each entry's payload
+    then goes through the content hash into the file as it arrives, and the
+    header is written last.  Atomic and deterministic.
+    """
+    directory = _benq_directory(config, specs)
+
+    def header(content_digest: str) -> bytes:
+        raw = json.dumps({
+            "version": BENQ_VERSION,
+            "config": config.to_dict(),
+            "policy": policy.to_dict(),
+            "policy_digest": policy.digest(),
+            "content_digest": content_digest,
+            "tensors": directory,
+        }, separators=(",", ":")).encode("utf-8")
+        return raw + b" " * (-(len(BENQ_MAGIC) + 8 + len(raw)) % 8)
+
+    reserved = len(header("0" * 64))
 
     def writer(f: BinaryIO) -> None:
         f.write(BENQ_MAGIC)
-        f.write(len(header).to_bytes(8, "little"))
-        f.write(header)
-        f.write(payload)
+        f.write(reserved.to_bytes(8, "little"))
+        f.seek(reserved, os.SEEK_CUR)
+        h = _content_hash(config, directory)
+
+        def put(spec: TensorSpec, t: Any) -> None:
+            for piece in _payload(spec, t, config):
+                pad = b"\0" * (-len(piece) % 8)
+                for raw in (piece, pad):
+                    h.update(raw)
+                    f.write(raw)
+
+        _stream(specs, entries, put)
+        final = header(h.hexdigest())
+        assert len(final) == reserved
+        f.seek(len(BENQ_MAGIC) + 8)
+        f.write(final)
 
     _atomic_write(path, writer)
+
+
+def write_benq(path: str, mq: ModelQuantization) -> None:
+    """Write a quantization result as a .benq file (atomic, deterministic)."""
+    write_benq_stream(path, mq.config, mq.policy,
+                      [_spec(n, t) for n, t in mq.entries.items()], mq.entries.values())
 
 
 def _require(cond: bool, message: str) -> None:
@@ -340,65 +527,95 @@ def _require(cond: bool, message: str) -> None:
         raise FormatError(message)
 
 
-def read_benq(path: str) -> ModelQuantization:
-    """Read and fully validate a .benq file.
+def _benq_spec(entry: dict, config: QuantConfig, payload_size: int) -> TensorSpec:
+    """The spec of a schema-checked directory entry whose spans fit the payload."""
+    name = entry["name"]
 
-    The content digest is checked before any tensor is reconstructed, so a
-    tampered header (for example an edited bits field) or a corrupt payload
-    raises FormatError with no partial result.
+    def span(key: str) -> int:
+        off, length = entry[key]
+        _require(off % 8 == 0, f"{name}: {key} offset {off} is not 8-byte aligned")
+        _require(off + length <= payload_size, f"{name}: {key} span outside payload")
+        return length
+
+    if not entry["quantized"]:
+        dtype = entry["dtype"]
+        return TensorSpec(name, _shape(entry["shape"], name, span("data"),
+                                       lambda n: n * _itemsize(dtype)), dtype)
+    shape = _shape(entry["shape"], name, span("indices"), lambda n: packed_size(n, config.bits))
+    numel = math.prod(shape)
+    n_groups = -(-numel // config.group_size)
+    _require(entry["n_groups"] == n_groups,
+             f"{name}: header claims {entry['n_groups']} groups, expected {n_groups}")
+    _require(entry["tail_len"] == numel % config.group_size, f"{name}: tail length mismatch")
+    _require(span("scales") == 2 * n_groups,
+             f"{name}: {entry['scales'][1]} scale bytes for {n_groups} groups")
+    return TensorSpec(name, shape, None)
+
+
+def _read_benq_entry(f: BinaryIO, base: int, entry: dict, spec: TensorSpec,
+                     config: QuantConfig) -> Any:
+    name = spec.name
+    if spec.dtype is not None:
+        return WeightTensor(name, _read_array(f, base + entry["data"][0], spec.dtype,
+                                              spec.shape, f"tensor {name!r}"), spec.dtype)
+    (ioff, ilen), (soff, slen) = entry["indices"], entry["scales"]
+    indices = unpack_indices(_read_at(f, base + ioff, ilen, f"tensor {name!r}"),
+                             config.bits, math.prod(spec.shape))
+    _require(not indices.size or int(indices.max()) < 2 ** config.bits,
+             f"{name}: stored value outside the {config.bits}-bit range")
+    scales = np.frombuffer(_read_at(f, base + soff, slen, f"tensor {name!r}"), dtype="<f2")
+    return QuantizedTensor(name, spec.shape, indices, scales.copy(), config)
+
+
+@contextlib.contextmanager
+def open_benq(path: str) -> Iterator[tuple[QuantConfig, QuantPolicy, list[TensorSpec], Iterator]]:
+    """(config, policy, specs, entries) of a fully validated .benq file.
+
+    Reading takes two passes over the open file.  The first checks the
+    header, every directory entry and the content digest, which it hashes
+    from the payload in chunks, so a tampered header (for example an edited
+    bits field) or a corrupt payload raises FormatError before any tensor is
+    read.  `entries` then yields (name, QuantizedTensor or WeightTensor) in
+    directory order, reading each tensor's spans when it is reached.  The
+    two passes assume the file is not rewritten in place meanwhile; benq's
+    own writes replace a file by rename, which leaves an open file as it was.
     """
-    size = os.path.getsize(path)
     with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
         _require(_read_exact(f, 4, "magic") == BENQ_MAGIC, f"{path}: not a .benq file")
         hlen = int.from_bytes(_read_exact(f, 8, "header length"), "little")
         _require(hlen <= min(size - 12, _MAX_HEADER), f"header length {hlen} exceeds file size")
         header = checked(parse_json(_read_exact(f, hlen, "header"), "header"), _BENQ_HEADER,
                          "header", FormatError)
-        payload = f.read()
 
-    config = QuantConfig.from_dict(header["config"])
-    policy = QuantPolicy.from_dict(header["policy"])
-    _require(policy.digest() == header["policy_digest"], "policy digest mismatch")
-    directory = header["tensors"]
-    for i, entry in enumerate(directory):
-        checked(entry, _QUANTIZED_ENTRY if entry.get("quantized") is True else _PRESERVED_ENTRY,
-                f"malformed tensor directory entry {i}", FormatError)
-    _require(_content_digest(config, directory, payload) == header["content_digest"],
-             "content digest mismatch: header or payload corrupted")
+        config = QuantConfig.from_dict(header["config"])
+        policy = QuantPolicy.from_dict(header["policy"])
+        _require(policy.digest() == header["policy_digest"], "policy digest mismatch")
+        directory = header["tensors"]
+        for i, entry in enumerate(directory):
+            checked(entry, _QUANTIZED_ENTRY if entry.get("quantized") is True
+                    else _PRESERVED_ENTRY, f"malformed tensor directory entry {i}", FormatError)
+        h = _content_hash(config, directory)
+        payload_size = 0
+        for chunk in iter(lambda: f.read(_CHUNK), b""):
+            h.update(chunk)
+            payload_size += len(chunk)
+        _require(h.hexdigest() == header["content_digest"],
+                 "content digest mismatch: header or payload corrupted")
 
-    def span(entry: dict, key: str) -> bytes:
-        name, (off, length) = entry["name"], entry[key]
-        _require(off % 8 == 0, f"{name}: {key} offset {off} is not 8-byte aligned")
-        _require(off + length <= len(payload), f"{name}: {key} span outside payload")
-        return payload[off:off + length]
-
-    entries: dict[str, Any] = {}
-    for entry in directory:
-        name = entry["name"]
-        _require(name not in entries, f"duplicate tensor name {name!r}")
-        entries[name] = _read_directory_entry(entry, config, span)
-    return ModelQuantization(entries, config, policy)
+        specs: list[TensorSpec] = []
+        names: set[str] = set()
+        for entry in directory:
+            _require(entry["name"] not in names, f"duplicate tensor name {entry['name']!r}")
+            specs.append(_benq_spec(entry, config, payload_size))
+            names.add(entry["name"])
+        base = len(BENQ_MAGIC) + 8 + hlen
+        entries = ((s.name, _read_benq_entry(f, base, e, s, config))
+                   for s, e in zip(specs, directory))
+        yield config, policy, specs, entries
 
 
-def _read_directory_entry(entry: dict, config: QuantConfig, span) -> Any:
-    name = entry["name"]
-    if not entry["quantized"]:
-        dtype = entry["dtype"]
-        raw = span(entry, "data")
-        shape = _shape(entry["shape"], name, len(raw), lambda n: n * _itemsize(dtype))
-        return WeightTensor(name, _promote(raw, dtype, shape), dtype)
-    raw_idx = span(entry, "indices")
-    shape = _shape(entry["shape"], name, len(raw_idx), lambda n: packed_size(n, config.bits))
-    numel = math.prod(shape)
-    n_groups = -(-numel // config.group_size) if numel else 0
-    _require(entry["n_groups"] == n_groups,
-             f"{name}: header claims {entry['n_groups']} groups, expected {n_groups}")
-    _require(entry["tail_len"] == numel % config.group_size, f"{name}: tail length mismatch")
-    raw_scales = span(entry, "scales")
-    _require(len(raw_scales) == 2 * n_groups,
-             f"{name}: {len(raw_scales)} scale bytes for {n_groups} groups")
-    indices = unpack_indices(raw_idx, config.bits, numel)
-    _require(not indices.size or int(indices.max()) < 2 ** config.bits,
-             f"{name}: stored value outside the {config.bits}-bit range")
-    scales = np.frombuffer(raw_scales, dtype="<f2").copy()
-    return QuantizedTensor(name, shape, indices, scales, config)
+def read_benq(path: str) -> ModelQuantization:
+    """Read and fully validate a .benq file, every tensor at once (see open_benq)."""
+    with open_benq(path) as (config, policy, _, entries):
+        return ModelQuantization(dict(entries), config, policy)

@@ -27,7 +27,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -42,6 +42,7 @@ _BLOCK_ELEMS = 1 << 18  # elements per block of quantize_tensor, dequantize and 
 _FOLD_MAX_GROUP = 16     # _group_max folds columns up to this group size
 _KEY_SHIFT = 44          # a float64's top 20 bits: sign, exponent, 8 mantissa bits
 _HALF_KEYS = 1 << 19     # bucket keys of one sign
+_GATHER_ELEMS = 1 << 15  # indices per np.take, which first copies them to intp
 
 
 @dataclass(frozen=True)
@@ -54,10 +55,10 @@ class QuantConfig:
     epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "schedule", Schedule(self.schedule))
-        if self.group_size != int(self.group_size) or self.group_size < 1:
+        # the types _CONFIG_FIELDS gives a config read from a file, for direct construction too
+        object.__setattr__(self, "schedule", Schedule.parse(self.schedule))
+        if not INT.test(self.group_size) or self.group_size < 1:
             raise ConfigError(f"group_size must be a positive integer, got {self.group_size!r}")
-        object.__setattr__(self, "group_size", int(self.group_size))
         self.codebook()  # validates bits and epsilon
 
     def codebook(self) -> Codebook:
@@ -217,12 +218,15 @@ def _reconstruct(idx: np.ndarray, scales: np.ndarray, levels: np.ndarray, group_
     into `out`, which is allocated when not given.
     """
     rec = buf[:scales.size * group_size]
-    # mode="clip" writes straight into rec; the default mode buffers it
-    np.take(levels, idx, out=rec[:idx.size], mode="clip")
+    # mode="clip" writes straight into rec (the default mode buffers it); the
+    # sub-blocks bound the intp copy of the indices np.take makes
+    for i in range(0, idx.size, _GATHER_ELEMS):
+        part = idx[i:i + _GATHER_ELEMS]
+        np.take(levels, part, out=rec[i:i + part.size], mode="clip")
     rec[idx.size:] = 0.0
     groups = rec.reshape(scales.size, group_size)
     np.multiply(groups, scales.astype(np.float64)[:, None], out=groups)
-    if out is None:  # allocated after the gather's index copy is freed
+    if out is None:
         out = np.empty(idx.size, dtype=np.float32)
     out[...] = rec[:idx.size]
     return out
@@ -419,17 +423,27 @@ class ModelQuantization:
         }
 
 
+def quantize_stream(tensors: Iterable[tuple[str, Any]], policy: QuantPolicy, config: QuantConfig,
+                    threads: int = 1) -> Iterator[Any]:
+    """apply_policy over (name, tensor) pairs as they arrive.
+
+    Yields each selected tensor's QuantizedTensor, or the tensor itself when
+    the policy preserves it, in input order, with at most `threads` tensors
+    in flight.
+    """
+    def work(item: tuple[str, Any]):
+        name, t = item
+        if policy.should_quantize(name):
+            return quantize_tensor(np.asarray(getattr(t, "data", t)), config, name)
+        return t
+
+    return _map(work, tensors, threads)
+
+
 def apply_policy(model: Mapping[str, Any], policy: QuantPolicy, config: QuantConfig,
                  threads: int = 1) -> ModelQuantization:
     """Quantize the tensors a policy selects; pass the rest through untouched."""
     if not model:
         raise DataError("cannot apply a policy to an empty tensor set")
-    names = list(model.keys())
-
-    def work(name: str):
-        t = model[name]
-        if policy.should_quantize(name):
-            return quantize_tensor(np.asarray(getattr(t, "data", t)), config, name)
-        return t
-
-    return ModelQuantization(dict(zip(names, _map(work, names, threads))), config, policy)
+    entries = quantize_stream(model.items(), policy, config, threads)
+    return ModelQuantization(dict(zip(model, entries)), config, policy)

@@ -112,6 +112,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             QuantConfig(**kwargs)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"group_size": True}, {"group_size": 8.0}, {"schedule": "bogus"},
+    ], ids=["bool-group-size", "float-group-size", "unknown-schedule"])
+    def test_direct_construction_checks_types(self, kwargs):
+        # the types a config read from a file must have, as in QuantConfig.from_dict
+        with pytest.raises(ConfigError):
+            QuantConfig(**kwargs)
+
     def test_dict_round_trip(self):
         for cfg in ALL_CONFIGS:
             assert QuantConfig.from_dict(cfg.to_dict()) == cfg

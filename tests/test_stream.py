@@ -1,0 +1,246 @@
+"""Streaming: the bounded thread map, tensor-at-a-time commands and their memory bound."""
+
+import importlib
+import importlib.util
+import json
+import os
+import threading
+import time
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from benq._pool import _map
+from benq.cli import main
+from benq.errors import DataError, FormatError
+from benq.io import (BENQ_MAGIC, TensorSpec, _content_digest, read_benq, read_container,
+                     write_container, write_container_stream)
+from benq.quantizer import QuantConfig
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+
+
+class Counting:
+    """0, 1, ... n-1, counting the items pulled and the most pulled ahead of the consumer."""
+
+    def __init__(self, n):
+        self.n = n
+        self.pulled = 0
+        self.taken = 0  # results the consumer has received
+        self.most_ahead = 0
+        self.lock = threading.Lock()
+
+    def __iter__(self):
+        for i in range(self.n):
+            with self.lock:
+                self.pulled += 1
+                self.most_ahead = max(self.most_ahead, self.pulled - self.taken)
+            yield i
+
+
+def jittered_square(x):
+    time.sleep(0.001 * ((x * 7) % 3))  # later items often finish first
+    return x * x
+
+
+class TestBoundedMap:
+    @pytest.mark.parametrize("threads", [1, 2, 3, 8])
+    def test_results_keep_item_order(self, threads):
+        assert list(_map(jittered_square, range(40), threads)) == [x * x for x in range(40)]
+
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    def test_never_pulls_more_than_threads_ahead(self, threads):
+        items = Counting(30)
+        for k, result in enumerate(_map(jittered_square, items, threads)):
+            assert result == k * k
+            assert items.pulled <= k + threads
+            with items.lock:
+                items.taken += 1
+        assert items.pulled == 30
+        assert items.most_ahead <= threads
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_lazy_until_consumed(self, threads):
+        items = Counting(10)
+        results = _map(jittered_square, items, threads)
+        assert items.pulled == 0
+        assert next(iter(results)) == 0
+        assert items.pulled <= threads
+
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    @pytest.mark.parametrize("k", [0, 5])
+    def test_exception_propagates_without_pulling_far(self, threads, k):
+        items = Counting(50)
+
+        def fn(x):
+            if x == k:
+                raise ValueError(f"item {x}")
+            return jittered_square(x)
+
+        got = []
+        with pytest.raises(ValueError, match=f"item {k}"):
+            for result in _map(fn, items, threads):
+                got.append(result)
+        assert got == [x * x for x in range(k)]
+        assert items.pulled <= k + threads
+
+
+def test_tracer_targets_resolve():
+    """Every (module, attribute) perfbench's tracer wraps still exists."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                  os.path.join(PERFBENCH, "tracing.py"))
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TARGETS
+    for module, attr, _, _ in tracing.TARGETS:
+        assert callable(getattr(importlib.import_module(module), attr)), f"{module}.{attr}"
+
+
+N = 1 << 21  # elements per tensor: well above the 2**18-element blocks' scratch
+
+
+@pytest.fixture(scope="module")
+def eight_tensors(tmp_path_factory):
+    """A container of 8 equal float32 tensors, and a .benq of it at --threads 1."""
+    d = tmp_path_factory.mktemp("stream")
+    p = d / "m.safetensors"
+    g = np.random.default_rng(0)
+    write_container(str(p), {f"layers.{i}.mlp.up_proj.weight":
+                             g.standard_normal(N, dtype=np.float32) * np.float32(0.02)
+                             for i in range(8)})
+    assert main(["quantize", str(p), "--threads", "1", "--out", str(d / "m.benq")]) == 0
+    return d
+
+
+@pytest.mark.parametrize("command", ["quantize", "dequantize", "analyze", "compare"])
+def test_traced_peak_holds_one_tensor_at_a_time(eight_tensors, command, capsys):
+    d = eight_tensors
+    source = d / ("m.benq" if command == "dequantize" else "m.safetensors")
+    tracemalloc.start()
+    try:
+        code = main([command, str(source), "--threads", "1", "--out", str(d / f"out.{command}")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    # the whole checkpoint is 8 tensors; one in flight plus its outputs and scratch fit in 3
+    assert peak < 3 * 4 * N, f"{command}: traced peak {peak / 1e6:.1f} MB"
+
+
+def debris(directory):
+    return [f for f in os.listdir(directory) if f.startswith(".benq-tmp-")]
+
+
+def small_model():
+    g = np.random.default_rng(1)
+    return {f"layers.{i}.mlp.up_proj.weight": g.standard_normal(5000).astype(np.float32)
+            for i in range(3)}
+
+
+def small_benq(tmp_path, capsys):
+    """(path, bytes, payload start, header) of a 2-bit .benq of small_model()."""
+    p = tmp_path / "m.safetensors"
+    write_container(str(p), small_model())
+    benq = tmp_path / "m.benq"
+    assert main(["quantize", str(p), "--bits", "2", "--out", str(benq)]) == 0
+    capsys.readouterr()
+    blob = benq.read_bytes()
+    hlen = int.from_bytes(blob[4:12], "little")
+    return benq, blob, 12 + hlen, json.loads(blob[12:12 + hlen])
+
+
+class TestNoPartialOutput:
+    """A command that fails midway keeps an existing target and leaves no temp file."""
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_quantize_nan_in_second_tensor(self, tmp_path, capsys, threads):
+        tensors = small_model()
+        tensors["layers.1.mlp.up_proj.weight"][4321] = np.nan
+        p = tmp_path / "m.safetensors"
+        write_container(str(p), tensors)
+        out = tmp_path / "m.benq"
+        out.write_bytes(b"previous contents")
+        code = main(["quantize", str(p), "--out", str(out), "--threads", threads])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error:" in err and "non-finite" in err
+        assert out.read_bytes() == b"previous contents"
+        assert debris(tmp_path) == []
+
+    def expect_dequantize_fails(self, tmp_path, capsys, benq, message):
+        out = tmp_path / "restored.safetensors"
+        out.write_bytes(b"previous contents")
+        code = main(["dequantize", str(benq), "--out", str(out), "--threads", "1"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error:" in err and message in err
+        assert out.read_bytes() == b"previous contents"
+        assert debris(tmp_path) == []
+
+    def test_dequantize_payload_corrupted_after_first_tensor(self, tmp_path, capsys):
+        benq, blob, base, header = small_benq(tmp_path, capsys)
+        at = base + header["tensors"][1]["indices"][0]
+        benq.write_bytes(blob[:at] + bytes([blob[at] ^ 0xFF]) + blob[at + 1:])
+        self.expect_dequantize_fails(tmp_path, capsys, benq, "content digest mismatch")
+
+    def test_dequantize_resigned_bad_second_tensor(self, tmp_path, capsys):
+        # digest-valid, so the first tensor is written before the second fails
+        benq, blob, base, header = small_benq(tmp_path, capsys)
+        at = base + header["tensors"][1]["indices"][0]
+        payload = bytearray(blob[base:])
+        payload[at - base] = 0xFF  # a 2-bit index of 15
+        digest = _content_digest(QuantConfig.from_dict(header["config"]),
+                                 header["tensors"], bytes(payload))
+        head = blob[:base].replace(header["content_digest"].encode(), digest.encode())
+        benq.write_bytes(head + bytes(payload))
+        assert head[:4] == BENQ_MAGIC and len(head) == base
+        self.expect_dequantize_fails(tmp_path, capsys, benq, "outside the 2-bit range")
+
+
+def test_stream_writer_rejects_a_tensor_unlike_its_header(tmp_path):
+    target = tmp_path / "t.safetensors"
+    with pytest.raises(DataError, match="does not match"):
+        write_container_stream(str(target), [TensorSpec("a", (2,), "F32")], [np.ones(3)])
+    with pytest.raises(DataError, match="ended before 'b'"):
+        write_container_stream(str(target), [TensorSpec("a", (2,), "F32"),
+                                             TensorSpec("b", (1,), "F32")], [np.ones(2)])
+    with pytest.raises(DataError, match="more tensors"):
+        write_container_stream(str(target), [TensorSpec("a", (2,), "F32")],
+                                [np.ones(2), np.ones(2)])
+    assert not target.exists() and debris(tmp_path) == []
+    write_container_stream(str(target), [TensorSpec("a", (2,), "F32")], [np.ones(2)])
+    assert read_container(str(target))["a"].data.tolist() == [1.0, 1.0]
+
+
+class TestHeaderBeforeTensors:
+    """Every entry of a header is checked before the first tensor's bytes are read."""
+
+    def test_safetensors(self, tmp_path, monkeypatch):
+        import benq.io as io_mod
+        reads = []
+        monkeypatch.setattr(io_mod, "_read_array", lambda *args: reads.append(args))
+        header = {"a": {"dtype": "F32", "shape": [2], "data_offsets": [0, 8]},
+                  "b": {"dtype": "F32", "shape": [2], "data_offsets": [8, 100]}}
+        raw = json.dumps(header).encode()
+        p = tmp_path / "t.safetensors"
+        p.write_bytes(len(raw).to_bytes(8, "little") + raw + bytes(16))
+        with pytest.raises(FormatError, match="b: data offsets"):
+            read_container(str(p))
+        assert reads == []
+
+    def test_benq(self, tmp_path, monkeypatch, capsys):
+        import benq.io as io_mod
+        benq, blob, base, header = small_benq(tmp_path, capsys)
+        header["tensors"][1]["shape"] = [7]  # no longer fills its indices span
+        config = QuantConfig.from_dict(header["config"])
+        header["content_digest"] = _content_digest(config, header["tensors"], blob[base:])
+        raw = json.dumps(header, separators=(",", ":")).encode()
+        raw += b" " * (-(12 + len(raw)) % 8)
+        benq.write_bytes(BENQ_MAGIC + len(raw).to_bytes(8, "little") + raw + blob[base:])
+        reads = []
+        monkeypatch.setattr(io_mod, "_read_benq_entry", lambda *args: reads.append(args))
+        with pytest.raises(FormatError, match="offsets span"):
+            read_benq(str(benq))
+        assert reads == []
