@@ -16,7 +16,6 @@ from benq.quantizer import DEFAULT_POLICY
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("container", help="safetensors checkpoint")
-    ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--top", type=int, default=5,
                     help="how many extreme tensors to list")
@@ -24,8 +23,7 @@ def main():
 
     tensors = read_container(args.container)
     report = model_report({n: t.data for n, t in tensors.items()},
-                          DEFAULT_POLICY, source=args.container,
-                          seed=args.seed, threads=args.threads)
+                          DEFAULT_POLICY, source=args.container, threads=args.threads)
 
     print(f"{args.container}: {len(report.per_tensor)} tensors\n")
     print(f"{'family':<18} {'tensors':>7} {'mean MAD':>10} {'median MAD':>11}")

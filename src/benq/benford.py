@@ -42,15 +42,9 @@ import numpy as np
 from ._pool import _map
 from .errors import DataError
 from .levels import BENFORD_PROBS
-from . import rng
 
 if TYPE_CHECKING:
     from .quantizer import QuantPolicy
-
-# Tensors above this size are subsampled (with replacement) for histograms.
-SUBSAMPLE_THRESHOLD = 50_000_000
-SUBSAMPLE_SIZE = 10_000_000
-
 
 _KEY_BITS = 16            # a key is a float's sign, exponent and leading mantissa bits
 _DIGIT_BLOCK = 1 << 20    # elements per block of the digit walk
@@ -267,7 +261,6 @@ class DigitReport:
     numel: int
     histogram: DigitHistogram
     mad: float | None
-    subsample_seed: int | None = None
 
     @property
     def degenerate(self) -> bool:
@@ -286,8 +279,6 @@ class DigitReport:
             out["signed_deviations"] = None
         else:
             out["signed_deviations"] = [float(v) for v in signed_deviations(self.histogram)]
-        if self.subsample_seed is not None:
-            out["subsample_seed"] = self.subsample_seed
         return out
 
 
@@ -321,30 +312,18 @@ class ModelReport:
         }
 
 
-def tensor_report(name: str, data: np.ndarray, policy: "QuantPolicy | None" = None,
-                  seed: int = 0) -> DigitReport:
-    """Digit report for one tensor, subsampling past SUBSAMPLE_THRESHOLD."""
-    flat = np.asarray(data).ravel()
-    sub_seed = None
-    if flat.size > SUBSAMPLE_THRESHOLD:
-        # sample i is flat[int(u_i * size)], u_i the stream's i-th uniform;
-        # drawn, gathered and counted a block at a time to bound the temporaries
-        sub_seed = rng.derive_seed(seed, name)
-        counts = np.zeros(10, dtype=np.int64)
-        for i in range(0, SUBSAMPLE_SIZE, _DIGIT_BLOCK):
-            u = rng.uniform01(sub_seed, i, min(_DIGIT_BLOCK, SUBSAMPLE_SIZE - i))
-            counts += _digit_counts(flat[(u * flat.size).astype(np.int64)])
-        hist = DigitHistogram(counts[1:], int(counts[0]))
-    else:
-        hist = digit_histogram(flat)
+def tensor_report(name: str, data: np.ndarray,
+                  policy: "QuantPolicy | None" = None) -> DigitReport:
+    """Digit report for one tensor, over every element."""
+    hist = digit_histogram(data)
     mad = mad_score(hist) if hist.total > 0 else None
     return DigitReport(name, classify_family(name, policy), int(np.asarray(data).size),
-                       hist, mad, sub_seed)
+                       hist, mad)
 
 
 def model_report(tensors: Mapping[str, np.ndarray] | Iterable[tuple[str, Any]],
                  policy: "QuantPolicy | None" = None,
-                 *, source: str = "", seed: int = 0, threads: int = 1) -> ModelReport:
+                 *, source: str = "", threads: int = 1) -> ModelReport:
     """Per-tensor and per-family digit statistics for a named tensor set.
 
     `tensors` is a mapping, or (name, array or WeightTensor) pairs read as
@@ -354,7 +333,7 @@ def model_report(tensors: Mapping[str, np.ndarray] | Iterable[tuple[str, Any]],
     """
     def report(item: tuple[str, Any]) -> DigitReport:
         name, t = item
-        return tensor_report(name, getattr(t, "data", t), policy, seed)
+        return tensor_report(name, getattr(t, "data", t), policy)
 
     items = tensors.items() if isinstance(tensors, Mapping) else tensors
     reports = list(_map(report, items, threads))

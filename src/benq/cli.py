@@ -4,8 +4,10 @@ Subcommands: levels, analyze, quantize, dequantize, compare, synth.
 Diagnostics go to stderr; requested data goes to stdout or --out.  Every
 run that touches files emits a manifest (command, config, input digests,
 tool version, seed, timings) next to the output, or to stderr when the
-result goes to stdout.  Exit codes: 0 success, 1 operational error,
-2 usage error.
+result goes to stdout.  Only `synth` draws random numbers, so only it
+takes `--seed`; every other manifest records a null seed.  `analyze`
+counts the leading digit of every element of every tensor.  Exit codes:
+0 success, 1 operational error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -145,7 +147,7 @@ def cmd_analyze(args) -> int:
     policy = _load_policy(args.policy, no_policy=False)
     report = benford.model_report(iter_container(args.container), policy,
                                   source=os.path.basename(args.container),
-                                  seed=args.seed, threads=args.threads)
+                                  threads=args.threads)
     text = json.dumps(report.to_dict(), indent=2) + "\n"
     _write_text(args.out, text)
     if args.csv:
@@ -261,9 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--threads", type=int, default=None,
                         help="worker threads (default: BENQ_THREADS or all cores)")
 
-    seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=0, help="base seed for any randomness")
-
     grid = argparse.ArgumentParser(add_help=False)
     grid.add_argument("--bits", type=int, default=4, help="bit width (2..8)")
     grid.add_argument("--group-size", type=int, default=8, help="elements per scale group")
@@ -274,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schedule", choices=["log", "linear"], default="log")
     p.set_defaults(func=cmd_levels)
 
-    p = sub.add_parser("analyze", parents=[common, seeded],
+    p = sub.add_parser("analyze", parents=[common],
                        help="first-digit compliance report for a checkpoint")
     p.add_argument("container", help="safetensors file")
     p.add_argument("--policy", help="policy JSON; its family_patterns classify the tensors")
@@ -307,8 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", help="also write the table as CSV")
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("synth", parents=[common, seeded],
+    p = sub.add_parser("synth", parents=[common],
                        help="generate a synthetic safetensors checkpoint")
+    p.add_argument("--seed", type=int, default=0, help="base seed of every tensor's stream")
     p.add_argument("--tensor", action="append", required=True, metavar="NAME=DIST(...)",
                    help="e.g. w=loguniform(6,1000000); repeatable")
     p.add_argument("--out", required=True, help="output safetensors path")

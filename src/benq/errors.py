@@ -19,7 +19,7 @@ class BenqError(Exception):
 
 
 class ConfigError(BenqError):
-    """Invalid or inconsistent configuration (bits, schedule, codebook mismatch)."""
+    """Invalid or inconsistent configuration (bits, schedule, mixed group sizes)."""
 
 
 class DataError(BenqError):

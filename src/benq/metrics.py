@@ -1,11 +1,11 @@
 """Reconstruction-error metrics and schedule comparisons.
 
 All statistics are accumulated in float64 regardless of input dtype.
-`compare_schedules` walks a tensor once per block of groups: every
-schedule of one group size shares the block's float64 promotion, its
-non-finite check, its group maxima and its sum of squares, and each
-schedule then quantizes, reconstructs and measures the block through the
-kernel steps `quantize_tensor` and `dequantize` are made of.
+`compare_schedules` walks a tensor once, a block of groups at a time:
+every schedule shares the block's float64 promotion, its non-finite
+check, its group maxima and its sum of squares, and each schedule then
+quantizes, reconstructs and measures the block through the kernel steps
+`quantize_tensor` and `dequantize` are made of.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from ._pool import _map
-from .errors import DataError
+from .errors import ConfigError, DataError
 # dequantize and quantize_tensor are not called here: compare runs the block
 # steps they are made of.  perfbench's tracer still wraps both names on this module.
 from .quantizer import (QuantConfig, _block_groups, _promote_block, _quantize_groups,
@@ -92,45 +92,43 @@ def compare_schedules(data: np.ndarray, configs: Sequence[QuantConfig],
                       name: str = "", threads: int = 1) -> list[DistortionReport]:
     """Quantize and reconstruct one tensor under each config, in given order.
 
-    The tensor is walked once per group size, in the group-aligned blocks
-    of quantize_tensor.  A block is promoted to float64, checked and
-    reduced to group maxima and Σw² once; then each config of that group
-    size takes its scales, quotients and nearest levels, rebuilds the
-    float32 reconstruction and keeps Σerr² and max|err|, reusing one
-    float64 scratch buffer.  Only these sums leave a block, and they are
-    added in block order, so the reports do not depend on `threads`; a
-    tensor of one block gives exactly `distortion` of its reconstruction.
+    The configs share one group size (ConfigError if they are empty or do
+    not).  The tensor is walked once, in the group-aligned blocks of
+    quantize_tensor.  A block is promoted to float64, checked and reduced
+    to group maxima and Σw² once; then each config takes its scales,
+    quotients and nearest levels, rebuilds the float32 reconstruction and
+    keeps Σerr² and max|err|, reusing one float64 scratch buffer.  Only
+    these sums leave a block, and they are added in block order, so the
+    reports do not depend on `threads`; a tensor of one block gives exactly
+    `distortion` of its reconstruction.
     """
+    sizes = sorted({cfg.group_size for cfg in configs})
+    if len(sizes) != 1:
+        raise ConfigError(f"compare needs configs of one group size, got {sizes}")
+    (G,) = sizes
     flat = np.asarray(data).ravel()
     context = f"tensor {name or '<unnamed>'}"
     levels = [cfg.codebook().levels for cfg in configs]
-    by_size: dict[int, list[int]] = {}  # group size -> its configs' positions
-    for i, cfg in enumerate(configs):
-        by_size.setdefault(cfg.group_size, []).append(i)
-    items = []  # (group size, block start, block stop)
-    for G in by_size:
-        step = _block_groups(G) * G
-        items += [(G, start, min(start + step, flat.size)) for start in range(0, flat.size, step)]
+    step = _block_groups(G) * G
 
-    def work(item):
-        G, start, stop = item
+    def work(start: int):
+        stop = min(start + step, flat.size)
         groups, gmax = _promote_block(flat[start:stop], G, context)
         w = groups.ravel()[:stop - start]
         buf = np.empty(groups.size)  # the quotient, then the reconstruction, then the error
         sum_sq = float(np.square(w, out=buf[:w.size]).sum())
 
-        def measure(i: int) -> tuple[float, float]:
+        def measure(lv: np.ndarray) -> tuple[float, float]:
             # one schedule; its indices and float32 reconstruction die on return
-            idx, s = _quantize_groups(groups, gmax, levels[i], context, buf.reshape(groups.shape))
-            rec = _reconstruct(idx, s, levels[i], G, buf)
+            idx, s = _quantize_groups(groups, gmax, lv, context, buf.reshape(groups.shape))
+            rec = _reconstruct(idx, s, lv, G, buf)
             return _err_sums(w, rec[:w.size], buf[:w.size])
 
-        return sum_sq, [measure(i) for i in by_size[G]]
+        return sum_sq, [measure(lv) for lv in levels]
 
     totals = [[0.0, 0.0, 0.0] for _ in configs]
-    for (G, _, _), (sum_sq, sums) in zip(items, _map(work, items, threads)):
-        for i, (sum_sq_err, max_abs) in zip(by_size[G], sums):
-            t = totals[i]
+    for sum_sq, sums in _map(work, range(0, flat.size, step), threads):
+        for t, (sum_sq_err, max_abs) in zip(totals, sums):
             t[0] += sum_sq_err
             t[1] += sum_sq
             t[2] = max(t[2], max_abs)

@@ -296,18 +296,10 @@ def quantize_tensor(data: np.ndarray, config: QuantConfig, name: str = "") -> Qu
     return QuantizedTensor(name, arr.shape, out[:flat.size], scales, config)
 
 
-def dequantize(qt: QuantizedTensor, codebook: Codebook | None = None) -> np.ndarray:
-    """Reconstruct a float32 tensor as level * scale, in blocks of groups.
-
-    A codebook may be supplied (it must match the tensor's config) or is
-    derived from the config when omitted.
-    """
-    own = qt.config.codebook()
-    if codebook is None:
-        codebook = own
-    elif (codebook.schedule is not own.schedule or codebook.bits != own.bits
-          or not np.array_equal(codebook.levels, own.levels)):
-        raise ConfigError(f"{qt.name}: supplied codebook does not match tensor config")
+def dequantize(qt: QuantizedTensor) -> np.ndarray:
+    """Reconstruct a float32 tensor as level * scale of its config's codebook,
+    in blocks of groups."""
+    codebook = qt.config.codebook()
     if qt.indices.size and qt.indices.max() >= codebook.n_levels:
         raise FormatError(f"{qt.name}: level index outside {qt.config.bits}-bit codebook")
     G = qt.config.group_size

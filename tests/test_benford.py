@@ -317,31 +317,17 @@ class TestModelReport:
         assert {"name", "family", "numel", "counts", "zeros_skipped",
                 "mad", "signed_deviations"} <= set(row)
 
-    def test_subsampling_is_deterministic(self, monkeypatch):
-        monkeypatch.setattr(benford, "SUBSAMPLE_THRESHOLD", 1000)
-        monkeypatch.setattr(benford, "SUBSAMPLE_SIZE", 400)
-        data = rng.uniform01(9, 0, 5000) + 0.1
-        r1 = tensor_report("big", data, seed=3)
-        r2 = tensor_report("big", data, seed=3)
-        assert r1.histogram.total == 400
-        assert r1.subsample_seed == rng.derive_seed(3, "big")
-        assert np.array_equal(r1.histogram.counts, r2.histogram.counts)
-        r3 = tensor_report("big", data, seed=4)
-        assert not np.array_equal(r1.histogram.counts, r3.histogram.counts)
-
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_blocked_subsample_matches_one_shot_draw(self, monkeypatch, dtype):
-        # 3500 samples in blocks of 1000: three full blocks and a short one
-        monkeypatch.setattr(benford, "SUBSAMPLE_THRESHOLD", 2000)
-        monkeypatch.setattr(benford, "SUBSAMPLE_SIZE", 3500)
+    def test_report_counts_every_element(self, monkeypatch, dtype):
+        # 5003 elements in blocks of 1000: five full blocks and a short one
         monkeypatch.setattr(benford, "_DIGIT_BLOCK", 1000)
         data = (10.0 ** (-6 * rng.uniform01(5, 0, 5003))).astype(dtype)
         data[::7] = 0.0
-        rep = tensor_report("big", data.reshape(-1, 1), seed=2)
-        seed = rng.derive_seed(2, "big")
-        pick = (rng.uniform01(seed, 0, 3500) * data.size).astype(np.int64)
-        want = digit_histogram(data[pick])
+        rep = tensor_report("big", data.reshape(-1, 1))
+        want = digit_histogram(data)
+        oracle = np.bincount([decimal_digit(float(x)) for x in data if x], minlength=10)[1:]
         assert np.array_equal(rep.histogram.counts, want.counts)
-        assert rep.histogram.zeros_skipped == want.zeros_skipped > 0
-        assert rep.histogram.total + want.zeros_skipped == 3500
-        assert rep.numel == 5003 and rep.subsample_seed == seed
+        assert np.array_equal(rep.histogram.counts, oracle)
+        assert rep.histogram.zeros_skipped == want.zeros_skipped == 715
+        assert rep.histogram.total + rep.histogram.zeros_skipped == rep.numel == 5003
+        assert "subsample_seed" not in rep.to_dict()

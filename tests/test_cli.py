@@ -287,12 +287,16 @@ class TestManifest:
         assert main(["quantize", str(p), "--out", str(b)]) == 0
         assert main(["dequantize", str(b), "--out", str(tmp_path / "r.st")]) == 0
         assert main(["compare", str(p), "--out", str(tmp_path / "c.json")]) == 0
-        assert main(["analyze", str(p), "--seed", "3", "--out", str(tmp_path / "a.json")]) == 0
+        assert main(["analyze", str(p), "--out", str(tmp_path / "a.json")]) == 0
+        assert main(["synth", "--tensor", "w=gaussian(1,8)", "--seed", "3",
+                     "--out", str(tmp_path / "s.st")]) == 0
         capsys.readouterr()
         seeds = {out: json.loads((tmp_path / (out + ".manifest.json")).read_text())["seed"]
-                 for out in ("m.benq", "r.st", "c.json", "a.json")}
-        assert seeds == {"m.benq": None, "r.st": None, "c.json": None, "a.json": 3}
-        for argv in (["quantize", str(p)], ["dequantize", str(b)], ["compare", str(p)]):
+                 for out in ("m.benq", "r.st", "c.json", "a.json", "s.st")}
+        assert seeds == {"m.benq": None, "r.st": None, "c.json": None, "a.json": None,
+                         "s.st": 3}
+        for argv in (["analyze", str(p)], ["quantize", str(p)], ["dequantize", str(b)],
+                     ["compare", str(p)]):
             with pytest.raises(SystemExit) as exc:
                 main(argv + ["--seed", "1"])
             assert exc.value.code == 2

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from benq import rng
-from benq.errors import DataError
+from benq.errors import ConfigError, DataError
 from benq.levels import Schedule
 from benq.metrics import DistortionReport, compare_schedules, distortion
 from benq.quantizer import _BLOCK_ELEMS, QuantConfig, dequantize, quantize_tensor
@@ -125,21 +125,27 @@ class TestCompareSchedules:
             assert rep.mse == pytest.approx(manual.mse, rel=1e-12, abs=0)
             assert rep.rel_fro_err == pytest.approx(manual.rel_fro_err, rel=1e-12, abs=0)
 
-    def test_mixed_group_sizes_agree_with_manual_pipeline(self):
-        # three blocks at G=8 and at G=32, each ending in a 3-element group
-        data = synth_tensor(f"loguniform(5,{2 * _BLOCK_ELEMS + 32 * 5 + 3})", seed=5)
-        cfgs = [QuantConfig(bits=b, group_size=g, schedule=s)
-                for b, g, s in ((4, 8, Schedule.LOG_UNIFORM), (3, 32, Schedule.LINEAR),
-                                (8, 8, Schedule.RTN), (4, 32, Schedule.LOG_UNIFORM))]
+    @pytest.mark.parametrize("G", [8, 32])
+    def test_threaded_group_size_agrees_with_manual_pipeline(self, G):
+        # three blocks, the last one ending in a 3-element group
+        data = synth_tensor(f"loguniform(5,{2 * _BLOCK_ELEMS + G * 5 + 3})", seed=5)
+        cfgs = [QuantConfig(bits=b, group_size=G, schedule=s)
+                for b, s in ((4, Schedule.LOG_UNIFORM), (3, Schedule.LINEAR), (8, Schedule.RTN))]
         reps = compare_schedules(data, cfgs, "m", threads=2)
         assert [(r.schedule, r.group_size) for r in reps] == \
-            [(c.schedule.value, c.group_size) for c in cfgs]
+            [(c.schedule.value, G) for c in cfgs]
         for rep, cfg in zip(reps, cfgs):
             manual = distortion(data, dequantize(quantize_tensor(data, cfg, "m")),
                                 name="m", config=cfg)
             assert rep.max_abs_err == manual.max_abs_err
             assert rep.mse == pytest.approx(manual.mse, rel=1e-12, abs=0)
             assert rep.rel_fro_err == pytest.approx(manual.rel_fro_err, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("group_sizes", [(), (8, 32)])
+    def test_configs_of_one_group_size_required(self, group_sizes):
+        with pytest.raises(ConfigError, match="one group size"):
+            compare_schedules(np.ones(64, np.float32),
+                              [QuantConfig(group_size=g) for g in group_sizes], "t")
 
     @pytest.mark.parametrize("bad", [np.nan, -np.inf])
     def test_non_finite_in_last_block_rejected(self, bad):
