@@ -7,7 +7,7 @@ are lognormal.  Output is a plain safetensors file the CLI can consume.
 import argparse
 
 from benq import rng, synth
-from benq.io import write_container
+from benq.io import TensorSpec, write_container
 
 
 def layer_specs(hidden, layers):
@@ -35,13 +35,15 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    tensors = {}
-    total = 0
-    for name, spec in layer_specs(args.hidden, args.layers).items():
-        tensors[name] = synth.synth_tensor(spec, rng.derive_seed(args.seed, name))
-        total += tensors[name].size
-    write_container(args.out, tensors)
-    print(f"wrote {args.out}: {len(tensors)} tensors, {total} parameters")
+    parsed = {name: synth.parse_spec(text)
+              for name, text in layer_specs(args.hidden, args.layers).items()}
+    specs = [TensorSpec(name, (spec.n,), "F32") for name, spec in parsed.items()]
+    # each tensor is generated only when the writer reaches it
+    write_container(args.out, specs,
+                    (synth.synth_tensor(spec, rng.derive_seed(args.seed, name))
+                     for name, spec in parsed.items()))
+    total = sum(spec.n for spec in parsed.values())
+    print(f"wrote {args.out}: {len(specs)} tensors, {total} parameters")
 
 
 if __name__ == "__main__":

@@ -21,9 +21,9 @@ def main():
                     help="how many extreme tensors to list")
     args = ap.parse_args()
 
-    tensors = read_container(args.container)
-    report = model_report({n: t.data for n, t in tensors.items()},
-                          DEFAULT_POLICY, source=args.container, threads=args.threads)
+    with read_container(args.container) as (_, tensors):
+        report = model_report(tensors, DEFAULT_POLICY, source=args.container,
+                              threads=args.threads)
 
     print(f"{args.container}: {len(report.per_tensor)} tensors\n")
     print(f"{'family':<18} {'tensors':>7} {'mean MAD':>10} {'median MAD':>11}")

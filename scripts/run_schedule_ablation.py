@@ -28,6 +28,22 @@ def default_tensors(seed):
     }
 
 
+def print_grid(tensors, bits_list, group_list):
+    """One row of MSEs per (tensor, bits, group size) over (name, tensor) pairs."""
+    print(f"{'tensor':<14} {'bits':>4} {'G':>4}  "
+          + "".join(f"{s.value + ' mse':>14}" for s in SCHEDULES) + "  best")
+    for name, t in tensors:
+        data = np.asarray(getattr(t, "data", t))
+        for bits in bits_list:
+            for g in group_list:
+                cfgs = [QuantConfig(bits=bits, group_size=g, schedule=s)
+                        for s in SCHEDULES]
+                reps = compare_schedules(data, cfgs, name)
+                best = min(reps, key=lambda r: r.mse).schedule
+                cells = "".join(f"{r.mse:>14.4e}" for r in reps)
+                print(f"{name[:14]:<14} {bits:>4} {g:>4}  {cells}  {best}")
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("container", nargs="?",
@@ -37,26 +53,13 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    if args.container:
-        tensors = {n: t.data for n, t in
-                   read_container(args.container).items()}
-    else:
-        tensors = default_tensors(args.seed)
-
     bits_list = [int(b) for b in args.bits.split(",")]
     group_list = [int(g) for g in args.group_sizes.split(",")]
-
-    print(f"{'tensor':<14} {'bits':>4} {'G':>4}  "
-          + "".join(f"{s.value + ' mse':>14}" for s in SCHEDULES) + "  best")
-    for name, data in tensors.items():
-        for bits in bits_list:
-            for g in group_list:
-                cfgs = [QuantConfig(bits=bits, group_size=g, schedule=s)
-                        for s in SCHEDULES]
-                reps = compare_schedules(np.asarray(data), cfgs, name)
-                best = min(reps, key=lambda r: r.mse).schedule
-                cells = "".join(f"{r.mse:>14.4e}" for r in reps)
-                print(f"{name[:14]:<14} {bits:>4} {g:>4}  {cells}  {best}")
+    if args.container:
+        with read_container(args.container) as (_, tensors):
+            print_grid(tensors, bits_list, group_list)
+    else:
+        print_grid(default_tensors(args.seed).items(), bits_list, group_list)
 
 
 if __name__ == "__main__":

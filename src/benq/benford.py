@@ -32,7 +32,7 @@ from __future__ import annotations
 import functools
 import math
 import statistics
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Any
@@ -262,10 +262,6 @@ class DigitReport:
     histogram: DigitHistogram
     mad: float | None
 
-    @property
-    def degenerate(self) -> bool:
-        return self.mad is None
-
     def to_dict(self) -> dict:
         out = {
             "name": self.name,
@@ -321,22 +317,20 @@ def tensor_report(name: str, data: np.ndarray,
                        hist, mad)
 
 
-def model_report(tensors: Mapping[str, np.ndarray] | Iterable[tuple[str, Any]],
-                 policy: "QuantPolicy | None" = None,
+def model_report(tensors: Iterable[tuple[str, Any]], policy: "QuantPolicy | None" = None,
                  *, source: str = "", threads: int = 1) -> ModelReport:
     """Per-tensor and per-family digit statistics for a named tensor set.
 
-    `tensors` is a mapping, or (name, array or WeightTensor) pairs read as
-    they arrive, at most `threads` at a time.  Tensors are ordered by
-    descending MAD (degenerate tensors last); family summaries aggregate the
-    non-degenerate tensors in declaration order.
+    `tensors` is (name, array or WeightTensor) pairs, read as they arrive,
+    at most `threads` at a time.  Tensors are ordered by descending MAD
+    (tensors without one last); family summaries aggregate the tensors
+    with a MAD in declaration order.
     """
     def report(item: tuple[str, Any]) -> DigitReport:
         name, t = item
         return tensor_report(name, getattr(t, "data", t), policy)
 
-    items = tensors.items() if isinstance(tensors, Mapping) else tensors
-    reports = list(_map(report, items, threads))
+    reports = list(_map(report, tensors, threads))
     reports.sort(key=lambda r: (r.mad is None, -(r.mad or 0.0), r.name))
 
     summaries = []

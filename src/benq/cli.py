@@ -26,24 +26,31 @@ import time
 from . import __version__, benford, rng, synth
 from ._pool import _map
 from .errors import BenqError, ConfigError, DataError
-# read_container, read_benq, write_benq and apply_policy hold a whole tensor set;
-# the commands stream instead.  perfbench's tracer still wraps these names here.
-from .io import (iter_container, open_benq, open_container, parse_json, read_benq,  # noqa: F401
-                 read_container, write_benq, write_benq_stream, write_container,
-                 write_container_stream)
+from .io import TensorSpec, parse_json, read_benq, read_container, write_benq, write_container
 from .levels import DEFAULT_EPSILON, Schedule, make_codebook
 from .metrics import compare_schedules
-from .quantizer import (DEFAULT_POLICY, QUANTIZE_ALL, QuantConfig, QuantPolicy,  # noqa: F401
-                        QuantizedTensor, apply_policy, dequantize, quantize_stream)
+from .quantizer import (DEFAULT_POLICY, QUANTIZE_ALL, QuantConfig, QuantPolicy, QuantizedTensor,
+                        apply_policy, dequantize)
+
+
+def _thread_count(text: str) -> int:
+    """A thread count: an integer of at least 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return n
 
 
 def _default_threads() -> int:
     env = os.environ.get("BENQ_THREADS")
     if env:
         try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"BENQ_THREADS must be an integer, got {env!r}") from None
+            return _thread_count(env)
+        except argparse.ArgumentTypeError as e:
+            raise ConfigError(f"BENQ_THREADS: {e}") from None
     return os.cpu_count() or 1
 
 
@@ -145,9 +152,9 @@ def cmd_levels(args) -> int:
 def cmd_analyze(args) -> int:
     t0 = time.perf_counter()
     policy = _load_policy(args.policy, no_policy=False)
-    report = benford.model_report(iter_container(args.container), policy,
-                                  source=os.path.basename(args.container),
-                                  threads=args.threads)
+    with read_container(args.container) as (_, tensors):
+        report = benford.model_report(tensors, policy, source=os.path.basename(args.container),
+                                      threads=args.threads)
     text = json.dumps(report.to_dict(), indent=2) + "\n"
     _write_text(args.out, text)
     if args.csv:
@@ -168,16 +175,16 @@ def cmd_quantize(args) -> int:
     config = _parse_config(args)
     policy = _load_policy(args.policy, args.no_policy)
     out = args.out or os.path.splitext(args.container)[0] + ".benq"
-    with open_container(args.container) as (specs, tensors):
+    with read_container(args.container) as (specs, tensors):
         if not specs:
             raise DataError("cannot apply a policy to an empty tensor set")
         layout = [s._replace(dtype=None) if policy.should_quantize(s.name) else s
                   for s in specs]
         # the main thread's time: reading tensors, waiting for quantized ones, the rest writing
         reading = _Timed(tensors)
-        entries = _Timed(quantize_stream(reading, policy, config, args.threads))
+        entries = _Timed(apply_policy(reading, policy, config, args.threads))
         t1 = time.perf_counter()
-        write_benq_stream(out, config, policy, layout, entries)
+        write_benq(out, config, policy, layout, entries)
         t2 = time.perf_counter()
     quantized = [s for s in layout if s.dtype is None]
     total = sum(math.prod(s.shape) for s in layout)
@@ -201,8 +208,8 @@ def _reconstruction(item):
 def cmd_dequantize(args) -> int:
     t0 = time.perf_counter()
     out = args.out or os.path.splitext(args.model)[0] + ".dequant.safetensors"
-    with open_benq(args.model) as (config, _, specs, entries):
-        write_container_stream(out, specs, _map(_reconstruction, entries, args.threads))
+    with read_benq(args.model) as (config, _, specs, entries):
+        write_container(out, specs, _map(_reconstruction, entries, args.threads))
     _emit_manifest(args, "dequantize", config.to_dict(), [args.model],
                    {"total": time.perf_counter() - t0}, out)
     return 0
@@ -222,7 +229,8 @@ def cmd_compare(args) -> int:
         return [rep.to_dict() for rep in
                 compare_schedules(t.data, configs, name, threads=args.threads)]
 
-    rows = list(itertools.chain.from_iterable(map(measure, iter_container(args.container))))
+    with read_container(args.container) as (_, tensors):
+        rows = list(itertools.chain.from_iterable(map(measure, tensors)))
     text = json.dumps({"source": os.path.basename(args.container), "rows": rows},
                       indent=2) + "\n"
     _write_text(args.out, text)
@@ -237,16 +245,18 @@ def cmd_compare(args) -> int:
 
 def cmd_synth(args) -> int:
     t0 = time.perf_counter()
-    tensors = {}
+    parsed = {}
     for item in args.tensor:
         name, _, spec_text = item.partition("=")
         if not name or not spec_text:
             raise ConfigError(f"--tensor expects NAME=DIST(...), got {item!r}")
-        if name in tensors:
+        if name in parsed:
             raise ConfigError(f"duplicate tensor name {name!r}")
-        spec = synth.parse_spec(spec_text)
-        tensors[name] = synth.synth_tensor(spec, rng.derive_seed(args.seed, name))
-    write_container(args.out, tensors)
+        parsed[name] = synth.parse_spec(spec_text)
+    specs = [TensorSpec(name, (spec.n,), "F32") for name, spec in parsed.items()]
+    # each tensor is generated only when the writer reaches it
+    write_container(args.out, specs, (synth.synth_tensor(spec, rng.derive_seed(args.seed, name))
+                                      for name, spec in parsed.items()))
     _emit_manifest(args, "synth",
                    {"tensors": {i.partition('=')[0]: i.partition('=')[2] for i in args.tensor}},
                    [], {"total": time.perf_counter() - t0}, args.out)
@@ -260,17 +270,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default: BENQ_THREADS or all cores)")
+    common.add_argument("--threads", type=_thread_count, default=None,
+                        help="worker threads, at least 1 (default: BENQ_THREADS or all cores)")
 
-    grid = argparse.ArgumentParser(add_help=False)
-    grid.add_argument("--bits", type=int, default=4, help="bit width (2..8)")
+    codebook = argparse.ArgumentParser(add_help=False)
+    codebook.add_argument("--bits", type=int, default=4, help="bit width (2..8)")
+    codebook.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON,
+                          help="smallest positive level of the log schedule")
+    grid = argparse.ArgumentParser(add_help=False, parents=[codebook])
     grid.add_argument("--group-size", type=int, default=8, help="elements per scale group")
-    grid.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON,
-                      help="smallest positive level of the log schedule")
 
-    p = sub.add_parser("levels", parents=[grid], help="print a codebook as JSON")
-    p.add_argument("--schedule", choices=["log", "linear"], default="log")
+    p = sub.add_parser("levels", parents=[codebook], help="print a codebook as JSON")
+    p.add_argument("--schedule", choices=["log", "linear", "rtn"], default="log")
     p.set_defaults(func=cmd_levels)
 
     p = sub.add_parser("analyze", parents=[common],
@@ -306,8 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", help="also write the table as CSV")
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("synth", parents=[common],
-                       help="generate a synthetic safetensors checkpoint")
+    p = sub.add_parser("synth", help="generate a synthetic safetensors checkpoint")
     p.add_argument("--seed", type=int, default=0, help="base seed of every tensor's stream")
     p.add_argument("--tensor", action="append", required=True, metavar="NAME=DIST(...)",
                    help="e.g. w=loguniform(6,1000000); repeatable")

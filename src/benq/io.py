@@ -42,16 +42,14 @@ store their original bytes in their source dtype.  content_digest covers
 the config, the tensor directory and the payload, so any header tampering
 or payload corruption is rejected before a single tensor is materialized.
 
-Both formats are streamed a tensor at a time.  A reader (`open_container`,
-`open_benq`) checks the whole header, and for .benq the content digest,
+Both formats are streamed a tensor at a time.  A reader (`read_container`,
+`read_benq`) checks the whole header, and for .benq the content digest,
 before it reads any tensor, then reads the tensors lazily in header order.
-A writer (`write_container_stream`, `write_benq_stream`) builds the header
-from the tensors' names, shapes and dtypes alone and then streams each
-tensor's bytes, so only the tensors in flight are ever in memory.
-`read_container`, `write_container`, `read_benq` and `write_benq` hold a
-whole tensor set and are thin wrappers over these.  All writes go through a
-temp file and atomic rename, so a run that fails midway leaves no partial
-output.
+A writer (`write_container`, `write_benq`) builds the header from the
+tensors' names, shapes and dtypes alone and then streams each tensor's
+bytes, so only the tensors in flight are ever in memory.  All writes go
+through a temp file and atomic rename, so a run that fails midway leaves no
+partial output.
 """
 
 from __future__ import annotations
@@ -64,13 +62,13 @@ import os
 import tempfile
 import warnings
 from dataclasses import dataclass
-from typing import Any, BinaryIO, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Any, BinaryIO, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import (ANY, BOOL, INT, NONNEG, OBJECT, STR, ConfigError, DataError, FormatError,
                      checked, list_of, one_of, tuple_of)
-from .quantizer import ModelQuantization, QuantConfig, QuantizedTensor, QuantPolicy
+from .quantizer import QuantConfig, QuantizedTensor, QuantPolicy
 
 SUPPORTED_DTYPES = ("F32", "F16", "BF16")
 BENQ_MAGIC = b"BNQ1"
@@ -290,7 +288,7 @@ def _mismatch(spec: TensorSpec, what: str) -> DataError:
 
 
 @contextlib.contextmanager
-def open_container(path: str) -> Iterator[tuple[list[TensorSpec], Iterator]]:
+def read_container(path: str) -> Iterator[tuple[list[TensorSpec], Iterator]]:
     """(specs, tensors) of a safetensors file, its tensors read as they are iterated.
 
     Every header entry is checked, its span against the file's size too,
@@ -325,22 +323,7 @@ def open_container(path: str) -> Iterator[tuple[list[TensorSpec], Iterator]]:
         yield [s for s, _ in located], tensors
 
 
-def iter_container(path: str) -> Iterator[tuple[str, WeightTensor]]:
-    """(name, float32 WeightTensor) of a safetensors file, one at a time in header order.
-
-    The whole header is checked before the first tensor is read, and no
-    tensor is held here once it has been yielded.
-    """
-    with open_container(path) as (_, tensors):
-        yield from tensors
-
-
-def read_container(path: str) -> dict[str, WeightTensor]:
-    """Every tensor of a safetensors file at once, as named float32 tensors."""
-    return dict(iter_container(path))
-
-
-def write_container_stream(path: str, specs: Sequence[TensorSpec], arrays: Iterable) -> None:
+def write_container(path: str, specs: Sequence[TensorSpec], arrays: Iterable) -> None:
     """Write an F32 safetensors file of `specs`, each tensor taken from `arrays` in turn.
 
     The header comes from the names and shapes alone (every tensor is
@@ -371,11 +354,6 @@ def write_container_stream(path: str, specs: Sequence[TensorSpec], arrays: Itera
         _stream(specs, arrays, put)
 
     _atomic_write(path, writer)
-
-
-def write_container(path: str, tensors: Mapping[str, Any]) -> None:
-    """Write named tensors as an F32 safetensors file (atomic, deterministic)."""
-    write_container_stream(path, [_spec(n, t) for n, t in tensors.items()], tensors.values())
 
 
 def pack_indices(values: np.ndarray, bits: int) -> bytes:
@@ -468,8 +446,8 @@ def _payload(spec: TensorSpec, t: Any, config: QuantConfig) -> tuple:
     return (_demote(getattr(t, "data", t), spec.dtype),)
 
 
-def write_benq_stream(path: str, config: QuantConfig, policy: QuantPolicy,
-                      specs: Sequence[TensorSpec], entries: Iterable) -> None:
+def write_benq(path: str, config: QuantConfig, policy: QuantPolicy,
+               specs: Sequence[TensorSpec], entries: Iterable) -> None:
     """Write a .benq file of `specs`, each entry taken from `entries` in turn.
 
     An entry is a QuantizedTensor under `config` where its spec's dtype is
@@ -514,12 +492,6 @@ def write_benq_stream(path: str, config: QuantConfig, policy: QuantPolicy,
         f.write(final)
 
     _atomic_write(path, writer)
-
-
-def write_benq(path: str, mq: ModelQuantization) -> None:
-    """Write a quantization result as a .benq file (atomic, deterministic)."""
-    write_benq_stream(path, mq.config, mq.policy,
-                      [_spec(n, t) for n, t in mq.entries.items()], mq.entries.values())
 
 
 def _require(cond: bool, message: str) -> None:
@@ -568,7 +540,7 @@ def _read_benq_entry(f: BinaryIO, base: int, entry: dict, spec: TensorSpec,
 
 
 @contextlib.contextmanager
-def open_benq(path: str) -> Iterator[tuple[QuantConfig, QuantPolicy, list[TensorSpec], Iterator]]:
+def read_benq(path: str) -> Iterator[tuple[QuantConfig, QuantPolicy, list[TensorSpec], Iterator]]:
     """(config, policy, specs, entries) of a fully validated .benq file.
 
     Reading takes two passes over the open file.  The first checks the
@@ -613,9 +585,3 @@ def open_benq(path: str) -> Iterator[tuple[QuantConfig, QuantPolicy, list[Tensor
         entries = ((s.name, _read_benq_entry(f, base, e, s, config))
                    for s, e in zip(specs, directory))
         yield config, policy, specs, entries
-
-
-def read_benq(path: str) -> ModelQuantization:
-    """Read and fully validate a .benq file, every tensor at once (see open_benq)."""
-    with open_benq(path) as (config, policy, _, entries):
-        return ModelQuantization(dict(entries), config, policy)

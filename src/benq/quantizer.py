@@ -27,7 +27,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterable, Iterator
 
 import numpy as np
 
@@ -268,11 +268,6 @@ class QuantizedTensor:
         """Length of the final short group, 0 when group_size divides numel."""
         return self.numel % self.config.group_size
 
-    def storage_bits(self) -> dict:
-        """Idealized payload cost: packed indices plus float16 scales."""
-        per_index = 4 if self.config.bits <= 4 else 8
-        return {"index_bits": self.numel * per_index, "scale_bits": self.n_groups * 16}
-
 
 def quantize_tensor(data: np.ndarray, config: QuantConfig, name: str = "") -> QuantizedTensor:
     """Quantize a whole tensor group-wise (row-major order, in blocks of groups)."""
@@ -377,51 +372,13 @@ DEFAULT_POLICY = QuantPolicy()
 QUANTIZE_ALL = QuantPolicy(quantize_families=_FAMILIES)
 
 
-@dataclass
-class ModelQuantization:
-    """Mixed result of applying a policy: quantized tensors plus originals."""
+def apply_policy(tensors: Iterable[tuple[str, Any]], policy: QuantPolicy, config: QuantConfig,
+                 threads: int = 1) -> Iterator[Any]:
+    """Quantize the tensors a policy selects; pass the rest through untouched.
 
-    entries: dict[str, Any]
-    config: QuantConfig
-    policy: QuantPolicy
-
-    def quantized(self) -> dict[str, QuantizedTensor]:
-        return {k: v for k, v in self.entries.items() if isinstance(v, QuantizedTensor)}
-
-    def preserved(self) -> dict[str, Any]:
-        return {k: v for k, v in self.entries.items() if not isinstance(v, QuantizedTensor)}
-
-    def summary(self) -> dict:
-        q_numel = p_numel = index_bits = scale_bits = preserved_bits = 0
-        for t in self.entries.values():
-            if isinstance(t, QuantizedTensor):
-                q_numel += t.numel
-                cost = t.storage_bits()
-                index_bits += cost["index_bits"]
-                scale_bits += cost["scale_bits"]
-            else:
-                arr = np.asarray(getattr(t, "data", t))
-                p_numel += arr.size
-                width = 16 if getattr(t, "source_dtype", "F32") in ("F16", "BF16") else 32
-                preserved_bits += arr.size * width
-        total = q_numel + p_numel
-        return {
-            "n_quantized": len(self.quantized()),
-            "n_preserved": len(self.entries) - len(self.quantized()),
-            "quantized_fraction": (q_numel / total) if total else 0.0,
-            "index_bits": index_bits,
-            "scale_bits": scale_bits,
-            "preserved_bits": preserved_bits,
-        }
-
-
-def quantize_stream(tensors: Iterable[tuple[str, Any]], policy: QuantPolicy, config: QuantConfig,
-                    threads: int = 1) -> Iterator[Any]:
-    """apply_policy over (name, tensor) pairs as they arrive.
-
-    Yields each selected tensor's QuantizedTensor, or the tensor itself when
-    the policy preserves it, in input order, with at most `threads` tensors
-    in flight.
+    Lazily yields one output per (name, tensor) pair, in input order: the
+    tensor's QuantizedTensor when the policy selects it, else the tensor
+    itself.  At most `threads` tensors are in flight.
     """
     def work(item: tuple[str, Any]):
         name, t = item
@@ -430,12 +387,3 @@ def quantize_stream(tensors: Iterable[tuple[str, Any]], policy: QuantPolicy, con
         return t
 
     return _map(work, tensors, threads)
-
-
-def apply_policy(model: Mapping[str, Any], policy: QuantPolicy, config: QuantConfig,
-                 threads: int = 1) -> ModelQuantization:
-    """Quantize the tensors a policy selects; pass the rest through untouched."""
-    if not model:
-        raise DataError("cannot apply a policy to an empty tensor set")
-    entries = quantize_stream(model.items(), policy, config, threads)
-    return ModelQuantization(dict(zip(model, entries)), config, policy)

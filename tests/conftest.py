@@ -1,11 +1,49 @@
-"""Shared fixtures plus a terminal summary for the acceptance criteria.
+"""Shared fixtures, whole-set helpers and a terminal summary for the acceptance criteria.
 
 Acceptance tests carry @pytest.mark.criterion("Cxx", "description"); after
 the run a one-line PASS/FAIL/SKIP verdict is printed per criterion.
+
+benq's readers and writers stream a tensor at a time; the helpers below
+hold a whole small tensor set in a dict, which is what most tests want.
 """
 
 import numpy as np
 import pytest
+
+from benq.io import _spec, read_benq, read_container, write_benq, write_container
+from benq.quantizer import apply_policy
+
+
+def load_container(path):
+    """{name: WeightTensor} of a safetensors file."""
+    with read_container(str(path)) as (_, tensors):
+        return dict(tensors)
+
+
+def save_container(path, tensors):
+    """Write {name: array or WeightTensor} as an F32 safetensors file."""
+    write_container(str(path), [_spec(n, t) for n, t in tensors.items()], tensors.values())
+
+
+def quantize_model(tensors, policy, config, threads=1):
+    """{name: QuantizedTensor or the tensor itself} of apply_policy over a dict."""
+    return dict(zip(tensors, apply_policy(tensors.items(), policy, config, threads)))
+
+
+def save_benq(path, tensors, policy, config):
+    """Quantize {name: tensor} as quantize_model does, write it as a .benq file
+    and return the entries."""
+    entries = quantize_model(tensors, policy, config)
+    write_benq(str(path), config, policy, [_spec(n, t) for n, t in entries.items()],
+               entries.values())
+    return entries
+
+
+def load_benq(path):
+    """(config, policy, {name: QuantizedTensor or WeightTensor}) of a .benq file."""
+    with read_benq(str(path)) as (config, policy, _, entries):
+        return config, policy, dict(entries)
+
 
 _verdicts: dict[str, tuple[str, str]] = {}
 

@@ -17,14 +17,14 @@ import pytest
 from benq import rng
 from benq.benford import (Family, classify_family, digit_histogram, mad_score,
                           model_report)
-from benq.io import read_benq, read_container, write_benq
+from benq.io import read_container
 from benq.levels import (Schedule, benford_probability,
                          generate_log_uniform_levels, make_codebook)
 from benq.metrics import compare_schedules
 from benq.quantizer import (DEFAULT_POLICY, QUANTIZE_ALL, QuantConfig,
-                            QuantizedTensor, apply_policy, dequantize,
-                            quantize_tensor)
+                            QuantizedTensor, dequantize, quantize_tensor)
 from benq.synth import synth_tensor
+from conftest import load_benq, quantize_model, save_benq
 
 
 def first_digit_oracle(x: float) -> int:
@@ -220,12 +220,11 @@ def test_packed_format_losslessness(tmp_path):
     for bits in (2, 3, 4, 8):
         for schedule in (Schedule.LOG_UNIFORM, Schedule.LINEAR, Schedule.RTN):
             cfg = QuantConfig(bits=bits, group_size=8, schedule=schedule)
-            mq = apply_policy(model, QUANTIZE_ALL, cfg)
             path = tmp_path / f"{bits}-{schedule.value}.benq"
-            write_benq(str(path), mq)
-            back = read_benq(str(path))
-            for name, qt in mq.quantized().items():
-                got = back.entries[name]
+            entries = save_benq(path, model, QUANTIZE_ALL, cfg)
+            _, _, back = load_benq(path)
+            for name, qt in entries.items():
+                got = back[name]
                 assert got.indices.tobytes() == qt.indices.tobytes()
                 assert got.scales.tobytes() == qt.scales.tobytes()
                 assert got.shape == qt.shape
@@ -251,36 +250,35 @@ def test_default_policy_layer_selection(tmp_path):
     }
     model = {n: synth_tensor(spec, rng.derive_seed(0, n))
              for n, (spec, _) in shapes.items()}
-    mq = apply_policy(model, DEFAULT_POLICY, QuantConfig())
+    entries = quantize_model(model, DEFAULT_POLICY, QuantConfig())
 
     for name, (_, expect_quantized) in shapes.items():
-        got = mq.entries[name]
+        got = entries[name]
         assert isinstance(got, QuantizedTensor) == expect_quantized, name
         if not expect_quantized:
             assert got is model[name]  # untouched, hence byte-identical
 
+    quantized = [t for t in entries.values() if isinstance(t, QuantizedTensor)]
     q_numel = sum(model[n].size for n, (_, q) in shapes.items() if q)
     total = sum(t.size for t in model.values())
-    summary = mq.summary()
-    assert summary["n_quantized"] == 3
-    assert summary["n_preserved"] == 4
-    assert summary["quantized_fraction"] == pytest.approx(q_numel / total)
+    assert len(quantized) == 3
+    assert len(entries) - len(quantized) == 4
+    assert sum(t.numel for t in quantized) / total == pytest.approx(q_numel / total)
 
     path = tmp_path / "m.benq"
-    write_benq(str(path), mq)
-    back = read_benq(str(path))
+    save_benq(path, model, DEFAULT_POLICY, QuantConfig())
+    _, _, back = load_benq(path)
     for name, (_, expect_quantized) in shapes.items():
         if not expect_quantized:
-            assert np.array_equal(back.entries[name].data, model[name])
+            assert np.array_equal(back[name].data, model[name])
 
 
 @pytest.mark.criterion("C10", "checkpoint: norm family least digit-compliant")
 @pytest.mark.skipif(not os.environ.get("BENQ_CHECKPOINT"),
                     reason="set BENQ_CHECKPOINT to a safetensors file")
 def test_real_checkpoint_family_dichotomy():
-    tensors = read_container(os.environ["BENQ_CHECKPOINT"])
-    report = model_report({n: t.data for n, t in tensors.items()},
-                          DEFAULT_POLICY, source="checkpoint")
+    with read_container(os.environ["BENQ_CHECKPOINT"]) as (_, tensors):
+        report = model_report(tensors, DEFAULT_POLICY, source="checkpoint")
     by_family = {}
     for r in report.per_tensor:
         if r.mad is not None:

@@ -284,18 +284,18 @@ class TestFamilies:
 
 class TestModelReport:
     def _toy(self):
-        return {
-            "layers.0.attn.q_proj.weight": 10.0 ** (5 * (rng.uniform01(1, 0, 4000) - 1)),
-            "layers.0.mlp.fc.weight": 10.0 ** (5 * (rng.uniform01(2, 0, 4000) - 1)),
-            "layers.0.input_layernorm.weight": np.full(256, 0.35),
-            "dead.weight": np.zeros(64),
-        }
+        return [
+            ("layers.0.attn.q_proj.weight", 10.0 ** (5 * (rng.uniform01(1, 0, 4000) - 1))),
+            ("layers.0.mlp.fc.weight", 10.0 ** (5 * (rng.uniform01(2, 0, 4000) - 1))),
+            ("layers.0.input_layernorm.weight", np.full(256, 0.35)),
+            ("dead.weight", np.zeros(64)),
+        ]
 
     def test_ordering_and_families(self):
         rep = model_report(self._toy(), source="toy")
         names = [r.name for r in rep.per_tensor]
         assert names[0] == "layers.0.input_layernorm.weight"  # largest mad first
-        assert names[-1] == "dead.weight"                     # degenerate last
+        assert names[-1] == "dead.weight"                     # no MAD, last
         assert rep.per_tensor[-1].mad is None
         assert rep.source == "toy"
 
@@ -303,7 +303,7 @@ class TestModelReport:
         rep = model_report(self._toy())
         by_family = {s.family: s for s in rep.per_family}
         assert by_family[Family.NORM].mean_mad > 10 * by_family[Family.MLP_LINEAR].mean_mad
-        assert Family.OTHER not in by_family  # only degenerate tensor was OTHER
+        assert Family.OTHER not in by_family  # the only OTHER tensor has no MAD
 
     def test_threads_do_not_change_result(self):
         a = model_report(self._toy(), threads=1).to_dict()

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from benq.cli import main
-from benq.io import BENQ_MAGIC, _content_digest, read_benq, read_container
+from benq.io import BENQ_MAGIC, _content_digest
 from benq.quantizer import _BLOCK_ELEMS, QuantConfig, QuantizedTensor, dequantize
+from conftest import load_benq, load_container
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -58,16 +59,18 @@ class TestLevels:
         assert obj["levels"] == pytest.approx(
             [k / 8 for k in range(-8, 0)] + [k / 8 for k in range(1, 9)])
 
-    def test_rtn_has_no_codebook(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["levels", "--schedule", "rtn"])
-        assert exc.value.code == 2
+    def test_rtn_codebook_json(self, capsys):
+        code, out, _ = run(capsys, "levels", "--schedule", "rtn", "--bits", "3")
+        assert code == 0
+        obj = json.loads(out)
+        assert obj == {"schedule": "rtn", "bits": 3,
+                       "levels": [-4.0, -3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0]}
 
 
 class TestSynth:
     def test_writes_requested_tensors(self, capsys, tmp_path):
         p = make_model(capsys, tmp_path)
-        got = read_container(str(p))
+        got = load_container(p)
         assert set(got) == {"layers.0.mlp.up_proj.weight",
                             "layers.0.self_attn.q_proj.weight",
                             "layers.0.input_layernorm.weight"}
@@ -84,15 +87,15 @@ class TestSynth:
         assert main(args + ["--out", str(p0)]) == 0
         assert main(args + ["--seed", "1", "--out", str(p1)]) == 0
         capsys.readouterr()
-        assert not np.array_equal(read_container(str(p0))["w"].data,
-                                  read_container(str(p1))["w"].data)
+        assert not np.array_equal(load_container(p0)["w"].data,
+                                  load_container(p1)["w"].data)
 
     def test_same_spec_different_names_differ(self, capsys, tmp_path):
         p = tmp_path / "t.st"
         code, _, _ = run(capsys, "synth", "--tensor", "a=gaussian(1,64)",
                          "--tensor", "b=gaussian(1,64)", "--out", str(p))
         assert code == 0
-        got = read_container(str(p))
+        got = load_container(p)
         assert not np.array_equal(got["a"].data, got["b"].data)
 
     def test_malformed_tensor_argument(self, capsys, tmp_path):
@@ -107,6 +110,16 @@ class TestSynth:
                            "--out", str(tmp_path / "t.st"))
         assert code == 1
         assert "duplicate" in err
+
+    def test_every_spec_is_checked_before_the_write(self, capsys, tmp_path, monkeypatch):
+        import benq.cli as cli_mod
+        writes = []
+        monkeypatch.setattr(cli_mod, "write_container", lambda *args: writes.append(args))
+        for bad in ("nospec", "w=wat(1,8)", "w=gaussian(1)", "v=gaussian(1,8)"):
+            code, _, _ = run(capsys, "synth", "--tensor", "v=gaussian(1,8)", "--tensor", bad,
+                             "--out", str(tmp_path / "t.st"))
+            assert code == 1, bad
+        assert writes == []
 
 
 class TestAnalyze:
@@ -157,14 +170,14 @@ class TestQuantizePipeline:
                            "--group-size", "8", "--out", str(out))
         assert code == 0
         assert "quantize pass" in err
-        mq = read_benq(str(out))
-        assert isinstance(mq.entries["layers.0.mlp.up_proj.weight"],
+        _, _, entries = load_benq(out)
+        assert isinstance(entries["layers.0.mlp.up_proj.weight"],
                           QuantizedTensor)
-        assert isinstance(mq.entries["layers.0.self_attn.q_proj.weight"],
+        assert isinstance(entries["layers.0.self_attn.q_proj.weight"],
                           QuantizedTensor)
-        norm = mq.entries["layers.0.input_layernorm.weight"]
+        norm = entries["layers.0.input_layernorm.weight"]
         assert not isinstance(norm, QuantizedTensor)
-        src = read_container(str(p))["layers.0.input_layernorm.weight"]
+        src = load_container(p)["layers.0.input_layernorm.weight"]
         assert np.array_equal(norm.data, src.data)
 
     def test_no_policy_quantizes_everything(self, capsys, tmp_path):
@@ -173,8 +186,8 @@ class TestQuantizePipeline:
         code, _, _ = run(capsys, "quantize", str(p), "--no-policy",
                          "--out", str(out))
         assert code == 0
-        mq = read_benq(str(out))
-        assert all(isinstance(t, QuantizedTensor) for t in mq.entries.values())
+        _, _, entries = load_benq(out)
+        assert all(isinstance(t, QuantizedTensor) for t in entries.values())
 
     def test_default_output_name(self, capsys, tmp_path):
         p = make_model(capsys, tmp_path)
@@ -191,10 +204,10 @@ class TestQuantizePipeline:
         code, _, _ = run(capsys, "quantize", str(p), "--policy", str(pol),
                          "--out", str(out))
         assert code == 0
-        mq = read_benq(str(out))
-        assert isinstance(mq.entries["layers.0.input_layernorm.weight"],
+        _, _, entries = load_benq(out)
+        assert isinstance(entries["layers.0.input_layernorm.weight"],
                           QuantizedTensor)
-        assert not isinstance(mq.entries["layers.0.mlp.up_proj.weight"],
+        assert not isinstance(entries["layers.0.mlp.up_proj.weight"],
                               QuantizedTensor)
 
     def test_dequantize_round_trip(self, capsys, tmp_path):
@@ -204,10 +217,10 @@ class TestQuantizePipeline:
         deq_path = tmp_path / "restored.safetensors"
         assert main(["dequantize", str(benq_path), "--out", str(deq_path)]) == 0
         capsys.readouterr()
-        mq = read_benq(str(benq_path))
-        restored = read_container(str(deq_path))
-        assert set(restored) == set(mq.entries)
-        for name, t in mq.entries.items():
+        _, _, entries = load_benq(benq_path)
+        restored = load_container(deq_path)
+        assert set(restored) == set(entries)
+        for name, t in entries.items():
             expect = dequantize(t) if isinstance(t, QuantizedTensor) else t.data
             assert np.array_equal(restored[name].data, expect), name
 
@@ -352,11 +365,15 @@ class TestExitCodes:
         assert err.startswith("error: ") and "config" in err
         assert not (tmp_path / "d.st").exists()
 
-    def test_usage_errors_exit_two(self, capsys):
-        for argv in (["frobnicate"], ["synth"], []):
+    def test_usage_errors_exit_two(self, capsys, tmp_path):
+        # levels has no groups and synth no threads, so neither takes those options
+        for argv in (["frobnicate"], ["synth"], [], ["levels", "--group-size", "8"],
+                     ["synth", "--tensor", "w=gaussian(1,8)", "--threads", "2",
+                      "--out", str(tmp_path / "s.st")]):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2
+        assert os.listdir(tmp_path) == []
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -441,6 +458,22 @@ class TestThreads:
         code, _, err = run(capsys, "analyze", str(p))
         assert code == 1
         assert "BENQ_THREADS" in err
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_env_below_one_is_an_error(self, capsys, tmp_path, monkeypatch, threads):
+        p = make_model(capsys, tmp_path)
+        monkeypatch.setenv("BENQ_THREADS", threads)
+        code, _, err = run(capsys, "analyze", str(p))
+        assert code == 1
+        assert err.startswith("error: BENQ_THREADS")
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_flag_below_one_is_a_usage_error(self, capsys, tmp_path, threads):
+        for command in ("analyze", "quantize", "dequantize", "compare"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, str(tmp_path / "m"), "--threads", threads])
+            assert exc.value.code == 2
+            assert "--threads" in capsys.readouterr().err
 
     def test_explicit_flag_beats_env(self, capsys, tmp_path, monkeypatch):
         p = make_model(capsys, tmp_path)

@@ -13,12 +13,12 @@ from benq import rng
 from benq.errors import ConfigError, FormatError
 from benq.io import (BENQ_MAGIC, BENQ_VERSION, WeightTensor, _content_digest,
                      _demote, _promote, pack_indices, packed_size, read_benq,
-                     read_container, unpack_indices, write_benq,
-                     write_container)
+                     unpack_indices, write_benq)
 from benq.levels import Schedule
 from benq.quantizer import (DEFAULT_POLICY, QUANTIZE_ALL, QuantConfig,
-                            QuantPolicy, apply_policy, dequantize)
+                            QuantizedTensor, QuantPolicy, dequantize)
 from benq.synth import synth_tensor
+from conftest import load_benq, load_container, save_benq, save_container
 
 SCHEDULES = (Schedule.LOG_UNIFORM, Schedule.LINEAR, Schedule.RTN)
 
@@ -37,8 +37,8 @@ class TestSafetensors:
             "c": np.zeros((2, 0), dtype=np.float32),        # empty
         }
         p = tmp_path / "t.safetensors"
-        write_container(str(p), tensors)
-        got = read_container(str(p))
+        save_container(p, tensors)
+        got = load_container(p)
         assert set(got) == {"a", "b", "c"}
         for name, arr in tensors.items():
             wt = got[name]
@@ -51,7 +51,7 @@ class TestSafetensors:
         p = tmp_path / "t.safetensors"
         build_safetensors(p, {"w": {"dtype": "F16", "shape": [4],
                                     "data_offsets": [0, 8]}}, vals.tobytes())
-        wt = read_container(str(p))["w"]
+        wt = load_container(p)["w"]
         assert wt.source_dtype == "F16"
         assert np.array_equal(wt.data, vals.astype(np.float32))
 
@@ -61,7 +61,7 @@ class TestSafetensors:
         p = tmp_path / "t.safetensors"
         build_safetensors(p, {"w": {"dtype": "BF16", "shape": [2, 2],
                                     "data_offsets": [0, 8]}}, bits.tobytes())
-        wt = read_container(str(p))["w"]
+        wt = load_container(p)["w"]
         expect = (bits.astype(np.uint32) << 16).view(np.float32).reshape(2, 2)
         assert wt.source_dtype == "BF16"
         assert np.array_equal(wt.data, expect)
@@ -72,18 +72,18 @@ class TestSafetensors:
         build_safetensors(p, {"__metadata__": {"format": "pt"},
                               "w": {"dtype": "F32", "shape": [2],
                                     "data_offsets": [0, 8]}}, payload)
-        assert set(read_container(str(p))) == {"w"}
+        assert set(load_container(p)) == {"w"}
 
     def test_write_is_deterministic(self, tmp_path):
         tensors = {"a": np.linspace(0, 1, 7, dtype=np.float32)}
         p1, p2 = tmp_path / "1.st", tmp_path / "2.st"
-        write_container(str(p1), tensors)
-        write_container(str(p2), tensors)
+        save_container(p1, tensors)
+        save_container(p2, tensors)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_written_header_is_padded_to_alignment(self, tmp_path):
         p = tmp_path / "t.safetensors"
-        write_container(str(p), {"abc": np.ones(3, dtype=np.float32)})
+        save_container(p, {"abc": np.ones(3, dtype=np.float32)})
         hlen = int.from_bytes(p.read_bytes()[:8], "little")
         assert (8 + hlen) % 8 == 0
 
@@ -91,38 +91,38 @@ class TestSafetensors:
         umask = os.umask(0)
         os.umask(umask)
         p = tmp_path / "t.safetensors"
-        write_container(str(p), {"a": np.ones(1, dtype=np.float32)})
+        save_container(p, {"a": np.ones(1, dtype=np.float32)})
         assert (p.stat().st_mode & 0o777) == (0o666 & ~umask)
 
     def test_empty_container_warns(self, tmp_path):
         p = tmp_path / "t.safetensors"
-        write_container(str(p), {})
+        save_container(p, {})
         with pytest.warns(UserWarning, match="no tensors"):
-            assert read_container(str(p)) == {}
+            assert load_container(p) == {}
 
     def test_truncated_header_length(self, tmp_path):
         p = tmp_path / "bad.st"
         p.write_bytes(b"\x01\x02\x03")
         with pytest.raises(FormatError, match="truncated"):
-            read_container(str(p))
+            load_container(p)
 
     def test_header_length_beyond_file(self, tmp_path):
         p = tmp_path / "bad.st"
         p.write_bytes((1 << 20).to_bytes(8, "little") + b"{}")
         with pytest.raises(FormatError, match="exceeds file size"):
-            read_container(str(p))
+            load_container(p)
 
     def test_malformed_header_json(self, tmp_path):
         p = tmp_path / "bad.st"
         build_safetensors(p, b"{not json", b"")
         with pytest.raises(FormatError, match="malformed header JSON"):
-            read_container(str(p))
+            load_container(p)
 
     def test_header_not_an_object(self, tmp_path):
         p = tmp_path / "bad.st"
         build_safetensors(p, b"[1,2]", b"")
         with pytest.raises(FormatError, match="not a JSON object"):
-            read_container(str(p))
+            load_container(p)
 
     def test_duplicate_header_keys(self, tmp_path):
         entry = b'{"dtype":"F32","shape":[1],"data_offsets":[0,4]}'
@@ -130,34 +130,34 @@ class TestSafetensors:
         build_safetensors(p, b'{"a":' + entry + b',"a":' + entry + b"}",
                           b"\0" * 4)
         with pytest.raises(FormatError, match="duplicate keys"):
-            read_container(str(p))
+            load_container(p)
 
     def test_unsupported_dtype(self, tmp_path):
         p = tmp_path / "bad.st"
         build_safetensors(p, {"w": {"dtype": "I64", "shape": [1],
                                     "data_offsets": [0, 8]}}, b"\0" * 8)
         with pytest.raises(FormatError, match="unsupported dtype 'I64'"):
-            read_container(str(p))
+            load_container(p)
 
     def test_offsets_outside_payload(self, tmp_path):
         p = tmp_path / "bad.st"
         build_safetensors(p, {"w": {"dtype": "F32", "shape": [1],
                                     "data_offsets": [0, 100]}}, b"\0" * 4)
         with pytest.raises(FormatError, match="outside payload"):
-            read_container(str(p))
+            load_container(p)
 
     def test_offsets_span_wrong_size(self, tmp_path):
         p = tmp_path / "bad.st"
         build_safetensors(p, {"w": {"dtype": "F32", "shape": [2],
                                     "data_offsets": [0, 4]}}, b"\0" * 8)
         with pytest.raises(FormatError, match="span 4 bytes, expected 8"):
-            read_container(str(p))
+            load_container(p)
 
     def test_entry_missing_fields(self, tmp_path):
         p = tmp_path / "bad.st"
         build_safetensors(p, {"w": {"dtype": "F32"}}, b"")
         with pytest.raises(FormatError, match="malformed header entry"):
-            read_container(str(p))
+            load_container(p)
 
 
 class TestDtypePromotion:
@@ -269,15 +269,15 @@ class TestBenqRoundTrip:
     @pytest.mark.parametrize("bits", [2, 3, 4, 8])
     def test_all_grids(self, tmp_path, schedule, bits):
         cfg = QuantConfig(bits=bits, group_size=8, schedule=schedule)
-        mq = apply_policy(toy_model(), QUANTIZE_ALL, cfg)
         p = tmp_path / "m.benq"
-        write_benq(str(p), mq)
-        got = read_benq(str(p))
-        assert got.config == cfg
-        assert got.policy == QUANTIZE_ALL
-        assert list(got.entries) == list(mq.entries)
-        for name, qt in mq.quantized().items():
-            g = got.entries[name]
+        entries = save_benq(p, toy_model(), QUANTIZE_ALL, cfg)
+        config, policy, got = load_benq(p)
+        assert config == cfg
+        assert policy == QUANTIZE_ALL
+        assert list(got) == list(entries)
+        for name, qt in entries.items():
+            g = got[name]
+            assert isinstance(qt, QuantizedTensor)
             assert g.shape == qt.shape
             assert g.indices.dtype == qt.indices.dtype
             assert np.array_equal(g.indices, qt.indices)
@@ -286,12 +286,11 @@ class TestBenqRoundTrip:
 
     def test_preserved_tensors_byte_identical(self, tmp_path):
         cfg = QuantConfig()
-        mq = apply_policy(toy_model(), DEFAULT_POLICY, cfg)
         p = tmp_path / "m.benq"
-        write_benq(str(p), mq)
-        got = read_benq(str(p))
+        entries = save_benq(p, toy_model(), DEFAULT_POLICY, cfg)
+        _, _, got = load_benq(p)
         for name in ("model.norm.weight", "model.embed_tokens.weight"):
-            orig, back = mq.entries[name], got.entries[name]
+            orig, back = entries[name], got[name]
             assert isinstance(back, WeightTensor)
             assert back.source_dtype == orig.source_dtype
             assert np.array_equal(back.data, orig.data)
@@ -300,17 +299,16 @@ class TestBenqRoundTrip:
 
     def test_write_read_write_is_byte_stable(self, tmp_path):
         cfg = QuantConfig(bits=3, group_size=4)
-        mq = apply_policy(toy_model(), DEFAULT_POLICY, cfg)
         p1, p2 = tmp_path / "a.benq", tmp_path / "b.benq"
-        write_benq(str(p1), mq)
-        write_benq(str(p2), read_benq(str(p1)))
+        save_benq(p1, toy_model(), DEFAULT_POLICY, cfg)
+        with read_benq(str(p1)) as (config, policy, specs, entries):
+            write_benq(str(p2), config, policy, specs, (t for _, t in entries))
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_layout_offsets_and_sizes(self, tmp_path):
         cfg = QuantConfig(bits=3, group_size=8)
-        mq = apply_policy(toy_model(), QUANTIZE_ALL, cfg)
         p = tmp_path / "m.benq"
-        write_benq(str(p), mq)
+        save_benq(p, toy_model(), QUANTIZE_ALL, cfg)
         header, hlen, blob = read_benq_header(p)
         assert (4 + 8 + hlen) % 8 == 0
         total = 0
@@ -331,7 +329,7 @@ class TestBenqRoundTrip:
         for bits in (3, 4):
             cfg = QuantConfig(bits=bits, group_size=8)
             p = tmp_path / f"{bits}.benq"
-            write_benq(str(p), apply_policy(toy_model(), QUANTIZE_ALL, cfg))
+            save_benq(p, toy_model(), QUANTIZE_ALL, cfg)
             header, hlen, blob = read_benq_header(p)
             sizes[bits] = [e["indices"][1] for e in header["tensors"]]
         assert sizes[3] == sizes[4]
@@ -375,7 +373,7 @@ def pinned_model():
 def test_benq_bytes_pinned(tmp_path, schedule, bits):
     p = tmp_path / "m.benq"
     cfg = QuantConfig(bits=bits, schedule=Schedule(schedule))
-    write_benq(str(p), apply_policy(pinned_model(), DEFAULT_POLICY, cfg))
+    save_benq(p, pinned_model(), DEFAULT_POLICY, cfg)
     assert hashlib.sha256(p.read_bytes()).hexdigest() == PINNED_SHA256[(schedule, bits)]
 
 
@@ -383,16 +381,15 @@ class TestBenqValidation:
     @pytest.fixture
     def written(self, tmp_path):
         cfg = QuantConfig(bits=4, group_size=8)
-        mq = apply_policy(toy_model(), DEFAULT_POLICY, cfg)
         p = tmp_path / "m.benq"
-        write_benq(str(p), mq)
+        save_benq(p, toy_model(), DEFAULT_POLICY, cfg)
         return p, p.read_bytes()
 
     def expect_reject(self, tmp_path, blob, pattern):
         p = tmp_path / "bad.benq"
         p.write_bytes(blob)
         with pytest.raises(FormatError, match=pattern):
-            read_benq(str(p))
+            load_benq(p)
 
     def test_bits_field_tamper(self, tmp_path, written):
         _, blob = written
@@ -433,9 +430,9 @@ class TestBenqValidation:
 
     def test_safetensors_is_not_benq(self, tmp_path):
         p = tmp_path / "t.safetensors"
-        write_container(str(p), {"a": np.ones(2, np.float32)})
+        save_container(p, {"a": np.ones(2, np.float32)})
         with pytest.raises(FormatError, match="not a .benq file"):
-            read_benq(str(p))
+            load_benq(p)
 
 
 def build_benq(path, cfg, policy, directory, payload):
@@ -468,7 +465,7 @@ class TestBenqCrafted:
         p = tmp_path / "c.benq"
         build_benq(p, self.CFG, QUANTIZE_ALL, directory, payload)
         with pytest.raises(FormatError, match="outside the 2-bit range"):
-            read_benq(str(p))
+            load_benq(p)
 
     def test_span_outside_payload(self, tmp_path):
         directory = [{"name": "w", "shape": [1], "quantized": True,
@@ -477,7 +474,7 @@ class TestBenqCrafted:
         p = tmp_path / "c.benq"
         build_benq(p, self.CFG, QUANTIZE_ALL, directory, bytes(16))
         with pytest.raises(FormatError, match="outside payload"):
-            read_benq(str(p))
+            load_benq(p)
 
     def test_misaligned_offset(self, tmp_path):
         directory = [{"name": "w", "shape": [1], "quantized": True,
@@ -486,7 +483,7 @@ class TestBenqCrafted:
         p = tmp_path / "c.benq"
         build_benq(p, self.CFG, QUANTIZE_ALL, directory, bytes(16))
         with pytest.raises(FormatError, match="not 8-byte aligned"):
-            read_benq(str(p))
+            load_benq(p)
 
     def test_duplicate_tensor_name(self, tmp_path):
         entry = {"name": "w", "shape": [1], "quantized": True,
@@ -496,7 +493,7 @@ class TestBenqCrafted:
         p = tmp_path / "c.benq"
         build_benq(p, self.CFG, QUANTIZE_ALL, [entry, dict(entry)], payload)
         with pytest.raises(FormatError, match="duplicate tensor name"):
-            read_benq(str(p))
+            load_benq(p)
 
     def test_group_count_mismatch(self, tmp_path):
         directory = [{"name": "w", "shape": [1], "quantized": True,
@@ -505,14 +502,14 @@ class TestBenqCrafted:
         p = tmp_path / "c.benq"
         build_benq(p, self.CFG, QUANTIZE_ALL, directory, bytes(16))
         with pytest.raises(FormatError, match="claims 9 groups"):
-            read_benq(str(p))
+            load_benq(p)
 
     def test_entry_missing_field(self, tmp_path):
         directory = [{"name": "w", "quantized": True}]
         p = tmp_path / "c.benq"
         build_benq(p, self.CFG, QUANTIZE_ALL, directory, b"")
         with pytest.raises(FormatError, match="malformed tensor directory"):
-            read_benq(str(p))
+            load_benq(p)
 
     def test_preserved_unsupported_dtype(self, tmp_path):
         directory = [{"name": "w", "shape": [1], "quantized": False,
@@ -520,7 +517,7 @@ class TestBenqCrafted:
         p = tmp_path / "c.benq"
         build_benq(p, self.CFG, QUANTIZE_ALL, directory, bytes(8))
         with pytest.raises(FormatError, match="unsupported dtype 'I8'"):
-            read_benq(str(p))
+            load_benq(p)
 
 
 def rewrite_header(path, edit):
@@ -555,10 +552,10 @@ class TestHostilePolicy:
     @HOSTILE_POLICIES
     def test_header_policy_rejected(self, tmp_path, policy):
         p = tmp_path / "m.benq"
-        write_benq(str(p), apply_policy(toy_model(), DEFAULT_POLICY, QuantConfig()))
+        save_benq(p, toy_model(), DEFAULT_POLICY, QuantConfig())
         rewrite_header(p, lambda h: h.update(policy=policy))
         with pytest.raises(ConfigError, match="policy|family"):
-            read_benq(str(p))
+            load_benq(p)
 
 
 # configs a header may hold: the whole value, or fields merged into a valid one
@@ -584,17 +581,17 @@ class TestHostileConfig:
     @HOSTILE_CONFIGS
     def test_header_config_rejected(self, tmp_path, config):
         p = tmp_path / "m.benq"
-        write_benq(str(p), apply_policy(toy_model(), DEFAULT_POLICY, QuantConfig()))
+        save_benq(p, toy_model(), DEFAULT_POLICY, QuantConfig())
         rewrite_header(p, set_config(config))
         with pytest.raises(ConfigError, match="config|schedule"):
-            read_benq(str(p))
+            load_benq(p)
 
     def test_missing_field_rejected(self, tmp_path):
         p = tmp_path / "m.benq"
-        write_benq(str(p), apply_policy(toy_model(), DEFAULT_POLICY, QuantConfig()))
+        save_benq(p, toy_model(), DEFAULT_POLICY, QuantConfig())
         rewrite_header(p, lambda h: h["config"].pop("group_size"))
         with pytest.raises(ConfigError, match="missing field 'group_size'"):
-            read_benq(str(p))
+            load_benq(p)
 
 
 class TestAtomicity:
@@ -602,16 +599,15 @@ class TestAtomicity:
         import benq.io as io_mod
         p = tmp_path / "m.benq"
         cfg = QuantConfig()
-        write_benq(str(p), apply_policy(toy_model(), DEFAULT_POLICY, cfg))
+        save_benq(p, toy_model(), DEFAULT_POLICY, cfg)
         before = p.read_bytes()
 
         def boom(src, dst):
             raise OSError("disk gone")
 
         monkeypatch.setattr(io_mod.os, "replace", boom)
-        other = apply_policy(toy_model(), QUANTIZE_ALL, cfg)
         with pytest.raises(OSError, match="disk gone"):
-            write_benq(str(p), other)
+            save_benq(p, toy_model(), QUANTIZE_ALL, cfg)
         assert p.read_bytes() == before
         assert [f for f in os.listdir(tmp_path) if f.startswith(".benq-tmp")] == []
 
@@ -652,7 +648,7 @@ class TestHostileShapes:
         build_safetensors(p, {"w": {"dtype": "F32", "shape": shape,
                                     "data_offsets": [0, 4 * n]}}, bytes(16))
         with pytest.raises(FormatError, match="shape|span"):
-            read_container(str(p))
+            load_container(p)
 
     @HOSTILE_SHAPES
     def test_benq_quantized_rejects(self, tmp_path, shape, n):
@@ -664,7 +660,7 @@ class TestHostileShapes:
         p = tmp_path / "c.benq"
         build_benq(p, TestBenqCrafted.CFG, QUANTIZE_ALL, directory, payload)
         with pytest.raises(FormatError, match="shape|span"):
-            read_benq(str(p))
+            load_benq(p)
 
     @HOSTILE_SHAPES
     def test_benq_preserved_rejects(self, tmp_path, shape, n):
@@ -673,22 +669,22 @@ class TestHostileShapes:
         p = tmp_path / "c.benq"
         build_benq(p, TestBenqCrafted.CFG, QUANTIZE_ALL, directory, bytes(16))
         with pytest.raises(FormatError, match="shape|span"):
-            read_benq(str(p))
+            load_benq(p)
 
     @given(shape=SHAPES, which=st.integers(0, 3))
     @settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_mutated_safetensors_shape(self, tmp_path, shape, which):
         p = tmp_path / "m.st"
-        write_container(str(p), {"a": np.arange(6, dtype=np.float32).reshape(2, 3),
-                                 "b": np.ones(5, np.float32), "c": np.float32(2.0),
-                                 "d": np.zeros(0, np.float32)})
+        save_container(p, {"a": np.arange(6, dtype=np.float32).reshape(2, 3),
+                           "b": np.ones(5, np.float32), "c": np.float32(2.0),
+                           "d": np.zeros(0, np.float32)})
         blob = p.read_bytes()
         hlen = int.from_bytes(blob[:8], "little")
         header = json.loads(blob[8:8 + hlen])
         header[sorted(header)[which]]["shape"] = shape
         build_safetensors(p, header, blob[8 + hlen:])
         try:
-            read_container(str(p))
+            load_container(p)
         except (FormatError, ConfigError):
             pass
 
@@ -696,8 +692,7 @@ class TestHostileShapes:
     @settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_mutated_benq_shape(self, tmp_path, shape, which):
         p = tmp_path / "m.benq"
-        write_benq(str(p), apply_policy(toy_model(), DEFAULT_POLICY,
-                                        QuantConfig(bits=3, group_size=8)))
+        save_benq(p, toy_model(), DEFAULT_POLICY, QuantConfig(bits=3, group_size=8))
         header, hlen, blob = read_benq_header(p)
         header["tensors"][which]["shape"] = shape
         # re-sign the content digest so that the directory parser is reached
@@ -705,7 +700,7 @@ class TestHostileShapes:
                    QuantPolicy.from_dict(header["policy"]), header["tensors"],
                    blob[12 + hlen:])
         try:
-            read_benq(str(p))
+            load_benq(p)
         except (FormatError, ConfigError):
             pass
 
@@ -724,7 +719,7 @@ class TestHostileOffsets:
         build_safetensors(p, {"w": {"dtype": "F32", "shape": [2],
                                     "data_offsets": pair}}, bytes(16))
         with pytest.raises(FormatError, match="data_offsets .* not a list of 2 non-negative"):
-            read_container(str(p))
+            load_container(p)
 
     @HOSTILE_PAIRS
     def test_benq_preserved_rejects(self, tmp_path, pair):
@@ -733,7 +728,7 @@ class TestHostileOffsets:
         p = tmp_path / "c.benq"
         build_benq(p, TestBenqCrafted.CFG, QUANTIZE_ALL, directory, bytes(16))
         with pytest.raises(FormatError, match="data .* not a list of 2 non-negative"):
-            read_benq(str(p))
+            load_benq(p)
 
     @HOSTILE_PAIRS
     def test_benq_quantized_rejects(self, tmp_path, pair):
@@ -745,7 +740,7 @@ class TestHostileOffsets:
         p = tmp_path / "c.benq"
         build_benq(p, TestBenqCrafted.CFG, QUANTIZE_ALL, directory, payload)
         with pytest.raises(FormatError, match="indices .* not a list of 2 non-negative"):
-            read_benq(str(p))
+            load_benq(p)
 
 
 def one_quantized_entry(n):
@@ -776,7 +771,7 @@ class TestHeaderSchema:
         p = tmp_path / "c.benq"
         build_benq(p, TestBenqCrafted.CFG, QUANTIZE_ALL, directory, bytes(8))
         with pytest.raises(FormatError, match="tensors .* not a list of JSON objects"):
-            read_benq(str(p))
+            load_benq(p)
 
     @pytest.mark.parametrize("n,key,value", [
         (8, "quantized", "yes"), (8, "quantized", 1), (8, "n_groups", 2.0),
@@ -789,7 +784,7 @@ class TestHeaderSchema:
         p = tmp_path / "c.benq"
         build_benq(p, TestBenqCrafted.CFG, QUANTIZE_ALL, directory, payload)
         with pytest.raises(FormatError, match=f"malformed tensor directory entry 0: .*{key}"):
-            read_benq(str(p))
+            load_benq(p)
 
     @pytest.mark.parametrize("value", [0, None, "", []], ids=["int", "null", "string", "list"])
     def test_preserved_entry_quantized_flag(self, tmp_path, value):
@@ -798,21 +793,21 @@ class TestHeaderSchema:
         p = tmp_path / "c.benq"
         build_benq(p, TestBenqCrafted.CFG, QUANTIZE_ALL, directory, bytes(8))
         with pytest.raises(FormatError, match="quantized .* not true or false"):
-            read_benq(str(p))
+            load_benq(p)
 
     def test_float_version(self, tmp_path):
         p = tmp_path / "m.benq"
-        write_benq(str(p), apply_policy(toy_model(), DEFAULT_POLICY, QuantConfig()))
+        save_benq(p, toy_model(), DEFAULT_POLICY, QuantConfig())
         rewrite_header(p, lambda h: h.update(version=float(BENQ_VERSION)))
         with pytest.raises(FormatError, match="unsupported version"):
-            read_benq(str(p))
+            load_benq(p)
 
     def test_unknown_header_key(self, tmp_path):
         p = tmp_path / "m.benq"
-        write_benq(str(p), apply_policy(toy_model(), DEFAULT_POLICY, QuantConfig()))
+        save_benq(p, toy_model(), DEFAULT_POLICY, QuantConfig())
         rewrite_header(p, lambda h: h.update(comment="hi"))
         with pytest.raises(FormatError, match=r"header: unknown fields \['comment'\]"):
-            read_benq(str(p))
+            load_benq(p)
 
     @pytest.mark.parametrize("quantized", [True, False])
     def test_unknown_entry_key(self, tmp_path, quantized):
@@ -826,7 +821,7 @@ class TestHeaderSchema:
         p = tmp_path / "c.benq"
         build_benq(p, TestBenqCrafted.CFG, QUANTIZE_ALL, directory, payload)
         with pytest.raises(FormatError, match=r"unknown fields \['comment'\]"):
-            read_benq(str(p))
+            load_benq(p)
 
     @pytest.mark.parametrize("schedule,extra", [
         (Schedule.LOG_UNIFORM, {"comment": "hi"}), (Schedule.LINEAR, {"epsilon": 0.5}),
@@ -834,11 +829,10 @@ class TestHeaderSchema:
     def test_unknown_config_key(self, tmp_path, schedule, extra):
         # the content digest covers the parsed config, so the extra key is unsigned
         p = tmp_path / "m.benq"
-        write_benq(str(p), apply_policy(toy_model(), DEFAULT_POLICY,
-                                        QuantConfig(schedule=schedule)))
+        save_benq(p, toy_model(), DEFAULT_POLICY, QuantConfig(schedule=schedule))
         rewrite_header(p, set_config(extra))
         with pytest.raises(ConfigError, match="quantization config"):
-            read_benq(str(p))
+            load_benq(p)
 
     @pytest.mark.parametrize("header", [
         DEEP, b'{"w":{"dtype":"F32","shape":[' + HUGE_INT + b'],"data_offsets":[0,4]}}'],
@@ -847,7 +841,7 @@ class TestHeaderSchema:
         p = tmp_path / "bad.st"
         build_safetensors(p, header, bytes(4))
         with pytest.raises(FormatError, match="malformed header JSON"):
-            read_container(str(p))
+            load_container(p)
 
     @pytest.mark.parametrize("header", [DEEP, b'{"version":' + HUGE_INT + b"}"],
                              ids=["deep", "huge-int"])
@@ -855,7 +849,7 @@ class TestHeaderSchema:
         p = tmp_path / "c.benq"
         header_bytes(p, header)
         with pytest.raises(FormatError, match="malformed header JSON"):
-            read_benq(str(p))
+            load_benq(p)
 
 
 # any JSON value, the plausible small ints and strings most of all
@@ -890,10 +884,9 @@ def replaced(obj, path, value):
 def valid_files(tmp_path_factory):
     d = tmp_path_factory.mktemp("valid")
     st_path, benq_path = d / "m.st", d / "m.benq"
-    write_container(str(st_path), {"a": np.arange(6, dtype=np.float32).reshape(2, 3),
-                                   "b": np.ones(5, np.float32), "c": np.float32(2.0)})
-    write_benq(str(benq_path), apply_policy(toy_model(), DEFAULT_POLICY,
-                                            QuantConfig(bits=3, group_size=8)))
+    save_container(st_path, {"a": np.arange(6, dtype=np.float32).reshape(2, 3),
+                             "b": np.ones(5, np.float32), "c": np.float32(2.0)})
+    save_benq(benq_path, toy_model(), DEFAULT_POLICY, QuantConfig(bits=3, group_size=8))
     return st_path.read_bytes(), read_benq_header(benq_path)
 
 
@@ -911,7 +904,7 @@ class TestHostileHeaders:
         p = tmp_path / "m.st"
         build_safetensors(p, replaced(header, path, data.draw(JSON_VALUES)), blob[8 + hlen:])
         try:
-            read_container(str(p))
+            load_container(p)
         except (FormatError, ConfigError):
             pass
 
@@ -930,6 +923,6 @@ class TestHostileHeaders:
         p = tmp_path / "m.benq"
         p.write_bytes(BENQ_MAGIC + len(raw).to_bytes(8, "little") + raw + payload)
         try:
-            read_benq(str(p))
+            load_benq(p)
         except (FormatError, ConfigError):
             pass

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from benq.benford import Family, classify_family
+from benq.cli import main
 from benq.errors import ConfigError, DataError, FormatError
 from benq.levels import (Schedule, generate_linear_levels, generate_log_uniform_levels,
                          make_codebook)
@@ -13,6 +14,7 @@ from benq.quantizer import (DEFAULT_POLICY, QUANTIZE_ALL, QuantConfig, QuantPoli
                             QuantizedTensor, apply_policy, dequantize,
                             _BLOCK_ELEMS, _KEY_SHIFT, _bucket_table, _group_max,
                             nearest_level_indices, quantize_tensor)
+from conftest import quantize_model, save_container
 
 
 def exact_nearest(z, table):
@@ -587,41 +589,47 @@ class TestApplyPolicy:
 
     def test_split_and_preservation(self, rng_np):
         model = self._model(rng_np)
-        mq = apply_policy(model, DEFAULT_POLICY, QuantConfig())
-        assert sorted(mq.quantized()) == [
+        entries = quantize_model(model, DEFAULT_POLICY, QuantConfig())
+        assert sorted(n for n, t in entries.items() if isinstance(t, QuantizedTensor)) == [
             "model.layers.0.mlp.up_proj.weight",
             "model.layers.0.self_attn.q_proj.weight",
         ]
-        for name, t in mq.preserved().items():
-            assert t is model[name]  # untouched, not copied
+        for name, t in entries.items():
+            if not isinstance(t, QuantizedTensor):
+                assert t is model[name]  # untouched, not copied
 
-    def test_summary_accounting(self, rng_np):
-        mq = apply_policy(self._model(rng_np), DEFAULT_POLICY, QuantConfig(bits=4, group_size=8))
-        s = mq.summary()
-        assert s["n_quantized"] == 2 and s["n_preserved"] == 5
-        assert s["quantized_fraction"] == pytest.approx(2 / 7)
-        assert s["index_bits"] == 2 * 128 * 4
-        assert s["scale_bits"] == 2 * 16 * 16
-        assert s["preserved_bits"] == 5 * 128 * 32
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_pulls_tensors_as_outputs_are_taken(self, rng_np, threads):
+        model = self._model(rng_np)
+        pulled = []
+
+        def tensors():
+            for name, t in model.items():
+                pulled.append(name)
+                yield name, t
+
+        outputs = apply_policy(tensors(), DEFAULT_POLICY, QuantConfig(), threads)
+        assert pulled == []
+        for k, (name, out) in enumerate(zip(model, outputs), 1):
+            assert len(pulled) <= k + threads - 1
+            assert isinstance(out, QuantizedTensor) == DEFAULT_POLICY.should_quantize(name)
+        assert pulled == list(model)
 
     def test_threads_deterministic(self, rng_np):
         model = self._model(rng_np)
-        a = apply_policy(model, QUANTIZE_ALL, QuantConfig(), threads=1)
-        b = apply_policy(model, QUANTIZE_ALL, QuantConfig(), threads=4)
-        assert list(a.entries) == list(b.entries)
-        for n in a.entries:
-            assert np.array_equal(a.entries[n].indices, b.entries[n].indices)
-            assert np.array_equal(a.entries[n].scales, b.entries[n].scales)
+        a = quantize_model(model, QUANTIZE_ALL, QuantConfig(), threads=1)
+        b = quantize_model(model, QUANTIZE_ALL, QuantConfig(), threads=4)
+        assert list(a) == list(b)
+        for n in a:
+            assert np.array_equal(a[n].indices, b[n].indices)
+            assert np.array_equal(a[n].scales, b[n].scales)
 
-    def test_empty_model_rejected(self):
-        with pytest.raises(DataError):
-            apply_policy({}, DEFAULT_POLICY, QuantConfig())
-
-
-class TestStorageBits:
-    @pytest.mark.parametrize("bits,per_index", [(2, 4), (3, 4), (4, 4), (5, 8), (8, 8)])
-    def test_packed_width(self, bits, per_index):
-        qt = quantize_tensor(np.ones(100), QuantConfig(bits=bits, group_size=8), "w")
-        cost = qt.storage_bits()
-        assert cost["index_bits"] == 100 * per_index
-        assert cost["scale_bits"] == 13 * 16
+    def test_empty_model_rejected(self, tmp_path, capsys):
+        # apply_policy streams, so rejecting an empty set is the quantize command's job
+        assert list(apply_policy([], DEFAULT_POLICY, QuantConfig())) == []
+        p = tmp_path / "empty.safetensors"
+        save_container(p, {})
+        with pytest.warns(UserWarning, match="no tensors"):
+            assert main(["quantize", str(p), "--out", str(tmp_path / "e.benq")]) == 1
+        assert "empty tensor set" in capsys.readouterr().err
+        assert not (tmp_path / "e.benq").exists()

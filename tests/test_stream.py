@@ -15,8 +15,9 @@ from benq._pool import _map
 from benq.cli import main
 from benq.errors import DataError, FormatError
 from benq.io import (BENQ_MAGIC, TensorSpec, _content_digest, read_benq, read_container,
-                     write_container, write_container_stream)
+                     write_container)
 from benq.quantizer import QuantConfig
+from conftest import load_container, save_container
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -106,9 +107,9 @@ def eight_tensors(tmp_path_factory):
     d = tmp_path_factory.mktemp("stream")
     p = d / "m.safetensors"
     g = np.random.default_rng(0)
-    write_container(str(p), {f"layers.{i}.mlp.up_proj.weight":
-                             g.standard_normal(N, dtype=np.float32) * np.float32(0.02)
-                             for i in range(8)})
+    save_container(p, {f"layers.{i}.mlp.up_proj.weight":
+                       g.standard_normal(N, dtype=np.float32) * np.float32(0.02)
+                       for i in range(8)})
     assert main(["quantize", str(p), "--threads", "1", "--out", str(d / "m.benq")]) == 0
     return d
 
@@ -142,7 +143,7 @@ def small_model():
 def small_benq(tmp_path, capsys):
     """(path, bytes, payload start, header) of a 2-bit .benq of small_model()."""
     p = tmp_path / "m.safetensors"
-    write_container(str(p), small_model())
+    save_container(p, small_model())
     benq = tmp_path / "m.benq"
     assert main(["quantize", str(p), "--bits", "2", "--out", str(benq)]) == 0
     capsys.readouterr()
@@ -159,7 +160,7 @@ class TestNoPartialOutput:
         tensors = small_model()
         tensors["layers.1.mlp.up_proj.weight"][4321] = np.nan
         p = tmp_path / "m.safetensors"
-        write_container(str(p), tensors)
+        save_container(p, tensors)
         out = tmp_path / "m.benq"
         out.write_bytes(b"previous contents")
         code = main(["quantize", str(p), "--out", str(out), "--threads", threads])
@@ -202,16 +203,15 @@ class TestNoPartialOutput:
 def test_stream_writer_rejects_a_tensor_unlike_its_header(tmp_path):
     target = tmp_path / "t.safetensors"
     with pytest.raises(DataError, match="does not match"):
-        write_container_stream(str(target), [TensorSpec("a", (2,), "F32")], [np.ones(3)])
+        write_container(str(target), [TensorSpec("a", (2,), "F32")], [np.ones(3)])
     with pytest.raises(DataError, match="ended before 'b'"):
-        write_container_stream(str(target), [TensorSpec("a", (2,), "F32"),
-                                             TensorSpec("b", (1,), "F32")], [np.ones(2)])
+        write_container(str(target), [TensorSpec("a", (2,), "F32"),
+                                      TensorSpec("b", (1,), "F32")], [np.ones(2)])
     with pytest.raises(DataError, match="more tensors"):
-        write_container_stream(str(target), [TensorSpec("a", (2,), "F32")],
-                                [np.ones(2), np.ones(2)])
+        write_container(str(target), [TensorSpec("a", (2,), "F32")], [np.ones(2), np.ones(2)])
     assert not target.exists() and debris(tmp_path) == []
-    write_container_stream(str(target), [TensorSpec("a", (2,), "F32")], [np.ones(2)])
-    assert read_container(str(target))["a"].data.tolist() == [1.0, 1.0]
+    write_container(str(target), [TensorSpec("a", (2,), "F32")], [np.ones(2)])
+    assert load_container(target)["a"].data.tolist() == [1.0, 1.0]
 
 
 class TestHeaderBeforeTensors:
@@ -227,7 +227,8 @@ class TestHeaderBeforeTensors:
         p = tmp_path / "t.safetensors"
         p.write_bytes(len(raw).to_bytes(8, "little") + raw + bytes(16))
         with pytest.raises(FormatError, match="b: data offsets"):
-            read_container(str(p))
+            with read_container(str(p)) as (_, tensors):
+                list(tensors)
         assert reads == []
 
     def test_benq(self, tmp_path, monkeypatch, capsys):
@@ -242,5 +243,6 @@ class TestHeaderBeforeTensors:
         reads = []
         monkeypatch.setattr(io_mod, "_read_benq_entry", lambda *args: reads.append(args))
         with pytest.raises(FormatError, match="offsets span"):
-            read_benq(str(benq))
+            with read_benq(str(benq)) as (_, _, _, entries):
+                list(entries)
         assert reads == []
