@@ -29,11 +29,10 @@ def default_tensors(seed):
 
 
 def print_grid(tensors, bits_list, group_list):
-    """One row of MSEs per (tensor, bits, group size) over (name, tensor) pairs."""
+    """One row of MSEs per (tensor, bits, group size) over (name, array) pairs."""
     print(f"{'tensor':<14} {'bits':>4} {'G':>4}  "
           + "".join(f"{s.value + ' mse':>14}" for s in SCHEDULES) + "  best")
-    for name, t in tensors:
-        data = np.asarray(getattr(t, "data", t))
+    for name, data in tensors:
         for bits in bits_list:
             for g in group_list:
                 cfgs = [QuantConfig(bits=bits, group_size=g, schedule=s)
@@ -57,7 +56,9 @@ def main():
     group_list = [int(g) for g in args.group_sizes.split(",")]
     if args.container:
         with read_container(args.container) as (_, tensors):
-            print_grid(tensors, bits_list, group_list)
+            # each tensor is held whole: the grid quantizes it many times
+            print_grid(((s.name, np.concatenate([np.empty(0, np.float32), *blocks]))
+                        for s, blocks in tensors), bits_list, group_list)
     else:
         print_grid(default_tensors(args.seed).items(), bits_list, group_list)
 

@@ -17,11 +17,12 @@ dtype, float16 as float32 (exact), anything else as float64.  For each of
 the two formats a table, built once per process in integer arithmetic,
 holds the bits of the smallest float >= d * 10**k for every digit d and
 decade k; positive floats order like their bits, so a magnitude's digit
-follows from the number of boundaries at or below its bits.  The tensor is
-walked in blocks of 2**20 elements.  Each value is keyed on its top 16 bits
-(sign, exponent and leading mantissa bits), and a bincount over the 2**16
-keys does most of the work: a key that holds no boundary has one digit for
-all its values.  Only the values of split keys (a boundary strictly inside,
+follows from the number of boundaries at or below its bits.  Digits are
+counted a block at a time: a streamed tensor's blocks, or blocks of
+_BLOCK_ELEMS elements of an in-memory one.  Each value is keyed on its top
+16 bits (sign, exponent and leading mantissa bits), and a bincount over the
+2**16 keys does most of the work: a key that holds no boundary has one digit
+for all its values.  Only the values of split keys (a boundary strictly inside,
 about 2% of a smooth float32 tensor; key 0, which holds zero and the
 smallest subnormals, is always split) are looked up with `searchsorted`.
 Keys with an all-ones exponent hold NaN and Inf.
@@ -39,7 +40,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from ._pool import _map
+from ._pool import _BLOCK_ELEMS, _map_blocks
 from .errors import DataError
 from .levels import BENFORD_PROBS
 
@@ -47,7 +48,6 @@ if TYPE_CHECKING:
     from .quantizer import QuantPolicy
 
 _KEY_BITS = 16            # a key is a float's sign, exponent and leading mantissa bits
-_DIGIT_BLOCK = 1 << 20    # elements per block of the digit walk
 _SPLIT, _NON_FINITE = 10, 11  # key classes beside the digits 1..9
 
 
@@ -128,24 +128,21 @@ def _read_dtype(dtype: np.dtype) -> type:
 
 
 def _digit_counts(flat: np.ndarray) -> np.ndarray:
-    """Counts of zeros (slot 0) and of digits 1..9 over a flat array."""
+    """Counts of zeros (slot 0) and of digits 1..9 over one flat block."""
     dtype = _read_dtype(flat.dtype)
     t = _digit_tables(dtype)
     uint = t.boundaries.dtype
-    per_class = np.zeros(_NON_FINITE + 1)  # float64 adds counts exactly below 2**53
-    counts = np.zeros(10, dtype=np.int64)  # values of split keys
-    key_buffer = np.empty(min(flat.size, _DIGIT_BLOCK), dtype=np.intp)
-    for i in range(0, flat.size, _DIGIT_BLOCK):
-        bits = np.ascontiguousarray(flat[i:i + _DIGIT_BLOCK], dtype=dtype).view(uint)
-        # the shift runs in the unsigned type; keys < 2**16 fit any index type
-        keys = np.right_shift(bits, 8 * uint.itemsize - _KEY_BITS,
-                              out=key_buffer[:bits.size], casting="unsafe")
-        key_counts = np.bincount(keys, minlength=1 << _KEY_BITS)
-        per_class += np.bincount(t.run_class, weights=np.add.reduceat(key_counts, t.run_starts),
-                                 minlength=_NON_FINITE + 1)
-        counts += np.bincount(t.digits(bits[t.split[keys]]), minlength=10)
+    bits = np.ascontiguousarray(flat, dtype=dtype).view(uint)
+    # the shift runs in the unsigned type; keys < 2**16 fit any index type
+    keys = np.right_shift(bits, 8 * uint.itemsize - _KEY_BITS,
+                          out=np.empty(bits.size, dtype=np.intp), casting="unsafe")
+    key_counts = np.bincount(keys, minlength=1 << _KEY_BITS)
+    # float64 adds counts exactly below 2**53
+    per_class = np.bincount(t.run_class, weights=np.add.reduceat(key_counts, t.run_starts),
+                            minlength=_NON_FINITE + 1)
     if per_class[_NON_FINITE]:
         raise DataError("leading digit is undefined for NaN or Inf values")
+    counts = np.bincount(t.digits(bits[t.split[keys]]), minlength=10)  # values of split keys
     counts[1:] += per_class[1:10].astype(np.int64)
     return counts
 
@@ -191,8 +188,12 @@ class DigitHistogram:
 
 
 def digit_histogram(values: np.ndarray) -> DigitHistogram:
-    """Histogram of leading digits over a tensor (zeros skipped, not counted)."""
-    counts = _digit_counts(np.asarray(values).ravel())
+    """Histogram of leading digits over a tensor (zeros skipped, not counted),
+    counted in blocks of _BLOCK_ELEMS elements."""
+    flat = np.asarray(values).ravel()
+    counts = np.zeros(10, dtype=np.int64)
+    for i in range(0, flat.size, _BLOCK_ELEMS):
+        counts += _digit_counts(flat[i:i + _BLOCK_ELEMS])
     return DigitHistogram(counts[1:], int(counts[0]))
 
 
@@ -308,29 +309,40 @@ class ModelReport:
         }
 
 
-def tensor_report(name: str, data: np.ndarray,
-                  policy: "QuantPolicy | None" = None) -> DigitReport:
-    """Digit report for one tensor, over every element."""
-    hist = digit_histogram(data)
+def _digit_report(name: str, hist: DigitHistogram, policy: "QuantPolicy | None") -> DigitReport:
+    """The report of a histogram over every element: each is a zero or has a digit."""
     mad = mad_score(hist) if hist.total > 0 else None
-    return DigitReport(name, classify_family(name, policy), int(np.asarray(data).size),
+    return DigitReport(name, classify_family(name, policy), hist.total + hist.zeros_skipped,
                        hist, mad)
 
 
-def model_report(tensors: Iterable[tuple[str, Any]], policy: "QuantPolicy | None" = None,
+def tensor_report(name: str, data: np.ndarray,
+                  policy: "QuantPolicy | None" = None) -> DigitReport:
+    """Digit report for one tensor, over every element."""
+    return _digit_report(name, digit_histogram(data), policy)
+
+
+def model_report(tensors: Iterable[tuple[Any, Iterable]], policy: "QuantPolicy | None" = None,
                  *, source: str = "", threads: int = 1) -> ModelReport:
-    """Per-tensor and per-family digit statistics for a named tensor set.
+    """Per-tensor and per-family digit statistics for a streamed tensor set.
 
-    `tensors` is (name, array or WeightTensor) pairs, read as they arrive,
-    at most `threads` at a time.  Tensors are ordered by descending MAD
-    (tensors without one last); family summaries aggregate the tensors
-    with a MAD in declaration order.
+    `tensors` yields (spec, blocks) pairs (a TensorSpec or anything with a
+    `.name`).  Every block of every tensor is counted as it arrives, through
+    one bounded map with at most `threads` blocks in flight, and a tensor's
+    counts are added up.  Tensors are ordered by descending MAD (tensors
+    without one last); family summaries aggregate the tensors with a MAD in
+    declaration order.
     """
-    def report(item: tuple[str, Any]) -> DigitReport:
-        name, t = item
-        return tensor_report(name, getattr(t, "data", t), policy)
+    def count(spec: Any, block: np.ndarray) -> DigitHistogram:
+        return digit_histogram(block)
 
-    reports = list(_map(report, tensors, threads))
+    reports = []
+    for spec, hists in _map_blocks(count, tensors, threads):
+        counts, zeros = np.zeros(9, dtype=np.int64), 0
+        for h in hists:
+            counts += h.counts
+            zeros += h.zeros_skipped
+        reports.append(_digit_report(spec.name, DigitHistogram(counts, zeros), policy))
     reports.sort(key=lambda r: (r.mad is None, -(r.mad or 0.0), r.name))
 
     summaries = []

@@ -13,10 +13,10 @@ counts the leading digit of every element of every tensor.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import ctypes
 import csv
 import hashlib
 import io as stdio
-import itertools
 import json
 import math
 import os
@@ -24,13 +24,36 @@ import sys
 import time
 
 from . import __version__, benford, rng, synth
-from ._pool import _map
+from ._pool import _map_blocks
 from .errors import BenqError, ConfigError, DataError
 from .io import TensorSpec, parse_json, read_benq, read_container, write_benq, write_container
 from .levels import DEFAULT_EPSILON, Schedule, make_codebook
-from .metrics import compare_schedules
+# compare_schedules is not called here: compare streams every tensor through
+# compare_tensors.  perfbench's tracer still wraps the name on this module.
+from .metrics import compare_schedules, compare_tensors
 from .quantizer import (DEFAULT_POLICY, QUANTIZE_ALL, QuantConfig, QuantPolicy, QuantizedTensor,
                         apply_policy, dequantize)
+
+
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc mallopt parameters
+
+
+def _keep_scratch_mapped() -> None:
+    """Keep the memory of freed block scratch mapped for the next block.
+
+    Each block allocates and frees a few MB of numpy scratch.  By default
+    glibc sets its mmap and trim thresholds from the largest mapped
+    allocation freed so far, a few MB here, so it hands each block's
+    scratch back to the system and faults it in again for the next block.
+    Here allocations below 16 MB come from the heap, and up to 32 MB of
+    free heap is kept instead.  Peak memory does not change: it is reached
+    inside a block either way.  A no-op where the C library has no mallopt.
+    """
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if os.name == "posix" else None
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(_M_MMAP_THRESHOLD, 16 << 20)
+        mallopt(_M_TRIM_THRESHOLD, 32 << 20)
 
 
 def _thread_count(text: str) -> int:
@@ -54,22 +77,23 @@ def _default_threads() -> int:
     return os.cpu_count() or 1
 
 
-class _Timed:
-    """An iterator over `items` that adds the time spent in their next() to `.s`."""
+class _Clock:
+    """Seconds spent inside next() of the iterators passed through `timed`."""
 
-    def __init__(self, items):
-        self._items = iter(items)
+    def __init__(self):
         self.s = 0.0
 
-    def __iter__(self):
-        return self
-
-    def __next__(self):
-        t0 = time.perf_counter()
-        try:
-            return next(self._items)
-        finally:
-            self.s += time.perf_counter() - t0
+    def timed(self, items):
+        it = iter(items)
+        while True:
+            t0 = time.perf_counter()
+            try:
+                item = next(it)
+            except StopIteration:
+                return
+            finally:
+                self.s += time.perf_counter() - t0
+            yield item
 
 
 def _sha256(path: str) -> str:
@@ -175,41 +199,43 @@ def cmd_quantize(args) -> int:
     config = _parse_config(args)
     policy = _load_policy(args.policy, args.no_policy)
     out = args.out or os.path.splitext(args.container)[0] + ".benq"
-    with read_container(args.container) as (specs, tensors):
+    with read_container(args.container, config.block_elems) as (specs, tensors):
         if not specs:
             raise DataError("cannot apply a policy to an empty tensor set")
         layout = [s._replace(dtype=None) if policy.should_quantize(s.name) else s
                   for s in specs]
-        # the main thread's time: reading tensors, waiting for quantized ones, the rest writing
-        reading = _Timed(tensors)
-        entries = _Timed(apply_policy(reading, policy, config, args.threads))
+        # the main thread's time: reading blocks, waiting for quantized ones, the rest writing
+        reading, waiting = _Clock(), _Clock()
+        streamed = ((s, reading.timed(blocks)) for s, blocks in tensors)
+        entries = waiting.timed(waiting.timed(outputs) for outputs in
+                                apply_policy(streamed, policy, config, args.threads))
         t1 = time.perf_counter()
         write_benq(out, config, policy, layout, entries)
         t2 = time.perf_counter()
     quantized = [s for s in layout if s.dtype is None]
     total = sum(math.prod(s.shape) for s in layout)
     fraction = sum(math.prod(s.shape) for s in quantized) / total if total else 0.0
-    print(f"quantize pass: {entries.s - reading.s:.2f}s "
+    print(f"quantize pass: {waiting.s - reading.s:.2f}s "
           f"({len(quantized)} quantized / {len(layout) - len(quantized)} preserved, "
           f"fraction {fraction:.4f})", file=sys.stderr)
     _emit_manifest(args, "quantize",
                    {**config.to_dict(), "policy_digest": policy.digest()},
                    [args.container] + ([args.policy] if args.policy else []),
-                   {"read": t1 - t0 + reading.s, "quantize": entries.s - reading.s,
-                    "write": t2 - t1 - entries.s, "total": t2 - t0}, out)
+                   {"read": t1 - t0 + reading.s, "quantize": waiting.s - reading.s,
+                    "write": t2 - t1 - waiting.s, "total": t2 - t0}, out)
     return 0
 
 
-def _reconstruction(item):
-    _, t = item
-    return dequantize(t) if isinstance(t, QuantizedTensor) else t.data
+def _reconstruction(spec: TensorSpec, block):
+    return dequantize(block) if isinstance(block, QuantizedTensor) else block
 
 
 def cmd_dequantize(args) -> int:
     t0 = time.perf_counter()
     out = args.out or os.path.splitext(args.model)[0] + ".dequant.safetensors"
     with read_benq(args.model) as (config, _, specs, entries):
-        write_container(out, specs, _map(_reconstruction, entries, args.threads))
+        write_container(out, specs, (blocks for _, blocks in
+                                     _map_blocks(_reconstruction, entries, args.threads)))
     _emit_manifest(args, "dequantize", config.to_dict(), [args.model],
                    {"total": time.perf_counter() - t0}, out)
     return 0
@@ -222,15 +248,9 @@ def cmd_compare(args) -> int:
         raise ConfigError("--schedules needs at least one schedule")
     configs = [QuantConfig(bits=args.bits, group_size=args.group_size,
                            schedule=s, epsilon=args.epsilon) for s in schedules]
-
-    def measure(item) -> list[dict]:
-        # one tensor at a time; compare_schedules spreads its blocks over the threads
-        name, t = item
-        return [rep.to_dict() for rep in
-                compare_schedules(t.data, configs, name, threads=args.threads)]
-
-    with read_container(args.container) as (_, tensors):
-        rows = list(itertools.chain.from_iterable(map(measure, tensors)))
+    with read_container(args.container, configs[0].block_elems) as (_, tensors):
+        rows = [rep.to_dict() for reports in compare_tensors(tensors, configs, args.threads)
+                for rep in reports]
     text = json.dumps({"source": os.path.basename(args.container), "rows": rows},
                       indent=2) + "\n"
     _write_text(args.out, text)
@@ -330,6 +350,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     args._argv = list(argv) if argv is not None else sys.argv[1:]
+    _keep_scratch_mapped()
     try:
         if getattr(args, "threads", 1) is None:
             args.threads = _default_threads()

@@ -42,14 +42,19 @@ store their original bytes in their source dtype.  content_digest covers
 the config, the tensor directory and the payload, so any header tampering
 or payload corruption is rejected before a single tensor is materialized.
 
-Both formats are streamed a tensor at a time.  A reader (`read_container`,
+Both formats are streamed a block at a time.  A reader (`read_container`,
 `read_benq`) checks the whole header, and for .benq the content digest,
-before it reads any tensor, then reads the tensors lazily in header order.
-A writer (`write_container`, `write_benq`) builds the header from the
-tensors' names, shapes and dtypes alone and then streams each tensor's
-bytes, so only the tensors in flight are ever in memory.  All writes go
-through a temp file and atomic rename, so a run that fails midway leaves no
-partial output.
+before it reads any tensor.  It then yields each tensor's TensorSpec with a
+lazy iterator of its blocks, in header order: float32 blocks of a fixed
+element count (F16 and BF16 are widened a block at a time), and for a
+quantized .benq tensor one QuantizedTensor per block of whole groups
+(`QuantConfig.block_elems`), holding that block's indices and scales.  A writer
+(`write_container`, `write_benq`) builds the header from the tensors'
+names, shapes and dtypes alone and then writes each block's bytes as it
+arrives, so only the blocks in flight are ever in memory; at 4 bits or less
+an odd-length block's last index waits for the next block to share its
+byte.  All writes go through a temp file and atomic rename, so a run that
+fails midway leaves no partial output.
 """
 
 from __future__ import annotations
@@ -68,6 +73,7 @@ import numpy as np
 
 from .errors import (ANY, BOOL, INT, NONNEG, OBJECT, STR, ConfigError, DataError, FormatError,
                      checked, list_of, one_of, tuple_of)
+from ._pool import _BLOCK_ELEMS, _END
 from .quantizer import QuantConfig, QuantizedTensor, QuantPolicy
 
 SUPPORTED_DTYPES = ("F32", "F16", "BF16")
@@ -75,7 +81,7 @@ BENQ_MAGIC = b"BNQ1"
 BENQ_VERSION = 2
 
 _MAX_HEADER = 1 << 30
-_CHUNK = 1 << 20  # bytes per read of the digest pass, 16-bit elements per staged read
+_CHUNK = 1 << 20  # bytes per read of the digest pass
 
 
 @dataclass(frozen=True)
@@ -106,13 +112,6 @@ class TensorSpec(NamedTuple):
     name: str
     shape: tuple[int, ...]
     dtype: str | None
-
-
-def _spec(name: str, t: Any) -> TensorSpec:
-    """The spec of an in-memory tensor: a QuantizedTensor, a WeightTensor or an array."""
-    if isinstance(t, QuantizedTensor):
-        return TensorSpec(name, t.shape, None)
-    return TensorSpec(name, np.shape(getattr(t, "data", t)), getattr(t, "source_dtype", "F32"))
 
 
 def _promote(raw, dtype: str, shape: tuple[int, ...],
@@ -175,24 +174,29 @@ def _read_into(f: BinaryIO, offset: int, out: np.ndarray, what: str) -> None:
         view = view[n:]
 
 
-def _read_array(f: BinaryIO, offset: int, dtype: str, shape: tuple[int, ...],
-                what: str) -> np.ndarray:
-    """The float32 array of `shape` stored as `dtype` at file `offset`.
+def _read_array(f: BinaryIO, offset: int, dtype: str, n: int, what: str) -> np.ndarray:
+    """The n float32 values stored as `dtype` at file `offset`.
 
-    F32 bytes are read straight into the array; F16 and BF16 go through a
-    staging block of _CHUNK elements and are widened into place.
+    F32 bytes are read straight into the array; F16 and BF16 are read into
+    a staging array of n 16-bit elements and widened into place.
     """
-    out = np.empty(shape, dtype=np.float32)
-    flat = out.reshape(-1)
+    out = np.empty(n, dtype=np.float32)
     if dtype == "F32":
-        _read_into(f, offset, flat, what)
+        _read_into(f, offset, out, what)
         return out
-    stage = np.empty(max(1, min(flat.size, _CHUNK)), dtype=np.uint16)
-    for i in range(0, flat.size, stage.size):
-        part = stage[:flat.size - i]
-        _read_into(f, offset + 2 * i, part, what)
-        _promote(part, dtype, part.shape, out=flat[i:i + part.size])
-    return out
+    stage = np.empty(n, dtype=np.uint16)
+    _read_into(f, offset, stage, what)
+    return _promote(stage, dtype, stage.shape, out=out)
+
+
+def _read_blocks(f: BinaryIO, offset: int, spec: TensorSpec, block: int,
+                 what: str) -> Iterator[np.ndarray]:
+    """The flat float32 blocks of `block` elements (the last may be short) of
+    the tensor `spec` stored at file `offset`, each read when it is reached."""
+    numel = math.prod(spec.shape)
+    for start in range(0, numel, block):
+        yield _read_array(f, offset + start * _itemsize(spec.dtype), spec.dtype,
+                          min(block, numel - start), what)
 
 
 def _as_bytes(arr: np.ndarray) -> np.ndarray:
@@ -261,9 +265,6 @@ def _atomic_write(path: str, writer) -> None:
         raise
 
 
-_END = object()
-
-
 def _pull(it: Iterator, spec: TensorSpec) -> Any:
     item = next(it, _END)
     if item is _END:
@@ -287,13 +288,37 @@ def _mismatch(spec: TensorSpec, what: str) -> DataError:
     return DataError(f"{spec.name}: streamed tensor does not match its header entry ({what})")
 
 
+def _blocks(spec: TensorSpec, t: Any) -> Iterator:
+    """The blocks of one streamed tensor, which must hold its spec's element count.
+
+    `t` is an iterator of blocks, or the whole tensor, which must then have
+    the spec's shape.  A block is an array, a WeightTensor or a QuantizedTensor.
+    """
+    if not isinstance(t, Iterator):
+        shape = t.shape if isinstance(t, QuantizedTensor) else np.shape(getattr(t, "data", t))
+        if shape != spec.shape:
+            raise _mismatch(spec, f"shape {shape}, expected {spec.shape}")
+        t = iter((t,))
+    numel, done = math.prod(spec.shape), 0
+    for block in t:
+        done += (block.numel if isinstance(block, QuantizedTensor)
+                 else np.size(getattr(block, "data", block)))
+        if done > numel:
+            raise _mismatch(spec, f"more than {numel} elements")
+        yield block
+    if done != numel:
+        raise _mismatch(spec, f"{done} elements, expected {numel}")
+
+
 @contextlib.contextmanager
-def read_container(path: str) -> Iterator[tuple[list[TensorSpec], Iterator]]:
+def read_container(path: str, block: int = _BLOCK_ELEMS
+                   ) -> Iterator[tuple[list[TensorSpec], Iterator]]:
     """(specs, tensors) of a safetensors file, its tensors read as they are iterated.
 
     Every header entry is checked, its span against the file's size too,
-    before any tensor is read.  `tensors` yields (name, float32 WeightTensor)
-    in header order, reading each from the open file when it is reached.
+    before any tensor is read.  `tensors` yields (spec, blocks) in header
+    order, where `blocks` lazily reads the tensor from the open file as flat
+    float32 arrays of `block` elements, the last one possibly short.
     """
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
@@ -317,8 +342,7 @@ def read_container(path: str) -> Iterator[tuple[list[TensorSpec], Iterator]]:
             located.append((TensorSpec(name, shape, dtype), 8 + hlen + start))
         if not located:
             warnings.warn(f"{path}: container holds no tensors", stacklevel=3)
-        tensors = ((s.name, WeightTensor(s.name, _read_array(f, at, s.dtype, s.shape,
-                                                             f"tensor {s.name!r}"), s.dtype))
+        tensors = ((s, _read_blocks(f, at, s, block, f"tensor {s.name!r}"))
                    for s, at in located)
         yield [s for s, _ in located], tensors
 
@@ -327,9 +351,9 @@ def write_container(path: str, specs: Sequence[TensorSpec], arrays: Iterable) ->
     """Write an F32 safetensors file of `specs`, each tensor taken from `arrays` in turn.
 
     The header comes from the names and shapes alone (every tensor is
-    written as F32, whatever its spec's dtype); each array or WeightTensor
-    is written as it arrives and must have its spec's shape.  Atomic and
-    deterministic.
+    written as F32, whatever its spec's dtype).  Each tensor is an iterator
+    of its flat blocks, or the whole array or WeightTensor of its spec's
+    shape; each block is written as it arrives.  Atomic and deterministic.
     """
     entries = {}
     offset = 0
@@ -346,10 +370,8 @@ def write_container(path: str, specs: Sequence[TensorSpec], arrays: Iterable) ->
         f.write(header)
 
         def put(spec: TensorSpec, t: Any) -> None:
-            arr = np.asarray(getattr(t, "data", t), dtype=np.float32)
-            if arr.shape != spec.shape:
-                raise _mismatch(spec, f"shape {arr.shape}, expected {spec.shape}")
-            f.write(_as_bytes(arr))
+            for block in _blocks(spec, t):
+                f.write(_as_bytes(np.asarray(getattr(block, "data", block), dtype=np.float32)))
 
         _stream(specs, arrays, put)
 
@@ -431,31 +453,50 @@ def _content_digest(config: QuantConfig, directory: list[dict], payload: bytes) 
     return h.hexdigest()
 
 
-def _payload(spec: TensorSpec, t: Any, config: QuantConfig) -> tuple:
-    """The payload pieces of one tensor, each padded to 8 bytes on disk."""
-    if spec.dtype is None:
-        if not isinstance(t, QuantizedTensor) or t.shape != spec.shape:
-            raise _mismatch(spec, "expected a quantized tensor of shape "
-                                  f"{spec.shape}, got {_spec(spec.name, t)}")
-        if t.config.to_dict() != config.to_dict():
-            raise ConfigError(f"{spec.name}: quantized under {t.config.to_dict()}, "
+def _packed(spec: TensorSpec, blocks: Iterable, config: QuantConfig,
+            scales: list) -> Iterator[bytes]:
+    """The packed indices of a quantized tensor's QuantizedTensor blocks, in order.
+
+    Each block's scales are appended to `scales`.  At 4 bits or less an
+    odd-length block's last index is carried into the next block, so the
+    bytes are those of the whole tensor packed at once.
+    """
+    carry = np.empty(0, dtype=np.ubyte)
+    for qt in blocks:
+        if not isinstance(qt, QuantizedTensor):
+            raise _mismatch(spec, f"expected a quantized tensor, got {type(qt).__name__}")
+        if qt.config.to_dict() != config.to_dict():
+            raise ConfigError(f"{spec.name}: quantized under {qt.config.to_dict()}, "
                               f"not the run's {config.to_dict()}")
-        return pack_indices(t.indices, config.bits), t.scales.astype("<f2").tobytes()
-    if _spec(spec.name, t) != spec:
-        raise _mismatch(spec, f"got {_spec(spec.name, t)}, expected {spec}")
-    return (_demote(getattr(t, "data", t), spec.dtype),)
+        idx = np.concatenate([carry, qt.indices.ravel()]) if carry.size else qt.indices.ravel()
+        cut = idx.size - idx.size % 2 if config.bits <= 4 else idx.size
+        yield pack_indices(idx[:cut], config.bits)
+        carry = idx[cut:]
+        scales.append(qt.scales)
+    yield pack_indices(carry, config.bits)
+
+
+def _demoted(spec: TensorSpec, blocks: Iterable) -> Iterator[bytes]:
+    """A preserved tensor's blocks as bytes of its spec's dtype."""
+    for block in blocks:
+        if isinstance(block, QuantizedTensor):
+            raise _mismatch(spec, "expected a preserved tensor, got a quantized one")
+        yield _demote(getattr(block, "data", block), spec.dtype)
 
 
 def write_benq(path: str, config: QuantConfig, policy: QuantPolicy,
                specs: Sequence[TensorSpec], entries: Iterable) -> None:
     """Write a .benq file of `specs`, each entry taken from `entries` in turn.
 
-    An entry is a QuantizedTensor under `config` where its spec's dtype is
-    None, else the preserved tensor of that dtype.  The header is built from
-    the specs and reserved first (a sha256 hex digest always has 64
-    characters, so the header's length is known); each entry's payload
-    then goes through the content hash into the file as it arrives, and the
-    header is written last.  Atomic and deterministic.
+    An entry is an iterator of a tensor's blocks, or the whole tensor.  A
+    block (or tensor) is a QuantizedTensor under `config` where its spec's
+    dtype is None, else a float32 array or WeightTensor, stored in the
+    spec's dtype.  The header is built from the specs and reserved first (a
+    sha256 hex digest always has 64 characters, so the header's length is
+    known); each block's bytes then go through the content hash into the
+    file as they arrive, a quantized tensor's float16 scales once its
+    indices are written, and the header is written last.  Atomic and
+    deterministic.
     """
     directory = _benq_directory(config, specs)
 
@@ -478,12 +519,24 @@ def write_benq(path: str, config: QuantConfig, policy: QuantPolicy,
         f.seek(reserved, os.SEEK_CUR)
         h = _content_hash(config, directory)
 
+        def span(pieces: Iterable[bytes]) -> None:
+            """Hash and write the pieces of one payload span, then its padding to 8 bytes."""
+            n = 0
+            for raw in pieces:
+                h.update(raw)
+                f.write(raw)
+                n += len(raw)
+            pad = b"\0" * (-n % 8)
+            h.update(pad)
+            f.write(pad)
+
         def put(spec: TensorSpec, t: Any) -> None:
-            for piece in _payload(spec, t, config):
-                pad = b"\0" * (-len(piece) % 8)
-                for raw in (piece, pad):
-                    h.update(raw)
-                    f.write(raw)
+            if spec.dtype is not None:
+                span(_demoted(spec, _blocks(spec, t)))
+                return
+            scales: list[np.ndarray] = []  # the tensor's, until its indices are written
+            span(_packed(spec, _blocks(spec, t), config, scales))
+            span(s.astype("<f2").tobytes() for s in scales)
 
         _stream(specs, entries, put)
         final = header(h.hexdigest())
@@ -525,18 +578,30 @@ def _benq_spec(entry: dict, config: QuantConfig, payload_size: int) -> TensorSpe
 
 
 def _read_benq_entry(f: BinaryIO, base: int, entry: dict, spec: TensorSpec,
-                     config: QuantConfig) -> Any:
-    name = spec.name
+                     config: QuantConfig) -> Iterator:
+    """The blocks of one directory entry, each read when it is reached.
+
+    A preserved tensor gives flat float32 blocks, a quantized one a
+    QuantizedTensor per block; both hold the config.block_elems elements
+    of quantize_tensor's blocks.
+    """
+    name, numel, bits, G = spec.name, math.prod(spec.shape), config.bits, config.group_size
+    step, what = config.block_elems, f"tensor {name!r}"
     if spec.dtype is not None:
-        return WeightTensor(name, _read_array(f, base + entry["data"][0], spec.dtype,
-                                              spec.shape, f"tensor {name!r}"), spec.dtype)
-    (ioff, ilen), (soff, slen) = entry["indices"], entry["scales"]
-    indices = unpack_indices(_read_at(f, base + ioff, ilen, f"tensor {name!r}"),
-                             config.bits, math.prod(spec.shape))
-    _require(not indices.size or int(indices.max()) < 2 ** config.bits,
-             f"{name}: stored value outside the {config.bits}-bit range")
-    scales = np.frombuffer(_read_at(f, base + soff, slen, f"tensor {name!r}"), dtype="<f2")
-    return QuantizedTensor(name, spec.shape, indices, scales.copy(), config)
+        yield from _read_blocks(f, base + entry["data"][0], spec, step, what)
+        return
+    indices_at, scales_at = base + entry["indices"][0], base + entry["scales"][0]
+    for start in range(0, numel, step):
+        stop = min(start + step, numel)
+        first = start - start % 2  # a packed byte may hold the last block's final index too
+        lo = packed_size(first, bits)
+        raw = _read_at(f, indices_at + lo, packed_size(stop, bits) - lo, what)
+        indices = unpack_indices(raw, bits, stop - first)[start - first:]
+        _require(int(indices.max()) < 2 ** bits,
+                 f"{name}: stored value outside the {bits}-bit range")
+        g0, g1 = start // G, -(-stop // G)
+        scales = np.frombuffer(_read_at(f, scales_at + 2 * g0, 2 * (g1 - g0), what), dtype="<f2")
+        yield QuantizedTensor(name, (stop - start,), indices, scales, config)
 
 
 @contextlib.contextmanager
@@ -547,8 +612,10 @@ def read_benq(path: str) -> Iterator[tuple[QuantConfig, QuantPolicy, list[Tensor
     header, every directory entry and the content digest, which it hashes
     from the payload in chunks, so a tampered header (for example an edited
     bits field) or a corrupt payload raises FormatError before any tensor is
-    read.  `entries` then yields (name, QuantizedTensor or WeightTensor) in
-    directory order, reading each tensor's spans when it is reached.  The
+    read.  `entries` then yields (spec, blocks) in directory order, where
+    `blocks` lazily reads the tensor's spans a block of config.block_elems
+    elements at a time: flat float32 arrays for a preserved tensor, and for
+    a quantized one a QuantizedTensor of the block's indices and scales.  The
     two passes assume the file is not rewritten in place meanwhile; benq's
     own writes replace a file by rename, which leaves an open file as it was.
     """
@@ -582,6 +649,6 @@ def read_benq(path: str) -> Iterator[tuple[QuantConfig, QuantPolicy, list[Tensor
             specs.append(_benq_spec(entry, config, payload_size))
             names.add(entry["name"])
         base = len(BENQ_MAGIC) + 8 + hlen
-        entries = ((s.name, _read_benq_entry(f, base, e, s, config))
+        entries = ((s, _read_benq_entry(f, base, e, s, config))
                    for s, e in zip(specs, directory))
         yield config, policy, specs, entries

@@ -1,27 +1,30 @@
 """Reconstruction-error metrics and schedule comparisons.
 
 All statistics are accumulated in float64 regardless of input dtype.
-`compare_schedules` walks a tensor once, a block of groups at a time:
-every schedule shares the block's float64 promotion, its non-finite
-check, its group maxima and its sum of squares, and each schedule then
-quantizes, reconstructs and measures the block through the kernel steps
-`quantize_tensor` and `dequantize` are made of.
+`compare_tensors` walks a stream of tensors once, a block of groups at a
+time, every block of every tensor going through one bounded thread map:
+every schedule shares the block's float64 promotion, its non-finite check,
+its group maxima and its sum of squares, and each schedule then quantizes,
+reconstructs and measures the block through the kernel steps
+`quantize_tensor` and `dequantize` are made of.  `compare_schedules` is the
+same walk over one in-memory tensor.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from types import SimpleNamespace
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ._pool import _map
+from ._pool import _map_blocks
 from .errors import ConfigError, DataError
 # dequantize and quantize_tensor are not called here: compare runs the block
 # steps they are made of.  perfbench's tracer still wraps both names on this module.
-from .quantizer import (QuantConfig, _block_groups, _promote_block, _quantize_groups,
-                        _reconstruct, dequantize, quantize_tensor)
+from .quantizer import (QuantConfig, _promote_block, _quantize_groups, _reconstruct,
+                        _whole_groups, dequantize, quantize_tensor)
 
 
 @dataclass(frozen=True)
@@ -88,33 +91,35 @@ def distortion(original: np.ndarray, reconstructed: np.ndarray, *,
     return _report(name, config, a.size, sum_sq_err, float(np.square(flat).sum()), max_abs)
 
 
-def compare_schedules(data: np.ndarray, configs: Sequence[QuantConfig],
-                      name: str = "", threads: int = 1) -> list[DistortionReport]:
-    """Quantize and reconstruct one tensor under each config, in given order.
-
-    The configs share one group size (ConfigError if they are empty or do
-    not).  The tensor is walked once, in the group-aligned blocks of
-    quantize_tensor.  A block is promoted to float64, checked and reduced
-    to group maxima and Σw² once; then each config takes its scales,
-    quotients and nearest levels, rebuilds the float32 reconstruction and
-    keeps Σerr² and max|err|, reusing one float64 scratch buffer.  Only
-    these sums leave a block, and they are added in block order, so the
-    reports do not depend on `threads`; a tensor of one block gives exactly
-    `distortion` of its reconstruction.
-    """
+def _group_size(configs: Sequence[QuantConfig]) -> int:
     sizes = sorted({cfg.group_size for cfg in configs})
     if len(sizes) != 1:
         raise ConfigError(f"compare needs configs of one group size, got {sizes}")
-    (G,) = sizes
-    flat = np.asarray(data).ravel()
-    context = f"tensor {name or '<unnamed>'}"
-    levels = [cfg.codebook().levels for cfg in configs]
-    step = _block_groups(G) * G
+    return sizes[0]
 
-    def work(start: int):
-        stop = min(start + step, flat.size)
-        groups, gmax = _promote_block(flat[start:stop], G, context)
-        w = groups.ravel()[:stop - start]
+
+def compare_tensors(tensors: Iterable[tuple[Any, Iterable]], configs: Sequence[QuantConfig],
+                    threads: int = 1) -> Iterator[list[DistortionReport]]:
+    """Quantize and reconstruct each streamed tensor under each config, in given order.
+
+    `tensors` yields (spec, blocks) pairs (a TensorSpec or anything with a
+    `.name`) whose blocks but the last hold whole groups, as
+    quantize_tensor's blocks do; the
+    configs share one group size (ConfigError if they are empty or do not).
+    Lazily yields each tensor's reports.  A block is promoted to float64,
+    checked and reduced to group maxima and Σw² once; then each config
+    takes its scales, quotients and nearest levels, rebuilds the float32
+    reconstruction and keeps Σerr² and max|err|, reusing one float64
+    scratch buffer.  Only these sums leave a block, and a tensor's are
+    added in block order, so the reports do not depend on `threads`.
+    """
+    G = _group_size(configs)
+    levels = [cfg.codebook().levels for cfg in configs]
+
+    def work(spec: Any, block: np.ndarray) -> tuple[int, float, list]:
+        context = f"tensor {spec.name or '<unnamed>'}"
+        groups, gmax = _promote_block(np.asarray(block).ravel(), G, context)
+        w = groups.ravel()[:np.size(block)]
         buf = np.empty(groups.size)  # the quotient, then the reconstruction, then the error
         sum_sq = float(np.square(w, out=buf[:w.size]).sum())
 
@@ -124,12 +129,29 @@ def compare_schedules(data: np.ndarray, configs: Sequence[QuantConfig],
             rec = _reconstruct(idx, s, lv, G, buf)
             return _err_sums(w, rec[:w.size], buf[:w.size])
 
-        return sum_sq, [measure(lv) for lv in levels]
+        return w.size, sum_sq, [measure(lv) for lv in levels]
 
-    totals = [[0.0, 0.0, 0.0] for _ in configs]
-    for sum_sq, sums in _map(work, range(0, flat.size, step), threads):
-        for t, (sum_sq_err, max_abs) in zip(totals, sums):
-            t[0] += sum_sq_err
-            t[1] += sum_sq
-            t[2] = max(t[2], max_abs)
-    return [_report(name, cfg, flat.size, *t) for cfg, t in zip(configs, totals)]
+    checked = ((s, _whole_groups(b, G, s.name)) for s, b in tensors)
+    for spec, blocks in _map_blocks(work, checked, threads):
+        numel = 0
+        totals = [[0.0, 0.0, 0.0] for _ in configs]
+        for n, sum_sq, sums in blocks:
+            numel += n
+            for t, (sum_sq_err, max_abs) in zip(totals, sums):
+                t[0] += sum_sq_err
+                t[1] += sum_sq
+                t[2] = max(t[2], max_abs)
+        yield [_report(spec.name, cfg, numel, *t) for cfg, t in zip(configs, totals)]
+
+
+def compare_schedules(data: np.ndarray, configs: Sequence[QuantConfig],
+                      name: str = "", threads: int = 1) -> list[DistortionReport]:
+    """compare_tensors of one in-memory tensor, in the group-aligned blocks of
+    quantize_tensor; a tensor of one block gives exactly `distortion` of its
+    reconstruction."""
+    _group_size(configs)  # raises for configs empty or of mixed group sizes
+    step = configs[0].block_elems
+    flat = np.asarray(data).ravel()
+    blocks = (flat[i:i + step] for i in range(0, flat.size, step))
+    (reports,) = compare_tensors([(SimpleNamespace(name=name), blocks)], configs, threads)
+    return reports

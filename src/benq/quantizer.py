@@ -31,14 +31,13 @@ from typing import Any, Iterable, Iterator
 
 import numpy as np
 
-from ._pool import _map
+from ._pool import _BLOCK_ELEMS, _map_blocks
 from .benford import DEFAULT_FAMILY_PATTERNS, Family, classify_family
 from .errors import (INT, NUMBER, STR, ConfigError, DataError, FormatError, checked, list_of,
                      one_of, tuple_of)
 from .levels import DEFAULT_EPSILON, Codebook, Schedule, make_codebook
 
 _F16_TINY = np.float16(2.0 ** -24)
-_BLOCK_ELEMS = 1 << 18  # elements per block of quantize_tensor, dequantize and compare
 _FOLD_MAX_GROUP = 16     # _group_max folds columns up to this group size
 _KEY_SHIFT = 44          # a float64's top 20 bits: sign, exponent, 8 mantissa bits
 _HALF_KEYS = 1 << 19     # bucket keys of one sign
@@ -63,6 +62,11 @@ class QuantConfig:
 
     def codebook(self) -> Codebook:
         return make_codebook(self.schedule, self.bits, self.epsilon)
+
+    @property
+    def block_elems(self) -> int:
+        """Elements per block of every quantizing walk: _block_groups whole groups."""
+        return _block_groups(self.group_size) * self.group_size
 
     def to_dict(self) -> dict:
         out = {"bits": self.bits, "group_size": self.group_size,
@@ -280,7 +284,7 @@ def quantize_tensor(data: np.ndarray, config: QuantConfig, name: str = "") -> Qu
     out = np.empty(n_groups * G, dtype=np.ubyte)
     scales = np.empty(n_groups, dtype=np.float16)
 
-    step = _block_groups(G) * G
+    step = config.block_elems
     for start in range(0, flat.size, step):
         groups, gmax = _promote_block(flat[start:start + step], G, context)
         # in place: groups is a private copy
@@ -372,18 +376,33 @@ DEFAULT_POLICY = QuantPolicy()
 QUANTIZE_ALL = QuantPolicy(quantize_families=_FAMILIES)
 
 
-def apply_policy(tensors: Iterable[tuple[str, Any]], policy: QuantPolicy, config: QuantConfig,
-                 threads: int = 1) -> Iterator[Any]:
+def _whole_groups(blocks: Iterable, group_size: int, name: str) -> Iterator:
+    """The blocks of one tensor, each but the last of whole groups."""
+    done = 0
+    for block in blocks:
+        if done % group_size:
+            raise DataError(f"{name}: a block before the last ends inside a group of "
+                            f"{group_size}")
+        done += np.size(getattr(block, "data", block))
+        yield block
+
+
+def apply_policy(tensors: Iterable[tuple[Any, Iterable]], policy: QuantPolicy,
+                 config: QuantConfig, threads: int = 1) -> Iterator[Iterator]:
     """Quantize the tensors a policy selects; pass the rest through untouched.
 
-    Lazily yields one output per (name, tensor) pair, in input order: the
-    tensor's QuantizedTensor when the policy selects it, else the tensor
-    itself.  At most `threads` tensors are in flight.
+    `tensors` yields (spec, blocks) pairs (a TensorSpec or anything with a
+    `.name`), each block of a selected tensor but the last holding whole
+    groups.  Lazily yields, per tensor in input order, an iterator of its
+    blocks' outputs: the block's QuantizedTensor when the policy selects
+    the tensor, else the block itself.  Every block of every tensor goes
+    through one bounded map, so at most `threads` blocks are in flight.
     """
-    def work(item: tuple[str, Any]):
-        name, t = item
-        if policy.should_quantize(name):
-            return quantize_tensor(np.asarray(getattr(t, "data", t)), config, name)
-        return t
+    def work(spec: Any, block: Any) -> Any:
+        if policy.should_quantize(spec.name):
+            return quantize_tensor(block, config, spec.name)
+        return block
 
-    return _map(work, tensors, threads)
+    checked = ((s, _whole_groups(b, config.group_size, s.name)
+                if policy.should_quantize(s.name) else b) for s, b in tensors)
+    return (outputs for _, outputs in _map_blocks(work, checked, threads))

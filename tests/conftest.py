@@ -3,38 +3,58 @@
 Acceptance tests carry @pytest.mark.criterion("Cxx", "description"); after
 the run a one-line PASS/FAIL/SKIP verdict is printed per criterion.
 
-benq's readers and writers stream a tensor at a time; the helpers below
+benq's readers and writers stream a block at a time; the helpers below
 hold a whole small tensor set in a dict, which is what most tests want.
 """
 
 import numpy as np
 import pytest
 
-from benq.io import _spec, read_benq, read_container, write_benq, write_container
-from benq.quantizer import apply_policy
+from benq.io import (TensorSpec, WeightTensor, read_benq, read_container, write_benq,
+                     write_container)
+from benq.quantizer import QuantizedTensor, apply_policy
+
+
+def spec_of(name, t):
+    """The TensorSpec of an in-memory tensor: a QuantizedTensor, a WeightTensor or an array."""
+    if isinstance(t, QuantizedTensor):
+        return TensorSpec(name, t.shape, None)
+    return TensorSpec(name, np.shape(getattr(t, "data", t)), getattr(t, "source_dtype", "F32"))
+
+
+def stream(tensors):
+    """(spec, blocks) pairs of {name: array or WeightTensor}, each tensor a single block."""
+    return [(spec_of(n, t), iter([t])) for n, t in tensors.items()]
+
+
+def joined(blocks, dtype=np.float32):
+    """The flat blocks of a streamed tensor as one array."""
+    return np.concatenate([np.empty(0, dtype), *blocks])
 
 
 def load_container(path):
     """{name: WeightTensor} of a safetensors file."""
     with read_container(str(path)) as (_, tensors):
-        return dict(tensors)
+        return {s.name: WeightTensor(s.name, joined(blocks).reshape(s.shape), s.dtype)
+                for s, blocks in tensors}
 
 
 def save_container(path, tensors):
     """Write {name: array or WeightTensor} as an F32 safetensors file."""
-    write_container(str(path), [_spec(n, t) for n, t in tensors.items()], tensors.values())
+    write_container(str(path), [spec_of(n, t) for n, t in tensors.items()], tensors.values())
 
 
 def quantize_model(tensors, policy, config, threads=1):
     """{name: QuantizedTensor or the tensor itself} of apply_policy over a dict."""
-    return dict(zip(tensors, apply_policy(tensors.items(), policy, config, threads)))
+    outputs = apply_policy(stream(tensors), policy, config, threads)
+    return {name: next(blocks) for name, blocks in zip(tensors, outputs)}
 
 
 def save_benq(path, tensors, policy, config):
     """Quantize {name: tensor} as quantize_model does, write it as a .benq file
     and return the entries."""
     entries = quantize_model(tensors, policy, config)
-    write_benq(str(path), config, policy, [_spec(n, t) for n, t in entries.items()],
+    write_benq(str(path), config, policy, [spec_of(n, t) for n, t in entries.items()],
                entries.values())
     return entries
 
@@ -42,7 +62,17 @@ def save_benq(path, tensors, policy, config):
 def load_benq(path):
     """(config, policy, {name: QuantizedTensor or WeightTensor}) of a .benq file."""
     with read_benq(str(path)) as (config, policy, _, entries):
-        return config, policy, dict(entries)
+        out = {}
+        for s, blocks in entries:
+            if s.dtype is None:
+                parts = list(blocks)
+                out[s.name] = QuantizedTensor(s.name, s.shape,
+                                              joined((q.indices for q in parts), np.ubyte),
+                                              joined((q.scales for q in parts), np.float16),
+                                              config)
+            else:
+                out[s.name] = WeightTensor(s.name, joined(blocks).reshape(s.shape), s.dtype)
+        return config, policy, out
 
 
 _verdicts: dict[str, tuple[str, str]] = {}

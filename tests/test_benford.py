@@ -13,6 +13,7 @@ from benq.benford import (DigitHistogram, Family, classify_family, digit_histogr
 from benq.errors import DataError
 from benq.levels import BENFORD_PROBS
 from benq.quantizer import QuantPolicy
+from conftest import stream
 
 MAD_UNIFORM_DIGITS = 0.05971703510991756
 MAD_SINGLE_DIGIT = 0.1944580585314889  # all mass on digit 3
@@ -103,7 +104,7 @@ class TestDigitBoundaries:
         for v in values:
             assert (first_digit(v) or 0) == decimal_digit(float(v)), v
         # more than two blocks, the last one partly filled
-        reps = 2 * benford._DIGIT_BLOCK // values.size + 1
+        reps = 2 * benford._BLOCK_ELEMS // values.size + 1
         h = digit_histogram(np.tile(values, reps))
         assert h.counts.tolist() == (reps * expected[1:]).tolist()
         assert h.zeros_skipped == reps * expected[0]
@@ -133,7 +134,7 @@ class TestDigitKernel:
         (np.float64, 0x7FF0000000000000), (np.float64, 0xFFF0000000000000),
     ])
     def test_non_finite_in_last_block_rejected(self, dtype, bad_bits):
-        values = np.ones(2 * benford._DIGIT_BLOCK + 5, dtype=dtype)
+        values = np.ones(2 * benford._BLOCK_ELEMS + 5, dtype=dtype)
         uint = np.dtype(f"u{values.itemsize}")
         values.view(uint)[-1] = bad_bits
         assert not np.isfinite(values[-1])
@@ -284,12 +285,12 @@ class TestFamilies:
 
 class TestModelReport:
     def _toy(self):
-        return [
-            ("layers.0.attn.q_proj.weight", 10.0 ** (5 * (rng.uniform01(1, 0, 4000) - 1))),
-            ("layers.0.mlp.fc.weight", 10.0 ** (5 * (rng.uniform01(2, 0, 4000) - 1))),
-            ("layers.0.input_layernorm.weight", np.full(256, 0.35)),
-            ("dead.weight", np.zeros(64)),
-        ]
+        return stream({
+            "layers.0.attn.q_proj.weight": 10.0 ** (5 * (rng.uniform01(1, 0, 4000) - 1)),
+            "layers.0.mlp.fc.weight": 10.0 ** (5 * (rng.uniform01(2, 0, 4000) - 1)),
+            "layers.0.input_layernorm.weight": np.full(256, 0.35),
+            "dead.weight": np.zeros(64),
+        })
 
     def test_ordering_and_families(self):
         rep = model_report(self._toy(), source="toy")
@@ -320,7 +321,7 @@ class TestModelReport:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_report_counts_every_element(self, monkeypatch, dtype):
         # 5003 elements in blocks of 1000: five full blocks and a short one
-        monkeypatch.setattr(benford, "_DIGIT_BLOCK", 1000)
+        monkeypatch.setattr(benford, "_BLOCK_ELEMS", 1000)
         data = (10.0 ** (-6 * rng.uniform01(5, 0, 5003))).astype(dtype)
         data[::7] = 0.0
         rep = tensor_report("big", data.reshape(-1, 1))

@@ -8,13 +8,14 @@ from hypothesis import example, given, settings, strategies as st
 from benq.benford import Family, classify_family
 from benq.cli import main
 from benq.errors import ConfigError, DataError, FormatError
+from benq.io import TensorSpec
 from benq.levels import (Schedule, generate_linear_levels, generate_log_uniform_levels,
                          make_codebook)
 from benq.quantizer import (DEFAULT_POLICY, QUANTIZE_ALL, QuantConfig, QuantPolicy,
                             QuantizedTensor, apply_policy, dequantize,
                             _BLOCK_ELEMS, _KEY_SHIFT, _bucket_table, _group_max,
                             nearest_level_indices, quantize_tensor)
-from conftest import quantize_model, save_container
+from conftest import quantize_model, save_container, stream
 
 
 def exact_nearest(z, table):
@@ -604,16 +605,30 @@ class TestApplyPolicy:
         pulled = []
 
         def tensors():
-            for name, t in model.items():
-                pulled.append(name)
-                yield name, t
+            for (spec, blocks) in stream(model):
+                pulled.append(spec.name)
+                yield spec, blocks
 
         outputs = apply_policy(tensors(), DEFAULT_POLICY, QuantConfig(), threads)
         assert pulled == []
         for k, (name, out) in enumerate(zip(model, outputs), 1):
             assert len(pulled) <= k + threads - 1
-            assert isinstance(out, QuantizedTensor) == DEFAULT_POLICY.should_quantize(name)
+            (block,) = out
+            assert len(pulled) <= k + threads - 1
+            assert isinstance(block, QuantizedTensor) == DEFAULT_POLICY.should_quantize(name)
         assert pulled == list(model)
+
+    def test_block_ending_inside_a_group_rejected(self, rng_np):
+        w = rng_np.normal(0, 0.05, 64)
+        spec = TensorSpec("layers.0.mlp.up_proj.weight", w.shape, "F32")
+        outputs = apply_policy([(spec, iter([w[:12], w[12:]]))], DEFAULT_POLICY, QuantConfig())
+        with pytest.raises(DataError, match="ends inside a group of 8"):
+            list(next(outputs))
+        # a preserved tensor is passed through in whatever blocks it comes
+        spec = spec._replace(name="model.norm.weight")
+        blocks = next(apply_policy([(spec, iter([w[:12], w[12:]]))], DEFAULT_POLICY,
+                                   QuantConfig()))
+        assert [b.size for b in blocks] == [12, 52]
 
     def test_threads_deterministic(self, rng_np):
         model = self._model(rng_np)

@@ -1,4 +1,4 @@
-"""Streaming: the bounded thread map, tensor-at-a-time commands and their memory bound."""
+"""Streaming: the bounded thread map, block-at-a-time commands and their memory bound."""
 
 import importlib
 import importlib.util
@@ -14,9 +14,10 @@ import pytest
 from benq._pool import _map
 from benq.cli import main
 from benq.errors import DataError, FormatError
-from benq.io import (BENQ_MAGIC, TensorSpec, _content_digest, read_benq, read_container,
-                     write_container)
-from benq.quantizer import QuantConfig
+from benq.io import (BENQ_MAGIC, TensorSpec, _content_digest, pack_indices, read_benq,
+                     read_container, write_container)
+from benq.levels import Schedule
+from benq.quantizer import QuantConfig, dequantize, quantize_tensor
 from conftest import load_container, save_container
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
@@ -128,6 +129,96 @@ def test_traced_peak_holds_one_tensor_at_a_time(eight_tensors, command, capsys):
     assert code == 0
     # the whole checkpoint is 8 tensors; one in flight plus its outputs and scratch fit in 3
     assert peak < 3 * 4 * N, f"{command}: traced peak {peak / 1e6:.1f} MB"
+
+
+BIG = (1 << 23) + 17  # elements of one float32 tensor, 33.5 MB: 32 blocks and a short one
+MB = 1 << 20
+
+
+@pytest.fixture(scope="module")
+def one_big_tensor(tmp_path_factory):
+    """A container of one float32 tensor of BIG elements, and a .benq of it."""
+    d = tmp_path_factory.mktemp("big")
+    p = d / "m.safetensors"
+    g = np.random.default_rng(2)
+    save_container(p, {"layers.0.mlp.up_proj.weight":
+                       g.standard_normal(BIG, dtype=np.float32) * np.float32(0.02)})
+    assert main(["quantize", str(p), "--threads", "1", "--out", str(d / "m.benq")]) == 0
+    return d
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("command", ["quantize", "dequantize", "analyze", "compare"])
+def test_traced_peak_holds_threads_blocks(one_big_tensor, command, threads, capsys):
+    """At most `threads` blocks are in flight, however large the tensor."""
+    d = one_big_tensor
+    source = d / ("m.benq" if command == "dequantize" else "m.safetensors")
+    tracemalloc.start()
+    try:
+        code = main([command, str(source), "--threads", str(threads),
+                     "--out", str(d / f"out.{command}")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    # a block's input, scratch and outputs fit in 8 MB; the tensor itself is 33.5 MB
+    assert peak < (threads + 2) * 8 * MB, f"{command}: traced peak {peak / MB:.1f} MB"
+
+
+class TestOddBlockEdges:
+    """G=3 makes a block 262143 elements, so at 3 bits a packed byte straddles two blocks."""
+
+    CONFIG = QuantConfig(bits=3, group_size=3, schedule=Schedule.LINEAR)
+    STEP = CONFIG.block_elems
+    N = 3 * STEP + 3 * 5 + 2  # three blocks, then five groups and a short tail group
+
+    @pytest.fixture(scope="class")
+    def tensor(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("odd")
+        w = np.random.default_rng(3).standard_normal(self.N, dtype=np.float32)
+        save_container(d / "m.safetensors", {"layers.0.mlp.up_proj.weight": w})
+        return d, w, quantize_tensor(w, self.CONFIG, "layers.0.mlp.up_proj.weight")
+
+    @pytest.mark.parametrize("threads", ["1", "2", "4"])
+    def test_benq_and_dequantize_match_whole_tensor(self, tensor, tmp_path, capsys, threads):
+        d, w, qt = tensor
+        assert self.STEP == 262143 and self.N % 3 == 2
+        benq, restored = tmp_path / "m.benq", tmp_path / "m.dequant.safetensors"
+        assert main(["quantize", str(d / "m.safetensors"), "--bits", "3", "--group-size", "3",
+                     "--schedule", "linear", "--threads", threads, "--out", str(benq)]) == 0
+        assert main(["dequantize", str(benq), "--threads", threads,
+                     "--out", str(restored)]) == 0
+        capsys.readouterr()
+        blob = benq.read_bytes()
+        hlen = int.from_bytes(blob[4:12], "little")
+        (entry,) = json.loads(blob[12:12 + hlen])["tensors"]
+        base = 12 + hlen
+
+        def span(key):
+            off, length = entry[key]
+            return blob[base + off:base + off + length]
+
+        assert span("indices") == pack_indices(qt.indices, 3)
+        assert span("scales") == qt.scales.astype("<f2").tobytes()
+        got = load_container(restored)["layers.0.mlp.up_proj.weight"].data
+        assert got.tobytes() == dequantize(qt).tobytes()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_nan_in_second_block_leaves_no_output(self, tensor, tmp_path, capsys, threads):
+        _, w, _ = tensor
+        bad = w.copy()
+        bad[self.STEP + 1234] = np.nan
+        p = tmp_path / "m.safetensors"
+        save_container(p, {"layers.0.mlp.up_proj.weight": bad})
+        out = tmp_path / "m.benq"
+        code = main(["quantize", str(p), "--bits", "3", "--group-size", "3",
+                     "--threads", threads, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error:" in err and "non-finite" in err
+        assert not out.exists()
+        assert debris(tmp_path) == []
 
 
 def debris(directory):
