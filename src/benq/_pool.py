@@ -2,8 +2,8 @@
 
 A streamed tensor is its `TensorSpec` with a lazy iterator of its blocks;
 `_map_blocks` runs one bounded, ordered thread map over the (tensor, block)
-items of a whole stream, so at most `threads` blocks are in flight and one
-large tensor keeps every thread busy.
+items of a whole stream, so at most `threads + _QUEUED` blocks are in
+flight and one large tensor keeps every thread busy.
 """
 
 from __future__ import annotations
@@ -14,17 +14,22 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Iterable, Iterator
 
 _BLOCK_ELEMS = 1 << 18  # elements per block: analyze's, and about a block of groups elsewhere
+# items queued beyond one per worker thread, so the workers stay busy while the
+# consuming thread handles a result and reads the next item
+_QUEUED = 2
 _END = object()         # end-of-stream marker, never an item of a stream
 
 
 def _map(fn: Callable, items: Iterable, threads: int) -> Iterator:
     """fn(x) for x in items, lazily and in item order, on up to `threads` worker threads.
 
-    Items are pulled on the consuming thread and never more than `threads`
-    ahead of the results it has taken, so at most `threads` items are in
-    flight: a streamed input holds at most that many blocks and their
-    results at once.  An exception from fn(x) is raised when x's result is
-    due, after the tasks already running have finished.
+    With one thread this is plain `map`.  Otherwise items are pulled on the
+    consuming thread and never more than `threads + _QUEUED` ahead of the
+    results it has taken, so at most that many items are in flight: a
+    streamed input holds at most that many blocks and their results at
+    once.  An exception from fn(x) is raised when x's result is due, after
+    the tasks already running have finished.  When the consumer stops early
+    or a task raises, the items not yet started are never computed.
     """
     if threads <= 1:
         return map(fn, items)
@@ -32,18 +37,20 @@ def _map(fn: Callable, items: Iterable, threads: int) -> Iterator:
 
 
 def _bounded_map(fn: Callable, items: Iterable, threads: int) -> Iterator:
-    # threads tasks at most: each starts at once, so leaving the pool waits
-    # only for tasks already running
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    pool = ThreadPoolExecutor(max_workers=threads)
+    try:
         pending: deque = deque()
         # map() hands each item to submit without a name bound to it here, so a
         # pulled item lives only as long as its task
         for future in map(functools.partial(pool.submit, fn), items):
             pending.append(future)
-            if len(pending) == threads:
+            if len(pending) == threads + _QUEUED:
                 yield pending.popleft().result()
         while pending:
             yield pending.popleft().result()
+    finally:
+        # an early exit cancels the queued tasks and waits only for the running ones
+        pool.shutdown(cancel_futures=True)
 
 
 def _map_blocks(fn: Callable[[Any, Any], Any], tensors: Iterable[tuple[Any, Iterable]],

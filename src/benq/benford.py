@@ -328,10 +328,10 @@ def model_report(tensors: Iterable[tuple[Any, Iterable]], policy: "QuantPolicy |
 
     `tensors` yields (spec, blocks) pairs (a TensorSpec or anything with a
     `.name`).  Every block of every tensor is counted as it arrives, through
-    one bounded map with at most `threads` blocks in flight, and a tensor's
-    counts are added up.  Tensors are ordered by descending MAD (tensors
-    without one last); family summaries aggregate the tensors with a MAD in
-    declaration order.
+    one bounded map with at most `threads + 2` blocks in flight (one when
+    `threads` is 1), and a tensor's counts are added up.  Tensors are
+    ordered by descending MAD (tensors without one last); family summaries
+    aggregate the tensors with a MAD in declaration order.
     """
     def count(spec: Any, block: np.ndarray) -> DigitHistogram:
         return digit_histogram(block)

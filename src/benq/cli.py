@@ -4,7 +4,8 @@ Subcommands: levels, analyze, quantize, dequantize, compare, synth.
 Diagnostics go to stderr; requested data goes to stdout or --out.  Every
 run that touches files emits a manifest (command, config, input digests,
 tool version, seed, timings) next to the output, or to stderr when the
-result goes to stdout.  Only `synth` draws random numbers, so only it
+result goes to stdout; the input files are hashed on one background thread
+while the command runs.  Only `synth` draws random numbers, so only it
 takes `--seed`; every other manifest records a null seed.  `analyze`
 counts the leading digit of every element of every tensor.  Exit codes:
 0 success, 1 operational error, 2 usage error.
@@ -21,7 +22,9 @@ import json
 import math
 import os
 import sys
+import threading
 import time
+from concurrent.futures import CancelledError, ThreadPoolExecutor
 
 from . import __version__, benford, rng, synth
 from ._pool import _map_blocks
@@ -36,6 +39,8 @@ from .quantizer import (DEFAULT_POLICY, QUANTIZE_ALL, QuantConfig, QuantPolicy, 
 
 
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc mallopt parameters
+_INPUT_ARGS = ("container", "model", "policy")  # the arguments naming input files, in order
+_DIGEST_CHUNK = 1 << 18  # bytes hashed at a time, read into one reused buffer
 
 
 def _keep_scratch_mapped() -> None:
@@ -96,11 +101,16 @@ class _Clock:
             yield item
 
 
-def _sha256(path: str) -> str:
+def _sha256(path: str, stopped: threading.Event) -> str:
+    """The hex sha256 of a file; CancelledError at the next chunk once `stopped` is set."""
     h = hashlib.sha256()
+    buf = bytearray(_DIGEST_CHUNK)
+    view = memoryview(buf)
     with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            h.update(chunk)
+        while n := f.readinto(buf):
+            if stopped.is_set():
+                raise CancelledError
+            h.update(view[:n])
     return h.hexdigest()
 
 
@@ -118,15 +128,16 @@ def _load_policy(path: str | None, no_policy: bool) -> QuantPolicy:
         raise ConfigError(f"{path}: {e}") from None
 
 
-def _emit_manifest(args, command: str, config: dict, inputs: list[str],
-                   timings: dict, out_path: str | None) -> None:
+def _emit_manifest(args, command: str, config: dict, timings: dict,
+                   out_path: str | None) -> None:
+    """Write the run's manifest; it waits for the input digests `main` started."""
     manifest = {
         "command": command,
         "argv": getattr(args, "_argv", sys.argv[1:]),
         "tool_version": __version__,
         "seed": getattr(args, "seed", None),
         "config": config,
-        "inputs": {p: _sha256(p) for p in inputs},
+        "inputs": args._digests.result(),
         "timings": {k: round(v, 6) for k, v in timings.items()},
     }
     blob = json.dumps(manifest, indent=2)
@@ -184,7 +195,6 @@ def cmd_analyze(args) -> int:
     if args.csv:
         _write_text(args.csv, _report_csv(report))
     _emit_manifest(args, "analyze", {"policy_digest": policy.digest()},
-                   [args.container] + ([args.policy] if args.policy else []),
                    {"total": time.perf_counter() - t0}, args.out)
     return 0
 
@@ -220,7 +230,6 @@ def cmd_quantize(args) -> int:
           f"fraction {fraction:.4f})", file=sys.stderr)
     _emit_manifest(args, "quantize",
                    {**config.to_dict(), "policy_digest": policy.digest()},
-                   [args.container] + ([args.policy] if args.policy else []),
                    {"read": t1 - t0 + reading.s, "quantize": waiting.s - reading.s,
                     "write": t2 - t1 - waiting.s, "total": t2 - t0}, out)
     return 0
@@ -236,7 +245,7 @@ def cmd_dequantize(args) -> int:
     with read_benq(args.model) as (config, _, specs, entries):
         write_container(out, specs, (blocks for _, blocks in
                                      _map_blocks(_reconstruction, entries, args.threads)))
-    _emit_manifest(args, "dequantize", config.to_dict(), [args.model],
+    _emit_manifest(args, "dequantize", config.to_dict(),
                    {"total": time.perf_counter() - t0}, out)
     return 0
 
@@ -259,7 +268,7 @@ def cmd_compare(args) -> int:
     _emit_manifest(args, "compare",
                    {"bits": args.bits, "group_size": args.group_size,
                     "schedules": [s.value for s in schedules], "epsilon": args.epsilon},
-                   [args.container], {"total": time.perf_counter() - t0}, args.out)
+                   {"total": time.perf_counter() - t0}, args.out)
     return 0
 
 
@@ -279,7 +288,7 @@ def cmd_synth(args) -> int:
                                       for name, spec in parsed.items()))
     _emit_manifest(args, "synth",
                    {"tensors": {i.partition('=')[0]: i.partition('=')[2] for i in args.tensor}},
-                   [], {"total": time.perf_counter() - t0}, args.out)
+                   {"total": time.perf_counter() - t0}, args.out)
     return 0
 
 
@@ -351,13 +360,20 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     args._argv = list(argv) if argv is not None else sys.argv[1:]
     _keep_scratch_mapped()
-    try:
-        if getattr(args, "threads", 1) is None:
-            args.threads = _default_threads()
-        return args.func(args)
-    except (BenqError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    stopped = threading.Event()
+    # the input files are hashed on this one thread while the command runs
+    with ThreadPoolExecutor(max_workers=1) as digest_thread:
+        try:
+            if getattr(args, "threads", 1) is None:
+                args.threads = _default_threads()
+            paths = [p for p in (getattr(args, a, None) for a in _INPUT_ARGS) if p]
+            args._digests = digest_thread.submit(lambda: {p: _sha256(p, stopped) for p in paths})
+            return args.func(args)
+        except (BenqError, OSError) as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 1
+        finally:
+            stopped.set()  # after a failure, the digest stops at its next chunk
 
 
 if __name__ == "__main__":

@@ -396,7 +396,8 @@ def apply_policy(tensors: Iterable[tuple[Any, Iterable]], policy: QuantPolicy,
     groups.  Lazily yields, per tensor in input order, an iterator of its
     blocks' outputs: the block's QuantizedTensor when the policy selects
     the tensor, else the block itself.  Every block of every tensor goes
-    through one bounded map, so at most `threads` blocks are in flight.
+    through one bounded map, so at most `threads + 2` blocks are in flight
+    (one when `threads` is 1).
     """
     def work(spec: Any, block: Any) -> Any:
         if policy.should_quantize(spec.name):

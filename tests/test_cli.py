@@ -1,11 +1,13 @@
 """In-process exercises of the benq command line."""
 
 import csv
+import hashlib
 import io as stdio
 import json
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -285,6 +287,24 @@ class TestManifest:
         capsys.readouterr()
         assert manifests[0] == manifests[1]
 
+    def test_input_digests_are_the_files_sha256(self, capsys, tmp_path):
+        p = make_model(capsys, tmp_path)
+        pol = tmp_path / "policy.json"
+        pol.write_text(json.dumps({"quantize_families": ["mlp_linear"]}))
+        b = tmp_path / "m.benq"
+        runs = {"m.benq": ["quantize", str(p), "--policy", str(pol), "--out", str(b)],
+                "r.st": ["dequantize", str(b), "--out", str(tmp_path / "r.st")],
+                "c.json": ["compare", str(p), "--out", str(tmp_path / "c.json")],
+                "a.json": ["analyze", str(p), "--policy", str(pol),
+                           "--out", str(tmp_path / "a.json")]}
+        for out, argv in runs.items():
+            assert main(argv) == 0
+            inputs = [p, pol] if "--policy" in argv else [b if out == "r.st" else p]
+            man = json.loads((tmp_path / (out + ".manifest.json")).read_text())
+            assert man["inputs"] == {str(f): hashlib.sha256(f.read_bytes()).hexdigest()
+                                     for f in inputs}
+        capsys.readouterr()
+
     def test_synth_manifest_records_specs(self, capsys, tmp_path):
         p = tmp_path / "t.st"
         assert main(["synth", "--tensor", "w=gaussian(1,8)",
@@ -380,6 +400,71 @@ class TestExitCodes:
             main(["--version"])
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("benq ")
+
+
+def truncated_model(capsys, tmp_path):
+    """A safetensors file whose last tensor's bytes are cut off."""
+    p = make_model(capsys, tmp_path)
+    p.write_bytes(p.read_bytes()[:-16])
+    return p
+
+
+def flipped_benq(capsys, tmp_path):
+    """A .benq with one payload byte flipped, so its content digest does not match."""
+    q = tmp_path / "m.benq"
+    assert run(capsys, "quantize", str(make_model(capsys, tmp_path)), "--out", str(q))[0] == 0
+    blob = bytearray(q.read_bytes())
+    blob[-1] ^= 0xFF
+    q.write_bytes(bytes(blob))
+    return q
+
+
+class TestDigestThread:
+    """The input digest runs on a thread of its own; it never outlives `main`."""
+
+    @pytest.mark.parametrize("command", ["analyze", "quantize", "dequantize", "compare"])
+    def test_success_leaves_no_thread(self, capsys, tmp_path, command):
+        p = make_model(capsys, tmp_path)
+        if command == "dequantize":
+            assert run(capsys, "quantize", str(p), "--out", str(tmp_path / "m.benq"))[0] == 0
+            p = tmp_path / "m.benq"
+        before = threading.active_count()
+        code, _, err = run(capsys, command, str(p), "--threads", "2",
+                           "--out", str(tmp_path / "out"))
+        assert code == 0, err
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("command", ["analyze", "quantize", "dequantize", "compare"])
+    @pytest.mark.parametrize("damage", ["missing", "corrupt"])
+    def test_bad_input_exits_one_with_one_error_line(self, capsys, tmp_path, command, damage):
+        if damage == "missing":
+            p = tmp_path / "nope"
+        else:
+            p = (flipped_benq if command == "dequantize" else truncated_model)(capsys, tmp_path)
+        before = threading.active_count()
+        code, _, err = run(capsys, command, str(p), "--threads", "2",
+                           "--out", str(tmp_path / "out"))
+        assert code == 1
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), err
+        assert "Exception in thread" not in err
+        assert threading.active_count() == before
+
+    def test_digest_error_surfaces_when_the_manifest_is_written(self, capsys, tmp_path,
+                                                                 monkeypatch):
+        import benq.cli as cli_mod
+
+        def unreadable(path, stopped):
+            raise OSError(f"{path}: unreadable")
+
+        monkeypatch.setattr(cli_mod, "_sha256", unreadable)
+        p = make_model(capsys, tmp_path)
+        before = threading.active_count()
+        code, _, err = run(capsys, "analyze", str(p), "--out", str(tmp_path / "a.json"))
+        assert code == 1
+        assert err == f"error: {p}: unreadable\n"
+        assert (tmp_path / "a.json").exists() and not (tmp_path / "a.json.manifest.json").exists()
+        assert threading.active_count() == before
 
 
 def run_process(*argv):
@@ -504,6 +589,26 @@ class TestThreads:
             outs.append(out.read_bytes())
         capsys.readouterr()
         assert outs[0] == outs[1] == outs[2]
+
+    def test_threaded_analyze_and_quantize_match_serial_across_tensors(self, capsys, tmp_path):
+        # three tensors of about 2.5 blocks, so the thread map's window spans tensor ends
+        n = 2 * _BLOCK_ELEMS + _BLOCK_ELEMS // 2 + 3
+        p = tmp_path / "three.safetensors"
+        assert main(["synth", *[a for i in range(3) for a in
+                                ("--tensor", f"layers.{i}.mlp.up_proj.weight=loguniform(5,{n})")],
+                     "--tensor", "layers.0.input_layernorm.weight=lognormal(0,0.05,64)",
+                     "--out", str(p)]) == 0
+        outs = []
+        for threads in ("1", "2", "4"):
+            report, table, benq = (tmp_path / f"{name}{threads}"
+                                   for name in ("a.json", "a.csv", "q.benq"))
+            assert main(["analyze", str(p), "--threads", threads, "--out", str(report),
+                         "--csv", str(table)]) == 0
+            assert main(["quantize", str(p), "--threads", threads, "--out", str(benq)]) == 0
+            outs.append([f.read_bytes() for f in (report, table, benq)])
+        capsys.readouterr()
+        assert outs[0] == outs[1] == outs[2]
+        assert len(json.loads(outs[0][0])["per_tensor"]) == 4
 
     def test_threaded_compare_matches_serial(self, capsys, tmp_path):
         # three group-aligned blocks at G=8, the last one ending in a 3-element group

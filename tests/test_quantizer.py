@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from benq._pool import _QUEUED
 from benq.benford import Family, classify_family
 from benq.cli import main
 from benq.errors import ConfigError, DataError, FormatError
@@ -599,9 +600,15 @@ class TestApplyPolicy:
             if not isinstance(t, QuantizedTensor):
                 assert t is model[name]  # untouched, not copied
 
-    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_pulls_tensors_as_outputs_are_taken(self, rng_np, threads):
+        """A tensor is pulled when the map's window of items reaches its first block.
+
+        Each one-block tensor is two items of the map, its block and its end,
+        so the window covers `window // 2` tensors beyond the one being taken.
+        """
         model = self._model(rng_np)
+        window = 1 if threads == 1 else threads + _QUEUED
         pulled = []
 
         def tensors():
@@ -612,9 +619,9 @@ class TestApplyPolicy:
         outputs = apply_policy(tensors(), DEFAULT_POLICY, QuantConfig(), threads)
         assert pulled == []
         for k, (name, out) in enumerate(zip(model, outputs), 1):
-            assert len(pulled) <= k + threads - 1
+            assert len(pulled) == min(k + (window - 1) // 2, len(model))
             (block,) = out
-            assert len(pulled) <= k + threads - 1
+            assert len(pulled) == min(k + window // 2, len(model))
             assert isinstance(block, QuantizedTensor) == DEFAULT_POLICY.should_quantize(name)
         assert pulled == list(model)
 

@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from benq._pool import _map
+from benq._pool import _QUEUED, _map
 from benq.cli import main
 from benq.errors import DataError, FormatError
 from benq.io import (BENQ_MAGIC, TensorSpec, _content_digest, pack_indices, read_benq,
@@ -46,6 +46,11 @@ def jittered_square(x):
     return x * x
 
 
+def window(threads):
+    """Items _map keeps in flight: one for plain map, else threads + _QUEUED."""
+    return 1 if threads == 1 else threads + _QUEUED
+
+
 class TestBoundedMap:
     @pytest.mark.parametrize("threads", [1, 2, 3, 8])
     def test_results_keep_item_order(self, threads):
@@ -53,14 +58,15 @@ class TestBoundedMap:
 
     @pytest.mark.parametrize("threads", [1, 2, 4])
     def test_never_pulls_more_than_threads_ahead(self, threads):
+        """Exactly the window for `threads` is pulled ahead of the results taken."""
         items = Counting(30)
         for k, result in enumerate(_map(jittered_square, items, threads)):
             assert result == k * k
-            assert items.pulled <= k + threads
+            assert items.pulled == min(k + window(threads), 30)
             with items.lock:
                 items.taken += 1
         assert items.pulled == 30
-        assert items.most_ahead <= threads
+        assert items.most_ahead == window(threads)
 
     @pytest.mark.parametrize("threads", [1, 4])
     def test_lazy_until_consumed(self, threads):
@@ -68,14 +74,16 @@ class TestBoundedMap:
         results = _map(jittered_square, items, threads)
         assert items.pulled == 0
         assert next(iter(results)) == 0
-        assert items.pulled <= threads
+        assert items.pulled == window(threads)
 
     @pytest.mark.parametrize("threads", [1, 2, 4])
     @pytest.mark.parametrize("k", [0, 5])
     def test_exception_propagates_without_pulling_far(self, threads, k):
         items = Counting(50)
+        calls = []
 
         def fn(x):
+            calls.append(x)
             if x == k:
                 raise ValueError(f"item {x}")
             return jittered_square(x)
@@ -85,7 +93,33 @@ class TestBoundedMap:
             for result in _map(fn, items, threads):
                 got.append(result)
         assert got == [x * x for x in range(k)]
-        assert items.pulled <= k + threads
+        assert items.pulled == k + window(threads)
+        assert len(calls) <= k + window(threads)
+
+    @pytest.mark.parametrize("threads", [2, 4])
+    def test_closing_early_never_computes_queued_items(self, threads):
+        """Closed after one result, the map computes only the items already running."""
+        started = [threading.Event() for _ in range(threads)]
+        release = threading.Event()
+        calls = []
+
+        def fn(x):
+            calls.append(x)
+            if 1 <= x <= threads:  # hold every worker until the map is closed
+                started[x - 1].set()
+                assert release.wait(10)
+            return x
+
+        results = _map(fn, range(50), threads)
+        assert next(results) == 0
+        assert all(e.wait(10) for e in started)  # items 1..threads run, the rest are queued
+        timer = threading.Timer(0.3, release.set)
+        timer.start()
+        try:
+            results.close()  # cancels the queued items, then waits for the running ones
+        finally:
+            timer.join(10)
+        assert sorted(calls) == list(range(threads + 1))
 
 
 def test_tracer_targets_resolve():
@@ -150,7 +184,7 @@ def one_big_tensor(tmp_path_factory):
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("command", ["quantize", "dequantize", "analyze", "compare"])
 def test_traced_peak_holds_threads_blocks(one_big_tensor, command, threads, capsys):
-    """At most `threads` blocks are in flight, however large the tensor."""
+    """At most `threads + _QUEUED` blocks are in flight, however large the tensor."""
     d = one_big_tensor
     source = d / ("m.benq" if command == "dequantize" else "m.safetensors")
     tracemalloc.start()
