@@ -3,8 +3,10 @@
 All statistics are accumulated in float64 regardless of input dtype.
 `compare_tensors` walks a stream of tensors once, a block of groups at a
 time, every block of every tensor going through one bounded thread map:
-every schedule shares the block's float64 promotion, its non-finite check,
-its group maxima and its sum of squares, and each schedule then quantizes,
+every schedule shares the block's groups (float32 for float16 and float32
+input), its non-finite check, its group maxima and its sum of squares, and
+schedules of one top level (log and linear) also share the scales, the
+float32 quotient and its key-table keys.  Each schedule then quantizes,
 reconstructs and measures the block through the kernel steps
 `quantize_tensor` and `dequantize` are made of.  `compare_schedules` is the
 same walk over one in-memory tensor.
@@ -106,12 +108,14 @@ def compare_tensors(tensors: Iterable[tuple[Any, Iterable]], configs: Sequence[Q
     `.name`) whose blocks but the last hold whole groups, as
     quantize_tensor's blocks do; the
     configs share one group size (ConfigError if they are empty or do not).
-    Lazily yields each tensor's reports.  A block is promoted to float64,
-    checked and reduced to group maxima and Σw² once; then each config
-    takes its scales, quotients and nearest levels, rebuilds the float32
-    reconstruction and keeps Σerr² and max|err|, reusing one float64
-    scratch buffer.  Only these sums leave a block, and a tensor's are
-    added in block order, so the reports do not depend on `threads`.
+    Lazily yields each tensor's reports.  A block is grouped, checked and
+    reduced to group maxima and Σw² once.  The configs of each top level
+    then take their scales, one quotient and their nearest levels; once every
+    config has its indices, each rebuilds the float32 reconstruction and keeps
+    Σerr² and max|err|.  One float64 scratch buffer holds the quotients, the
+    reconstructions and the errors in turn.  Only these sums leave a block,
+    and a tensor's are added in block order, so the reports do not depend on
+    `threads`.
     """
     G = _group_size(configs)
     levels = [cfg.codebook().levels for cfg in configs]
@@ -121,15 +125,13 @@ def compare_tensors(tensors: Iterable[tuple[Any, Iterable]], configs: Sequence[Q
         groups, gmax = _promote_block(np.asarray(block).ravel(), G, context)
         w = groups.ravel()[:np.size(block)]
         buf = np.empty(groups.size)  # the quotient, then the reconstruction, then the error
-        sum_sq = float(np.square(w, out=buf[:w.size]).sum())
-
-        def measure(lv: np.ndarray) -> tuple[float, float]:
-            # one schedule; its indices and float32 reconstruction die on return
-            idx, s = _quantize_groups(groups, gmax, lv, context, buf.reshape(groups.shape))
-            rec = _reconstruct(idx, s, lv, G, buf)
-            return _err_sums(w, rec[:w.size], buf[:w.size])
-
-        return w.size, sum_sq, [measure(lv) for lv in levels]
+        sum_sq = float(np.square(w, out=buf[:w.size], dtype=np.float64).sum())
+        q = buf.view(groups.dtype)[:groups.size].reshape(groups.shape)
+        idx = [np.empty(groups.size, dtype=np.ubyte) for _ in levels]
+        scales = _quantize_groups(groups, gmax, levels, context, q, idx)
+        return w.size, sum_sq, [
+            _err_sums(w, _reconstruct(i, s, lv, G, buf)[:w.size], buf[:w.size])
+            for i, s, lv in zip(idx, scales, levels)]
 
     checked = ((s, _whole_groups(b, G, s.name)) for s, b in tensors)
     for spec, blocks in _map_blocks(work, checked, threads):

@@ -9,6 +9,13 @@ and matched to the nearest level of the schedule's codebook, ties going
 away from zero; an exact zero between -l and +l takes +l, the code an
 all-zero group gets.  Reconstruction is level * scale.
 
+float16 and float32 blocks stay float32: a 2**20-entry uint8 key table,
+cached per level table (1 MiB), gives each float32 quotient's index from
+its top 20 bits.  Only the quotients within one float32 ulp of a decision
+threshold take the exact path, the float64 quotient's search against the
+exact midpoint thresholds, which float64 blocks take whole.  Either way
+every index is the float64 quotient's.
+
 Normalizing by the float16 value actually stored (not the exact maximum)
 keeps quantization a projection: quantizing a reconstruction returns the
 identical indices and scales, and the per-element error bound is stated
@@ -32,15 +39,15 @@ from typing import Any, Iterable, Iterator
 import numpy as np
 
 from ._pool import _BLOCK_ELEMS, _map_blocks
-from .benford import DEFAULT_FAMILY_PATTERNS, Family, classify_family
+from .benford import DEFAULT_FAMILY_PATTERNS, Family, _read_dtype, classify_family
 from .errors import (INT, NUMBER, STR, ConfigError, DataError, FormatError, checked, list_of,
                      one_of, tuple_of)
 from .levels import DEFAULT_EPSILON, Codebook, Schedule, make_codebook
 
 _F16_TINY = np.float16(2.0 ** -24)
 _FOLD_MAX_GROUP = 16     # _group_max folds columns up to this group size
-_KEY_SHIFT = 44          # a float64's top 20 bits: sign, exponent, 8 mantissa bits
-_HALF_KEYS = 1 << 19     # bucket keys of one sign
+_KEY_BITS = 20           # a float32 quotient's key: sign, exponent, 11 mantissa bits
+_SPLIT = 255             # key table entry of a bucket that holds a threshold
 _GATHER_ELEMS = 1 << 15  # indices per np.take, which first copies them to intp
 
 
@@ -108,25 +115,37 @@ def _midpoint_thresholds(levels: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def _bucket_table(level_bytes: bytes) -> tuple[np.ndarray, np.ndarray, int]:
-    """(table, thresholds + [inf], rounds) for the float64 levels in `level_bytes`.
+def _level_search(level_bytes: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """(thresholds, key table) of the float64 levels in `level_bytes`.
 
-    A bucket is every float64 sharing one top-20-bit key.  table[key] counts
-    the thresholds below the bucket, so it never exceeds the index of a
-    value in it, and `rounds` is the most thresholds one bucket holds.  The
-    table is built in value order, where negative keys run backwards, as
+    A bucket is every float32 sharing one top-_KEY_BITS key.  key_table[key]
+    is the index of every float64 within one float32 ulp of the bucket, or
+    _SPLIT when a threshold lies there (1 MiB of uint8 per level table).
+    The table is built in value order, where negative keys run backwards, as
     uint8 runs between the thresholds' buckets.
     """
     t = _midpoint_thresholds(np.frombuffer(level_bytes)) + 0.0  # -0.0 sorts as 0
-    key = (t.view(np.uint64) >> np.uint64(_KEY_SHIFT)).astype(np.int64)
-    pos = np.where(key >= _HALF_KEYS, 2 * _HALF_KEYS - 1 - key, key + _HALF_KEYS)
-    runs = np.diff(np.concatenate([[0], pos + 1, [2 * _HALF_KEYS]]))
+    near = t.astype(np.float32)
+    below = np.where(near > t, np.nextafter(near, np.float32(-np.inf)), near)
+    above = np.where(near < t, np.nextafter(near, np.float32(np.inf)), near)
+
+    def bucket(f: np.ndarray, step: int) -> np.ndarray:
+        # the value-order bucket of the float32 `step` ulps from f; +0 and -0
+        # are one value there, in +0's bucket (a float32 quotient -0 comes from
+        # a float64 quotient <= 0, as does every other quotient in -0's bucket)
+        bits = f.view(np.uint32).astype(np.int64)
+        o = np.where(bits >> 31, (1 << 31) - bits, bits) + step
+        return half + np.where(o < 0, ~(-o >> shift), o >> shift)
+
+    half, shift = 1 << (_KEY_BITS - 1), 32 - _KEY_BITS
+    # the buckets holding a float32 within one ulp of each threshold
+    first, last = bucket(above, -1), bucket(below, 1)
+    runs = np.diff(np.concatenate([[0], first + 1, [2 * half]]))
     by_value = np.repeat(np.arange(t.size + 1, dtype=np.ubyte), runs)
-    table = np.concatenate([by_value[_HALF_KEYS:], by_value[_HALF_KEYS - 1::-1]])
-    thresholds = np.append(t, np.inf)
-    table.flags.writeable = thresholds.flags.writeable = False
-    rounds = int(np.unique(pos, return_counts=True)[1].max()) if t.size else 0
-    return table, thresholds, rounds
+    by_value[first] = by_value[last] = _SPLIT
+    table = np.concatenate([by_value[half:], by_value[half - 1::-1]])
+    table.flags.writeable = t.flags.writeable = False
+    return t, table
 
 
 def nearest_level_indices(values: np.ndarray, levels: np.ndarray) -> np.ndarray:
@@ -134,21 +153,12 @@ def nearest_level_indices(values: np.ndarray, levels: np.ndarray) -> np.ndarray:
 
     Values beyond the table clamp to its ends, and an exact zero midway
     between -l and +l takes +l.  The level k is the count of exact midpoint
-    thresholds below the value.  A 2**20-entry uint8 table, cached per
-    level table and keyed by the value's top 20 bits (sign, exponent and 8
-    mantissa bits), gives the count of thresholds below the value's bucket;
-    the fix-up `k += x > thresholds[k]` then steps over the thresholds
-    inside the bucket, once for each threshold the fullest bucket holds (one
-    round for every default table).  The last threshold is +inf, so k stops
-    at the top level.
+    thresholds below the float64 value, found by np.searchsorted over the
+    thresholds cached per level table.  The block kernel (_nearest_levels)
+    calls it only for the float32 quotients its key table cannot settle.
     """
-    x = np.asarray(values, dtype=np.float64)
-    table, thresholds, rounds = _bucket_table(np.asarray(levels, dtype=np.float64).tobytes())
-    # the arithmetic shift makes negative keys negative, which index from the end
-    k = table[x.view(np.int64) >> _KEY_SHIFT]
-    for _ in range(rounds):
-        k += x > thresholds[k]
-    return k
+    thresholds = _level_search(np.asarray(levels, dtype=np.float64).tobytes())[0]
+    return np.searchsorted(thresholds, np.asarray(values, dtype=np.float64)).astype(np.ubyte)
 
 
 def _stored_scales(raw_max: np.ndarray, context: str) -> np.ndarray:
@@ -166,13 +176,18 @@ def _block_groups(group_size: int) -> int:
 
 
 def _grouped(flat: np.ndarray, group_size: int) -> np.ndarray:
-    """A flat block promoted into a zero-padded float64 (n_groups, group_size) array."""
+    """A flat block as a zero-padded (n_groups, group_size) array of its read dtype.
+
+    float16 and float32 blocks are read as float32, anything else as float64
+    (benford's rule); a block of whole groups already in that dtype is not copied.
+    """
     n = flat.size
-    n_groups = -(-n // group_size) if n else 0
-    padded = np.empty(n_groups * group_size, dtype=np.float64)
+    dtype = _read_dtype(flat.dtype)
+    if n % group_size == 0 and flat.dtype == dtype:
+        return flat.reshape(-1, group_size)
+    padded = np.zeros(-(-n // group_size) * group_size, dtype=dtype)
     padded[:n] = flat
-    padded[n:] = 0.0
-    return padded.reshape(n_groups, group_size)
+    return padded.reshape(-1, group_size)
 
 
 def _group_max(groups: np.ndarray) -> np.ndarray:
@@ -200,17 +215,55 @@ def _promote_block(block: np.ndarray, group_size: int,
     return groups, gmax
 
 
-def _quantize_groups(groups: np.ndarray, gmax: np.ndarray, levels: np.ndarray,
-                     context: str, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(indices, float16 scales) of a block of groups with maxima `gmax`.
+def _quantize_groups(groups: np.ndarray, gmax: np.ndarray, level_tables: list, context: str,
+                     q: np.ndarray, outs: list) -> list[np.ndarray]:
+    """The float16 scales, per level table, of a block of groups with maxima
+    `gmax`; each table's nearest-level indices go to the matching array of `outs`.
 
-    The quotient w / scale is written to the float64 array `out` (groups
-    itself, or scratch of its shape).  An all-zero group divides by 1 and
-    lands on the zero tie code.
+    Tables of one top level share their scales and one quotient w / scale,
+    written to `q`, scratch of the groups' shape and dtype.  An all-zero
+    group divides by 1 and lands on the zero tie code.
     """
-    s = _stored_scales(gmax / levels[-1], context)
-    np.divide(groups, np.where(s == 0, 1.0, s.astype(np.float64))[:, None], out=out)
-    return nearest_level_indices(out.ravel(), levels), s
+    scales = {}
+    for top in dict.fromkeys(lv[-1] for lv in level_tables):
+        s = scales[top] = _stored_scales(gmax.astype(np.float64) / top, context)
+        divisors = np.where(s == 0, 1.0, s.astype(np.float64))
+        np.divide(groups, divisors.astype(groups.dtype)[:, None], out=q)
+        same = [i for i, lv in enumerate(level_tables) if lv[-1] == top]
+        _nearest_levels(q.ravel(), groups.ravel(), divisors, [level_tables[i] for i in same],
+                        [outs[i] for i in same])
+    return [scales[lv[-1]] for lv in level_tables]
+
+
+def _nearest_levels(q: np.ndarray, w: np.ndarray, divisors: np.ndarray, level_tables: list,
+                    outs: list) -> None:
+    """Write to each of `outs` the nearest-level indices of the quotients
+    q = w / divisors (one divisor per group) in the matching level table.
+
+    A float32 quotient takes its index from the key table, through intp keys
+    _GATHER_ELEMS at a time.  Only the elements of split buckets are settled
+    by nearest_level_indices of the float64 quotient, which lies within one
+    float32 ulp of the float32 one; so every index is the float64 search's.
+    A float64 quotient takes that search whole.
+    """
+    if q.dtype != np.float32:
+        for lv, out in zip(level_tables, outs):
+            out[...] = nearest_level_indices(q, lv)
+        return
+    tables = [_level_search(lv.tobytes())[1] for lv in level_tables]
+    bits = q.view(np.uint32)
+    keys = np.empty(min(bits.size, _GATHER_ELEMS), dtype=np.intp)
+    for i in range(0, bits.size, _GATHER_ELEMS):
+        k = keys[:bits.size - i]
+        np.right_shift(bits[i:i + k.size], 32 - _KEY_BITS, out=k)
+        for table, out in zip(tables, outs):
+            np.take(table, k, out=out[i:i + k.size], mode="clip")
+    group_size = w.size // divisors.size
+    for lv, out in zip(level_tables, outs):
+        split = np.flatnonzero(out == _SPLIT)
+        if split.size:
+            exact = w[split].astype(np.float64) / divisors[split // group_size]
+            out[split] = nearest_level_indices(exact, lv)
 
 
 def _reconstruct(idx: np.ndarray, scales: np.ndarray, levels: np.ndarray, group_size: int,
@@ -287,9 +340,8 @@ def quantize_tensor(data: np.ndarray, config: QuantConfig, name: str = "") -> Qu
     step = config.block_elems
     for start in range(0, flat.size, step):
         groups, gmax = _promote_block(flat[start:start + step], G, context)
-        # in place: groups is a private copy
-        idx, s = _quantize_groups(groups, gmax, levels, context, groups)
-        out[start:start + idx.size] = idx
+        (s,) = _quantize_groups(groups, gmax, [levels], context, np.empty_like(groups),
+                                [out[start:start + groups.size]])
         scales[start // G:start // G + s.size] = s
 
     return QuantizedTensor(name, arr.shape, out[:flat.size], scales, config)

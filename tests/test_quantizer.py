@@ -12,9 +12,10 @@ from benq.errors import ConfigError, DataError, FormatError
 from benq.io import TensorSpec
 from benq.levels import (Schedule, generate_linear_levels, generate_log_uniform_levels,
                          make_codebook)
+from benq.metrics import compare_schedules, distortion
 from benq.quantizer import (DEFAULT_POLICY, QUANTIZE_ALL, QuantConfig, QuantPolicy,
                             QuantizedTensor, apply_policy, dequantize,
-                            _BLOCK_ELEMS, _KEY_SHIFT, _bucket_table, _group_max,
+                            _BLOCK_ELEMS, _group_max, _level_search, _nearest_levels,
                             nearest_level_indices, quantize_tensor)
 from conftest import quantize_model, save_container, stream
 
@@ -207,15 +208,48 @@ class TestBoundaries:
                 assert np.all(qt.indices[0::2] == levels.size - 1), (bits, scale)
 
 
-# (schedule, epsilon): the default tables, and log tables whose crowded
-# top levels put several thresholds in one bucket
+# (schedule, epsilon): the default tables, log tables whose crowded top
+# levels put several thresholds in one bucket, and log tables whose bottom
+# levels lie among the float32 subnormals or below them
 KERNEL_TABLES = [(Schedule.LOG_UNIFORM, 1e-7), (Schedule.LINEAR, 1e-7), (Schedule.RTN, 1e-7),
                  (Schedule.LOG_UNIFORM, 0.5), (Schedule.LOG_UNIFORM, 0.99),
-                 (Schedule.LOG_UNIFORM, 0.999999)]
+                 (Schedule.LOG_UNIFORM, 0.999999), (Schedule.LOG_UNIFORM, 1e-44),
+                 (Schedule.LOG_UNIFORM, 1e-300)]
+
+
+def float32_kernel(z32, levels, divisor=1.0):
+    """The block kernel's indices of the float32 values z32 / divisor, one per group."""
+    w = np.asarray(z32, dtype=np.float32)
+    out = np.empty(w.size, dtype=np.ubyte)
+    # the float32 quotient, as _quantize_groups divides
+    _nearest_levels(w / np.float32(divisor), w, np.full(w.size, divisor), [levels], [out])
+    return out
+
+
+def float32_buckets():
+    """(keys, first, last): every 20-bit key whose bucket holds only finite
+    float32s, and the first and last of them as float64."""
+    keys = np.arange(1 << 20, dtype=np.uint32)
+    keys = keys[(keys & np.uint32(0x7FFFF)) < np.uint32(0x7F800)]  # not inf or nan
+    first = (keys << np.uint32(12)).view(np.float32)
+    last = ((keys << np.uint32(12)) | np.uint32(0xFFF)).view(np.float32)
+    return keys, first.astype(np.float64), last.astype(np.float64)
+
+
+def split_keys(levels):
+    """Keys of the buckets holding a float64 within one float32 ulp of a threshold."""
+    t = _level_search(levels.tobytes())[0]
+    keys, first, last = float32_buckets()
+    with np.errstate(over="ignore"):  # the buckets below +-inf widen to it
+        low = np.nextafter(np.minimum(first, last).astype(np.float32), np.float32(-np.inf))
+        high = np.nextafter(np.maximum(first, last).astype(np.float32), np.float32(np.inf))
+    held = (np.searchsorted(t, high.astype(np.float64), side="right")
+            - np.searchsorted(t, low.astype(np.float64), side="left"))
+    return keys[held > 0]
 
 
 class TestBucketKernel:
-    """The bucket-table search against exact arithmetic, at its edges."""
+    """The float32 key table and the exact search, at their edges."""
 
     SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300]
 
@@ -224,10 +258,9 @@ class TestBucketKernel:
         mids = (levels[:-1] + levels[1:]) / 2.0
         z = np.concatenate([mids, np.nextafter(mids, -np.inf), np.nextafter(mids, np.inf),
                             levels])
-        # the first and the last float64 of each midpoint's bucket
-        shift = np.uint64(_KEY_SHIFT)
-        low = mids.view(np.uint64) >> shift << shift
-        ends = np.concatenate([low, low | np.uint64(2 ** _KEY_SHIFT - 1)]).view(np.float64)
+        # the first and the last float32 of each midpoint's 20-bit key bucket
+        low = mids.astype(np.float32).view(np.uint32) >> np.uint32(12) << np.uint32(12)
+        ends = np.concatenate([low, low | np.uint32(0xFFF)]).view(np.float32)
         top = levels[-1]
         beyond = [np.nextafter(top, np.inf), 1.5 * top, 2.0 * top, 1e6 * top]
         return np.concatenate([z, ends, beyond, -z, -ends, np.negative(beyond),
@@ -240,18 +273,60 @@ class TestBucketKernel:
             levels = make_codebook(schedule, bits, epsilon).levels
             table = [Fraction(v) for v in levels]
             z = self.edge_inputs(levels)
-            want = [exact_nearest(v, table) for v in z]
-            bad = [(float(v), int(g), w) for v, g, w in
-                   zip(z, nearest_level_indices(z, levels), want) if g != w]
-            assert not bad, (bits, bad[:5])
+            with np.errstate(over="ignore"):
+                z32 = z.astype(np.float32)
+            z32 = z32[np.isfinite(z32)]  # a quotient is finite
+            for got, seen in ((nearest_level_indices(z, levels), z),
+                              (float32_kernel(z32, levels), z32)):
+                want = [exact_nearest(v, table) for v in seen]
+                bad = [(float(v), int(g), w) for v, g, w in zip(seen, got, want) if g != w]
+                assert not bad, (bits, bad[:5])
 
-    def test_rounds_follow_the_fullest_bucket(self):
-        def rounds(schedule, bits, epsilon=1e-7):
+    @pytest.mark.parametrize("schedule", list(Schedule), ids=lambda s: s.value)
+    def test_exactly_the_buckets_near_a_threshold_split(self, schedule):
+        keys, first, _ = float32_buckets()
+        for bits in range(2, 9):
+            levels = make_codebook(schedule, bits).levels
+            key_table = _level_search(levels.tobytes())[1]
+            split = split_keys(levels)
+            assert np.all(key_table[split] == 255), bits
+            # every other bucket reads the exact index of its values (255 only
+            # for the top level of an 8-bit table)
+            whole = ~np.isin(keys, split)
+            assert np.array_equal(key_table[keys[whole]],
+                                  nearest_level_indices(first[whole], levels)), bits
+            assert split.size <= 2 * levels.size, bits
+
+    def test_crowded_thresholds_share_split_buckets(self):
+        levels = make_codebook(Schedule.LOG_UNIFORM, 8, 0.999999).levels
+        t = _level_search(levels.tobytes())[0]
+        split = split_keys(levels)
+        assert 0 < split.size <= 8
+        # a bucket's key is its float32's top 20 bits; one bucket holds over 100 thresholds
+        held = np.unique(t.astype(np.float32).view(np.uint32) >> 12, return_counts=True)[1]
+        assert held.max() > 100
+        keys, first, last = float32_buckets()
+        at = np.isin(keys, split)
+        z = np.concatenate([first[at], last[at]])
+        z = np.concatenate([z, np.linspace(z.min(), z.max(), 4001)]).astype(np.float32)
+        table = [Fraction(v) for v in levels]
+        assert float32_kernel(z, levels).tolist() == [exact_nearest(v, table) for v in z]
+
+    @pytest.mark.parametrize("schedule,epsilon", KERNEL_TABLES,
+                             ids=lambda v: getattr(v, "value", repr(v)))
+    def test_block_kernel_is_the_float64_search_at_every_split_bucket(self, schedule, epsilon):
+        keys, first, last = float32_buckets()
+        for bits in range(2, 9):
             levels = make_codebook(schedule, bits, epsilon).levels
-            return _bucket_table(levels.tobytes())[2]
-
-        assert {rounds(s, b) for s in Schedule for b in range(2, 9)} == {1}
-        assert rounds(Schedule.LOG_UNIFORM, 8, 0.999999) > 100
+            at = np.isin(keys, split_keys(levels))
+            z = np.concatenate([first[at], last[at]]).astype(np.float32)
+            z = np.concatenate([z, np.nextafter(z, np.float32(-np.inf)),
+                                np.nextafter(z, np.float32(np.inf))])
+            z = np.concatenate([z, -z])
+            for scale in (1.0, 2.0 ** -14, 2.0 ** -24, float(np.float16(0.1))):
+                w = (z * scale).astype(np.float32)
+                want = nearest_level_indices(w.astype(np.float64) / scale, levels)
+                assert np.array_equal(float32_kernel(w, levels, scale), want), (bits, scale)
 
     def test_special_values(self):
         levels = make_codebook(Schedule.LINEAR, 3).levels   # -1 .. -1/4, 1/4 .. 1
@@ -293,6 +368,41 @@ class TestBlockKernel:
             got = dequantize(qt)
             assert got.dtype == np.float32
             assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32])
+    def test_key_table_path_matches_the_exact_path(self, dtype, rng_np):
+        # float16 and float32 blocks take the key table, their float64 copy the exact search
+        n = _BLOCK_ELEMS + 3  # two blocks at G=1 and G=8
+        w = (rng_np.standard_normal(n) * np.exp2(rng_np.uniform(-30, 4, n))).astype(dtype)
+        for cfg in ALL_CONFIGS:
+            got, want = quantize_tensor(w, cfg), quantize_tensor(w.astype(np.float64), cfg)
+            assert np.array_equal(got.indices, want.indices), cfg
+            assert np.array_equal(got.scales.view(np.uint16), want.scales.view(np.uint16)), cfg
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0 ** -14])
+    def test_float64_blocks_stay_exact(self, scale):
+        # values float32 does not hold: next to a midpoint, 0.1, and 2**-1050
+        # beside a group maximum that pins the scale
+        cfgs = [QuantConfig(bits=4, group_size=8, schedule=s) for s in Schedule]
+        for cfg in cfgs:
+            levels = cfg.codebook().levels
+            mids = (levels[:-1] + levels[1:]) / 2.0
+            v = np.concatenate([np.nextafter(mids, -np.inf), np.nextafter(mids, np.inf),
+                                [0.1, 2.0 ** -1050, 1e-300]])
+            v = np.concatenate([v, -v])
+            v = v[np.abs(v) <= levels[-1]]  # the pin stays the group maximum
+            v = np.resize(v, -(-v.size // 7) * 7).reshape(-1, 7)
+            w = np.column_stack([np.full(v.shape[0], levels[-1]), v]).ravel() * scale
+            table = [Fraction(x) for x in levels]
+            want = np.array([exact_nearest(x, table) for x in w / scale])
+            qt = quantize_tensor(w, cfg, "w")
+            assert np.all(qt.scales == scale)
+            assert np.array_equal(qt.indices, want), cfg.schedule
+            # a float32 copy of these values would take other indices
+            assert not np.array_equal(quantize_tensor(w.astype(np.float32), cfg).indices, want)
+            rec = (levels[want] * scale).astype(np.float32)
+            (report,) = compare_schedules(w, [cfg], "w")
+            assert report == distortion(w, rec, name="w", config=cfg)
 
 
 class TestQuantizeGroup:
