@@ -38,9 +38,9 @@ def main():
     parsed = {name: synth.parse_spec(text)
               for name, text in layer_specs(args.hidden, args.layers).items()}
     specs = [TensorSpec(name, (spec.n,), "F32") for name, spec in parsed.items()]
-    # each tensor is generated only when the writer reaches it
+    # each tensor is generated a chunk at a time, as the writer reaches it
     write_container(args.out, specs,
-                    (synth.synth_tensor(spec, rng.derive_seed(args.seed, name))
+                    (synth.synth_blocks(spec, rng.derive_seed(args.seed, name))
                      for name, spec in parsed.items()))
     total = sum(spec.n for spec in parsed.values())
     print(f"wrote {args.out}: {len(specs)} tensors, {total} parameters")

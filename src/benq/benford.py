@@ -65,10 +65,11 @@ class _DigitTables:
     split: np.ndarray        # per key: a boundary lies strictly inside it (and key 0)
     run_starts: np.ndarray   # first key of each run of equal class
     run_class: np.ndarray    # class of each run
+    magnitude_mask: np.unsignedinteger  # every bit but the sign bit
 
     def digits(self, bits: np.ndarray) -> np.ndarray:
         """Leading digits of the values with these bits, 0 for zero, for any key."""
-        magnitude = bits & (np.iinfo(bits.dtype).max >> 1)
+        magnitude = bits & self.magnitude_mask
         return self.digit_after[np.searchsorted(self.boundaries, magnitude, side="right")]
 
 
@@ -116,7 +117,7 @@ def _digit_tables(dtype: type) -> _DigitTables:
     key_class = np.tile(key_class, 2)  # the sign bit does not change the digit
     run_starts = np.flatnonzero(np.diff(key_class, prepend=0))
     tables = _DigitTables(boundaries, digit_after, key_class == _SPLIT,
-                          run_starts, key_class[run_starts])
+                          run_starts, key_class[run_starts], uint.type(np.iinfo(uint).max >> 1))
     for a in (boundaries, digit_after, tables.split, run_starts, tables.run_class):
         a.flags.writeable = False
     return tables

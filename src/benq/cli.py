@@ -283,8 +283,8 @@ def cmd_synth(args) -> int:
             raise ConfigError(f"duplicate tensor name {name!r}")
         parsed[name] = synth.parse_spec(spec_text)
     specs = [TensorSpec(name, (spec.n,), "F32") for name, spec in parsed.items()]
-    # each tensor is generated only when the writer reaches it
-    write_container(args.out, specs, (synth.synth_tensor(spec, rng.derive_seed(args.seed, name))
+    # each tensor is generated a chunk at a time, as the writer reaches it
+    write_container(args.out, specs, (synth.synth_blocks(spec, rng.derive_seed(args.seed, name))
                                       for name, spec in parsed.items()))
     _emit_manifest(args, "synth",
                    {"tensors": {i.partition('=')[0]: i.partition('=')[2] for i in args.tensor}},

@@ -18,6 +18,7 @@ endpoints; the rtn table has one more negative level than positive ones.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -117,8 +118,13 @@ def generate_linear_levels(bits: int) -> Codebook:
     return Codebook(levels, bits, Schedule.LINEAR)
 
 
+@functools.lru_cache(maxsize=64)
 def make_codebook(schedule: Schedule, bits: int, epsilon: float = DEFAULT_EPSILON) -> Codebook:
-    """Build the codebook for a schedule; epsilon applies to the log schedule only."""
+    """The codebook for a schedule; epsilon applies to the log schedule only.
+
+    Cached: a Codebook and its levels are read-only, so every caller can
+    share one, and the quantize and dequantize loops ask for it per block.
+    """
     schedule = Schedule(schedule)
     if schedule is Schedule.LOG_UNIFORM:
         return generate_log_uniform_levels(bits, epsilon)

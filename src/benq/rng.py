@@ -17,6 +17,10 @@ counter 2i+1.  All counter layouts are part of the file-format contract:
 the same seed and counters reproduce the same doubles on any platform
 (transcendental mappings may differ in the last ulp or two across libm
 implementations; the integer stream is bit-exact).
+
+raw64 mixes in place in its result, with one scratch array of the same
+size.  The mappings from raw outputs to doubles take an optional `out`, so
+that a caller drawing a stream in chunks reuses its buffers.
 """
 
 from __future__ import annotations
@@ -33,30 +37,67 @@ _INV53 = float(2.0 ** -53)
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+    """SplitMix64's output function, in place on z with one scratch array."""
+    t = np.empty_like(z)
+    for shift, mult in ((30, _MIX1), (27, _MIX2)):
+        z ^= np.right_shift(z, np.uint64(shift), out=t)
+        z *= mult
+    z ^= np.right_shift(z, np.uint64(31), out=t)
+    return z
 
 
 def raw64(seed: int, counter: int, n: int) -> np.ndarray:
     """uint64 outputs for counters counter .. counter+n-1."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    idx = np.arange(counter + 1, counter + n + 1, dtype=np.uint64)
-    return _mix(np.uint64(seed & _MASK) + idx * _GAMMA)
+    z = np.arange(counter + 1, counter + n + 1, dtype=np.uint64)
+    z *= _GAMMA
+    z += np.uint64(seed & _MASK)
+    return _mix(z)
 
 
-def unit_from_raw(r: np.ndarray, open_low: bool = False) -> np.ndarray:
-    """Map uint64 outputs to [0, 1) doubles, or (0, 1] when open_low is set."""
-    u = (r >> np.uint64(11)).astype(np.float64)
+def _top_bits(r: np.ndarray, shift: int, out: np.ndarray | None) -> np.ndarray:
+    """r >> shift as float64, into `out` when given, without a temporary:
+    the shift goes to out's own bytes, which are then converted in place."""
+    if out is None:
+        out = np.empty(r.shape)
+    bits = out.view(np.uint64)
+    np.right_shift(r, np.uint64(shift), out=bits)
+    out[...] = bits
+    return out
+
+
+def unit_from_raw(r: np.ndarray, open_low: bool = False,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """Map uint64 outputs to [0, 1) doubles, or (0, 1] when open_low is set;
+    into `out` (float64, r's shape) when given."""
+    u = _top_bits(r, 11, out)
     if open_low:
         u += 1.0
-    return u * _INV53
+    u *= _INV53
+    return u
 
 
-def sign_from_raw(r: np.ndarray) -> np.ndarray:
-    """Map uint64 outputs to +/-1.0 doubles via the top bit."""
-    return 1.0 - 2.0 * (r >> np.uint64(63)).astype(np.float64)
+def sign_from_raw(r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Map uint64 outputs to +/-1.0 doubles via the top bit; into `out` when given."""
+    s = _top_bits(r, 63, out)
+    s *= 2.0
+    return np.subtract(1.0, s, out=s)
+
+
+def normal_from_raw(r1: np.ndarray, r2: np.ndarray, out: np.ndarray | None = None,
+                    scratch: np.ndarray | None = None) -> np.ndarray:
+    """Box-Muller, cosine branch: sqrt(-2 log u1) * cos(2 pi u2), u1 in (0, 1]
+    from r1 and u2 in [0, 1) from r2; into `out`, using `scratch` (both
+    float64, r1's shape) when given."""
+    out = unit_from_raw(r1, open_low=True, out=out)
+    np.log(out, out=out)
+    out *= -2.0
+    np.sqrt(out, out=out)
+    cos = unit_from_raw(r2, out=scratch)
+    cos *= 2.0 * np.pi
+    out *= np.cos(cos, out=cos)
+    return out
 
 
 def uniform01(seed: int, counter: int, n: int) -> np.ndarray:
@@ -72,9 +113,7 @@ def signs(seed: int, counter: int, n: int) -> np.ndarray:
 def normals(seed: int, counter: int, n: int) -> np.ndarray:
     """n standard normals; sample i uses counters counter+2i and counter+2i+1."""
     r = raw64(seed, counter, 2 * n)
-    u1 = unit_from_raw(r[0::2], open_low=True)
-    u2 = unit_from_raw(r[1::2])
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+    return normal_from_raw(r[0::2], r[1::2])
 
 
 def derive_seed(seed: int, name: str) -> int:

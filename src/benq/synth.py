@@ -11,11 +11,19 @@ sample i (all streams start at counter 0 of the tensor's seed):
   (cosine branch) for z, counter 3i+2 the sign; value sign * exp(mu + sigma*z).
 * gaussian(sigma, n): counters 2i and 2i+1 feed Box-Muller; value sigma * z.
 * constant(c, n): every element is c; no counters consumed.
+
+Generation runs over fixed chunks of samples: chunk [start, start + m) draws
+counters k*start .. k*(start+m) - 1 (k per sample, as above) and computes
+its values in place in float64 buffers of the chunk's size, with the same
+operations in the same order as on the whole tensor.  So the layouts and
+every value are independent of the chunk size, and `synth_blocks` holds
+O(chunk) memory whatever n is; `synth_tensor` adds only its float32 result.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +34,9 @@ from .errors import ConfigError
 _SPEC_RE = re.compile(r"^\s*([A-Za-z_]+)\s*\(\s*([^()]*)\s*\)\s*$")
 
 _ARITY = {"loguniform": 1, "lognormal": 2, "gaussian": 1, "constant": 1}
+
+# samples per chunk: a chunk's counters and float64 buffers (1.5-2.2 MB) stay in cache
+_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -70,25 +81,55 @@ def parse_spec(text: str) -> SynthSpec:
     return SynthSpec(name, params, n)
 
 
-def synth_tensor(spec: SynthSpec | str, seed: int = 0) -> np.ndarray:
-    """Generate a 1-D float32 tensor for a spec at a given seed."""
-    if isinstance(spec, str):
-        spec = parse_spec(spec)
-    n = spec.n
+def _fill(spec: SynthSpec, seed: int, start: int, out: np.ndarray, scratch: np.ndarray) -> None:
+    """Samples start .. start+out.size-1 of the spec into `out`, in place;
+    `scratch` is float64 of out's size."""
+    m = out.size
     if spec.dist == "constant":
-        vals = np.full(n, spec.params[0], dtype=np.float64)
+        out.fill(spec.params[0])
     elif spec.dist == "loguniform":
-        decades = spec.params[0]
-        r = rng.raw64(seed, 0, 2 * n)
-        u = rng.unit_from_raw(r[0::2])
-        vals = rng.sign_from_raw(r[1::2]) * np.power(10.0, decades * (u - 1.0))
+        r = rng.raw64(seed, 2 * start, 2 * m)
+        rng.unit_from_raw(r[0::2], out=out)
+        out -= 1.0
+        out *= spec.params[0]
+        np.power(10.0, out, out=out)
+        out *= rng.sign_from_raw(r[1::2], out=scratch)
     elif spec.dist == "lognormal":
         mu, sigma = spec.params
-        r = rng.raw64(seed, 0, 3 * n)
-        u1 = rng.unit_from_raw(r[0::3], open_low=True)
-        u2 = rng.unit_from_raw(r[1::3])
-        z = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
-        vals = rng.sign_from_raw(r[2::3]) * np.exp(mu + sigma * z)
+        r = rng.raw64(seed, 3 * start, 3 * m)
+        rng.normal_from_raw(r[0::3], r[1::3], out, scratch)
+        out *= sigma
+        out += mu
+        np.exp(out, out=out)
+        out *= rng.sign_from_raw(r[2::3], out=scratch)
     else:  # gaussian
-        vals = spec.params[0] * rng.normals(seed, 0, n)
-    return vals.astype(np.float32)
+        r = rng.raw64(seed, 2 * start, 2 * m)
+        rng.normal_from_raw(r[0::2], r[1::2], out, scratch)
+        out *= spec.params[0]
+
+
+def _parsed(spec: SynthSpec | str) -> SynthSpec:
+    return parse_spec(spec) if isinstance(spec, str) else spec
+
+
+def synth_blocks(spec: SynthSpec | str, seed: int = 0) -> Iterator[np.ndarray]:
+    """The float32 values of synth_tensor(spec, seed), in order, _CHUNK samples
+    at a time (the last block holds the rest)."""
+    spec = _parsed(spec)
+    values = np.empty(min(spec.n, _CHUNK))
+    scratch = np.empty_like(values)
+    for start in range(0, spec.n, _CHUNK):
+        m = min(_CHUNK, spec.n - start)
+        _fill(spec, seed, start, values[:m], scratch[:m])
+        yield values[:m].astype(np.float32)
+
+
+def synth_tensor(spec: SynthSpec | str, seed: int = 0) -> np.ndarray:
+    """Generate a 1-D float32 tensor for a spec at a given seed."""
+    spec = _parsed(spec)
+    out = np.empty(spec.n, dtype=np.float32)
+    start = 0
+    for block in synth_blocks(spec, seed):
+        out[start:start + block.size] = block
+        start += block.size
+    return out

@@ -13,8 +13,10 @@ import numpy as np
 import pytest
 
 from benq.cli import main
-from benq.io import BENQ_MAGIC, _content_digest
+from benq.io import BENQ_MAGIC, TensorSpec, _content_digest, write_container
 from benq.quantizer import _BLOCK_ELEMS, QuantConfig, QuantizedTensor, dequantize
+from benq.rng import derive_seed
+from benq.synth import _CHUNK, parse_spec, synth_tensor
 from conftest import load_benq, load_container
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -99,6 +101,18 @@ class TestSynth:
         assert code == 0
         got = load_container(p)
         assert not np.array_equal(got["a"].data, got["b"].data)
+
+    def test_streamed_output_is_the_whole_tensors_written(self, capsys, tmp_path):
+        specs = {"a": f"loguniform(5,{2 * _CHUNK + 5})", "b": "lognormal(0,1,1001)",
+                 "c": f"gaussian(0.02,{_CHUNK})", "d": "constant(0.35,7)"}
+        p, want = tmp_path / "s.st", tmp_path / "w.st"
+        tensors = [a for name, spec in specs.items() for a in ("--tensor", f"{name}={spec}")]
+        assert main(["synth", "--seed", "4", "--out", str(p), *tensors]) == 0
+        capsys.readouterr()
+        write_container(str(want), [TensorSpec(name, (parse_spec(spec).n,), "F32")
+                                    for name, spec in specs.items()],
+                        [synth_tensor(spec, derive_seed(4, name)) for name, spec in specs.items()])
+        assert p.read_bytes() == want.read_bytes()
 
     def test_malformed_tensor_argument(self, capsys, tmp_path):
         code, _, err = run(capsys, "synth", "--tensor", "nospec",

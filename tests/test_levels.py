@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -100,6 +101,18 @@ def test_make_codebook_rtn_is_integer_table():
         assert cb.schedule is Schedule.RTN and cb.bits == bits
     with pytest.raises(ConfigError):
         make_codebook(Schedule.RTN, 9)
+
+
+def test_make_codebook_is_shared_and_read_only():
+    cb = make_codebook(Schedule.LOG_UNIFORM, 4, 1e-7)
+    assert make_codebook(Schedule.LOG_UNIFORM, 4, 1e-7) is cb
+    with pytest.raises(ValueError):
+        cb.levels[0] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cb.bits = 5
+    for _ in range(2):  # a rejected request is rejected every time
+        with pytest.raises(ConfigError):
+            make_codebook(Schedule.LOG_UNIFORM, 4, 1.5)
 
 
 def test_schedule_parse():

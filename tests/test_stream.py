@@ -18,6 +18,7 @@ from benq.io import (BENQ_MAGIC, TensorSpec, _content_digest, pack_indices, read
                      read_container, write_container)
 from benq.levels import Schedule
 from benq.quantizer import QuantConfig, dequantize, quantize_tensor
+from benq.synth import synth_tensor
 from conftest import load_container, save_container
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
@@ -198,6 +199,37 @@ def test_traced_peak_holds_threads_blocks(one_big_tensor, command, threads, caps
     assert code == 0
     # a block's input, scratch and outputs fit in 8 MB; the tensor itself is 33.5 MB
     assert peak < (threads + 2) * 8 * MB, f"{command}: traced peak {peak / MB:.1f} MB"
+
+
+SYNTH_N = (1 << 20) + 17  # a 4 MiB float32 tensor: 32 chunks and a short one
+SYNTH_SPECS = ["loguniform(5,{n})", "lognormal(0,1,{n})", "gaussian(0.02,{n})",
+               "constant(0.35,{n})"]
+
+
+@pytest.mark.parametrize("spec", SYNTH_SPECS)
+def test_synth_tensor_peak_is_its_result_and_one_chunk(spec):
+    tracemalloc.start()
+    try:
+        values = synth_tensor(spec.format(n=SYNTH_N), 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert values.size == SYNTH_N
+    assert peak < 4 * SYNTH_N + 4 * MB, f"{spec}: traced peak {peak / MB:.1f} MB"
+
+
+@pytest.mark.parametrize("spec", SYNTH_SPECS)
+def test_synth_command_holds_one_chunk(spec, tmp_path, capsys):
+    tracemalloc.start()
+    try:
+        code = main(["synth", "--tensor", "w=" + spec.format(n=SYNTH_N),
+                     "--out", str(tmp_path / "s.safetensors")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    assert peak < 3 * MB, f"{spec}: traced peak {peak / MB:.1f} MB"  # below the tensor's 4 MiB
 
 
 class TestOddBlockEdges:
