@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import functools
 import math
-import statistics
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
@@ -146,22 +145,6 @@ def _digit_counts(flat: np.ndarray) -> np.ndarray:
     counts = np.bincount(t.digits(bits[t.split[keys]]), minlength=10)  # values of split keys
     counts[1:] += per_class[1:10].astype(np.int64)
     return counts
-
-
-def first_digit(x: float) -> int | None:
-    """Leading digit of x, or None for an exact zero.
-
-    One value is looked up in the boundary table directly, the step that
-    resolves split keys in a histogram; the per-key tables pay off only
-    over many values.
-    """
-    if not math.isfinite(x):
-        raise DataError(f"leading digit is undefined for {x!r}")
-    value = np.asarray(x)
-    dtype = _read_dtype(value.dtype)
-    tables = _digit_tables(dtype)
-    bits = value.astype(dtype).reshape(1).view(tables.boundaries.dtype)
-    return int(tables.digits(bits)[0]) or None
 
 
 @dataclass(frozen=True)
@@ -317,12 +300,6 @@ def _digit_report(name: str, hist: DigitHistogram, policy: "QuantPolicy | None")
                        hist, mad)
 
 
-def tensor_report(name: str, data: np.ndarray,
-                  policy: "QuantPolicy | None" = None) -> DigitReport:
-    """Digit report for one tensor, over every element."""
-    return _digit_report(name, digit_histogram(data), policy)
-
-
 def model_report(tensors: Iterable[tuple[Any, Iterable]], policy: "QuantPolicy | None" = None,
                  *, source: str = "", threads: int = 1) -> ModelReport:
     """Per-tensor and per-family digit statistics for a streamed tensor set.
@@ -351,6 +328,8 @@ def model_report(tensors: Iterable[tuple[Any, Iterable]], policy: "QuantPolicy |
         mads = [r.mad for r in reports if r.family is family and r.mad is not None]
         if not mads:
             continue
-        summaries.append(FamilySummary(family, len(mads), float(np.mean(mads)),
-                                       float(statistics.median(mads))))
+        # the median as statistics.median takes it; np.median would import numpy.ma
+        ranked, mid = sorted(mads), len(mads) // 2
+        median = ranked[mid] if len(mads) % 2 else (ranked[mid - 1] + ranked[mid]) / 2
+        summaries.append(FamilySummary(family, len(mads), float(np.mean(mads)), median))
     return ModelReport(source, tuple(reports), tuple(summaries))

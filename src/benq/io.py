@@ -42,19 +42,21 @@ store their original bytes in their source dtype.  content_digest covers
 the config, the tensor directory and the payload, so any header tampering
 or payload corruption is rejected before a single tensor is materialized.
 
-Both formats are streamed a block at a time.  A reader (`read_container`,
-`read_benq`) checks the whole header, and for .benq the content digest,
-before it reads any tensor.  It then yields each tensor's TensorSpec with a
-lazy iterator of its blocks, in header order: float32 blocks of a fixed
-element count (F16 and BF16 are widened a block at a time), and for a
-quantized .benq tensor one QuantizedTensor per block of whole groups
-(`QuantConfig.block_elems`), holding that block's indices and scales.  A writer
-(`write_container`, `write_benq`) builds the header from the tensors'
-names, shapes and dtypes alone and then writes each block's bytes as it
-arrives, so only the blocks in flight are ever in memory; at 4 bits or less
-an odd-length block's last index waits for the next block to share its
-byte.  All writes go through a temp file and atomic rename, so a run that
-fails midway leaves no partial output.
+Both formats are streamed a block at a time, and a streamed tensor is one
+thing on both sides: its TensorSpec and an iterator of its blocks.  A reader
+(`read_container`, `read_benq`) checks the whole header, and for .benq the
+content digest, before it reads any tensor.  It then yields each tensor's
+TensorSpec with a lazy iterator of its blocks, in header order: float32
+blocks of a fixed element count (F16 and BF16 are widened a block at a
+time), and for a quantized .benq tensor one QuantizedTensor per block of
+whole groups (`QuantConfig.block_elems`), holding that block's indices and
+scales.  A writer (`write_container`, `write_benq`) takes the specs and,
+per tensor, an iterator of its blocks; it builds the header from the specs
+alone and then writes each block's bytes as it arrives, so only the blocks
+in flight are ever in memory; at 4 bits or less an odd-length block's last
+index waits for the next block to share its byte.  All writes go through a
+temp file and atomic rename, so a run that fails midway leaves no partial
+output.
 """
 
 from __future__ import annotations
@@ -66,7 +68,6 @@ import math
 import os
 import tempfile
 import warnings
-from dataclasses import dataclass
 from typing import Any, BinaryIO, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -82,25 +83,6 @@ BENQ_VERSION = 2
 
 _MAX_HEADER = 1 << 30
 _CHUNK = 1 << 20  # bytes per read of the digest pass
-
-
-@dataclass(frozen=True)
-class WeightTensor:
-    """A named weight tensor held as float32, remembering its stored dtype."""
-
-    name: str
-    data: np.ndarray
-    source_dtype: str = "F32"
-
-    def __post_init__(self) -> None:
-        if self.source_dtype not in SUPPORTED_DTYPES:
-            raise FormatError(f"unsupported dtype {self.source_dtype!r} "
-                              f"(supported: {', '.join(SUPPORTED_DTYPES)})")
-        data = np.asarray(self.data, dtype=np.float32)
-        if not data.flags.c_contiguous:
-            # ascontiguousarray would do, but it also promotes 0-d to 1-d
-            data = np.ascontiguousarray(data)
-        object.__setattr__(self, "data", data)
 
 
 class TensorSpec(NamedTuple):
@@ -288,21 +270,17 @@ def _mismatch(spec: TensorSpec, what: str) -> DataError:
     return DataError(f"{spec.name}: streamed tensor does not match its header entry ({what})")
 
 
-def _blocks(spec: TensorSpec, t: Any) -> Iterator:
+def _blocks(spec: TensorSpec, blocks: Iterator) -> Iterator:
     """The blocks of one streamed tensor, which must hold its spec's element count.
 
-    `t` is an iterator of blocks, or the whole tensor, which must then have
-    the spec's shape.  A block is an array, a WeightTensor or a QuantizedTensor.
+    A block is a flat array or a QuantizedTensor; a whole array passed in
+    place of the iterator is rejected, since iterating it would yield rows.
     """
-    if not isinstance(t, Iterator):
-        shape = t.shape if isinstance(t, QuantizedTensor) else np.shape(getattr(t, "data", t))
-        if shape != spec.shape:
-            raise _mismatch(spec, f"shape {shape}, expected {spec.shape}")
-        t = iter((t,))
+    if not isinstance(blocks, Iterator):
+        raise _mismatch(spec, f"expected an iterator of blocks, got {type(blocks).__name__}")
     numel, done = math.prod(spec.shape), 0
-    for block in t:
-        done += (block.numel if isinstance(block, QuantizedTensor)
-                 else np.size(getattr(block, "data", block)))
+    for block in blocks:
+        done += block.numel if isinstance(block, QuantizedTensor) else np.size(block)
         if done > numel:
             raise _mismatch(spec, f"more than {numel} elements")
         yield block
@@ -352,8 +330,8 @@ def write_container(path: str, specs: Sequence[TensorSpec], arrays: Iterable) ->
 
     The header comes from the names and shapes alone (every tensor is
     written as F32, whatever its spec's dtype).  Each tensor is an iterator
-    of its flat blocks, or the whole array or WeightTensor of its spec's
-    shape; each block is written as it arrives.  Atomic and deterministic.
+    of its flat blocks, and each block is written as it arrives.  Atomic and
+    deterministic.
     """
     entries = {}
     offset = 0
@@ -369,9 +347,9 @@ def write_container(path: str, specs: Sequence[TensorSpec], arrays: Iterable) ->
         f.write(len(header).to_bytes(8, "little"))
         f.write(header)
 
-        def put(spec: TensorSpec, t: Any) -> None:
-            for block in _blocks(spec, t):
-                f.write(_as_bytes(np.asarray(getattr(block, "data", block), dtype=np.float32)))
+        def put(spec: TensorSpec, blocks: Iterator) -> None:
+            for block in _blocks(spec, blocks):
+                f.write(_as_bytes(np.asarray(block, dtype=np.float32)))
 
         _stream(specs, arrays, put)
 
@@ -481,22 +459,21 @@ def _demoted(spec: TensorSpec, blocks: Iterable) -> Iterator[bytes]:
     for block in blocks:
         if isinstance(block, QuantizedTensor):
             raise _mismatch(spec, "expected a preserved tensor, got a quantized one")
-        yield _demote(getattr(block, "data", block), spec.dtype)
+        yield _demote(block, spec.dtype)
 
 
 def write_benq(path: str, config: QuantConfig, policy: QuantPolicy,
                specs: Sequence[TensorSpec], entries: Iterable) -> None:
     """Write a .benq file of `specs`, each entry taken from `entries` in turn.
 
-    An entry is an iterator of a tensor's blocks, or the whole tensor.  A
-    block (or tensor) is a QuantizedTensor under `config` where its spec's
-    dtype is None, else a float32 array or WeightTensor, stored in the
-    spec's dtype.  The header is built from the specs and reserved first (a
-    sha256 hex digest always has 64 characters, so the header's length is
-    known); each block's bytes then go through the content hash into the
-    file as they arrive, a quantized tensor's float16 scales once its
-    indices are written, and the header is written last.  Atomic and
-    deterministic.
+    An entry is an iterator of a tensor's blocks.  A block is a
+    QuantizedTensor under `config` where its spec's dtype is None, else a
+    flat float32 array, stored in the spec's dtype.  The header is built
+    from the specs and reserved first (a sha256 hex digest always has 64
+    characters, so the header's length is known); each block's bytes then
+    go through the content hash into the file as they arrive, a quantized
+    tensor's float16 scales once its indices are written, and the header is
+    written last.  Atomic and deterministic.
     """
     directory = _benq_directory(config, specs)
 
@@ -530,12 +507,12 @@ def write_benq(path: str, config: QuantConfig, policy: QuantPolicy,
             h.update(pad)
             f.write(pad)
 
-        def put(spec: TensorSpec, t: Any) -> None:
+        def put(spec: TensorSpec, blocks: Iterator) -> None:
             if spec.dtype is not None:
-                span(_demoted(spec, _blocks(spec, t)))
+                span(_demoted(spec, _blocks(spec, blocks)))
                 return
             scales: list[np.ndarray] = []  # the tensor's, until its indices are written
-            span(_packed(spec, _blocks(spec, t), config, scales))
+            span(_packed(spec, _blocks(spec, blocks), config, scales))
             span(s.astype("<f2").tobytes() for s in scales)
 
         _stream(specs, entries, put)

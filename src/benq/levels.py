@@ -35,13 +35,6 @@ BENFORD_PROBS = np.log10(1.0 + 1.0 / np.arange(1, 10, dtype=np.float64))
 BENFORD_PROBS.flags.writeable = False
 
 
-def benford_probability(digit: int) -> float:
-    """Probability of leading digit `digit` under Benford's law."""
-    if not 1 <= int(digit) <= 9 or digit != int(digit):
-        raise ValueError(f"leading digit must be an integer in 1..9, got {digit!r}")
-    return float(BENFORD_PROBS[int(digit) - 1])
-
-
 class Schedule(str, Enum):
     LOG_UNIFORM = "log"
     LINEAR = "linear"
@@ -72,10 +65,6 @@ class Codebook:
     @property
     def n_levels(self) -> int:
         return self.levels.size
-
-    @property
-    def positive_levels(self) -> np.ndarray:
-        return self.levels[self.n_levels // 2:]
 
     def describe(self) -> dict:
         out = {"schedule": self.schedule.value, "bits": self.bits}

@@ -10,11 +10,11 @@ away from zero; an exact zero between -l and +l takes +l, the code an
 all-zero group gets.  Reconstruction is level * scale.
 
 float16 and float32 blocks stay float32: a 2**20-entry uint8 key table,
-cached per level table (1 MiB), gives each float32 quotient's index from
-its top 20 bits.  Only the quotients within one float32 ulp of a decision
-threshold take the exact path, the float64 quotient's search against the
-exact midpoint thresholds, which float64 blocks take whole.  Either way
-every index is the float64 quotient's.
+cached per level table (1 MiB), gives each quotient's index from the top
+20 bits of its float32 rounding.  Only the quotients within one float32 ulp
+of a decision threshold take the exact path, the float64 quotient's search
+against the exact midpoint thresholds.  Either way every index is the
+float64 quotient's.
 
 Normalizing by the float16 value actually stored (not the exact maximum)
 keeps quantization a projection: quantizing a reconstruction returns the
@@ -45,7 +45,7 @@ from .errors import (INT, NUMBER, STR, ConfigError, DataError, FormatError, chec
 from .levels import DEFAULT_EPSILON, Codebook, Schedule, make_codebook
 
 _F16_TINY = np.float16(2.0 ** -24)
-_FOLD_MAX_GROUP = 16     # _group_max folds columns up to this group size
+_FOLD_MAX_GROUP = 32     # _group_max folds columns up to this group size
 _KEY_BITS = 20           # a float32 quotient's key: sign, exponent, 11 mantissa bits
 _SPLIT = 255             # key table entry of a bucket that holds a threshold
 _GATHER_ELEMS = 1 << 15  # indices per np.take, which first copies them to intp
@@ -155,7 +155,7 @@ def nearest_level_indices(values: np.ndarray, levels: np.ndarray) -> np.ndarray:
     between -l and +l takes +l.  The level k is the count of exact midpoint
     thresholds below the float64 value, found by np.searchsorted over the
     thresholds cached per level table.  The block kernel (_nearest_levels)
-    calls it only for the float32 quotients its key table cannot settle.
+    calls it only for the quotients its key table cannot settle.
     """
     thresholds = _level_search(np.asarray(levels, dtype=np.float64).tobytes())[0]
     return np.searchsorted(thresholds, np.asarray(values, dtype=np.float64)).astype(np.ubyte)
@@ -240,18 +240,16 @@ def _nearest_levels(q: np.ndarray, w: np.ndarray, divisors: np.ndarray, level_ta
     """Write to each of `outs` the nearest-level indices of the quotients
     q = w / divisors (one divisor per group) in the matching level table.
 
-    A float32 quotient takes its index from the key table, through intp keys
-    _GATHER_ELEMS at a time.  Only the elements of split buckets are settled
-    by nearest_level_indices of the float64 quotient, which lies within one
-    float32 ulp of the float32 one; so every index is the float64 search's.
-    A float64 quotient takes that search whole.
+    A quotient takes its index from the key table, keyed by its float32
+    rounding (q itself in a float32 block) through intp keys _GATHER_ELEMS
+    at a time.  Only the elements of split buckets are settled by
+    nearest_level_indices of the float64 quotient, which lies within one
+    float32 ulp of the keyed value (half an ulp in a float64 block); so
+    every index is the float64 search's.
     """
-    if q.dtype != np.float32:
-        for lv, out in zip(level_tables, outs):
-            out[...] = nearest_level_indices(q, lv)
-        return
     tables = [_level_search(lv.tobytes())[1] for lv in level_tables]
-    bits = q.view(np.uint32)
+    with np.errstate(over="ignore"):  # a quotient past float32 range keys as inf
+        bits = q.astype(np.float32, copy=False).view(np.uint32)
     keys = np.empty(min(bits.size, _GATHER_ELEMS), dtype=np.intp)
     for i in range(0, bits.size, _GATHER_ELEMS):
         k = keys[:bits.size - i]
@@ -328,7 +326,7 @@ class QuantizedTensor:
 
 def quantize_tensor(data: np.ndarray, config: QuantConfig, name: str = "") -> QuantizedTensor:
     """Quantize a whole tensor group-wise (row-major order, in blocks of groups)."""
-    arr = np.asarray(getattr(data, "data", data))
+    arr = np.asarray(data)
     flat = arr.ravel()
     G = config.group_size
     levels = config.codebook().levels
@@ -435,7 +433,7 @@ def _whole_groups(blocks: Iterable, group_size: int, name: str) -> Iterator:
         if done % group_size:
             raise DataError(f"{name}: a block before the last ends inside a group of "
                             f"{group_size}")
-        done += np.size(getattr(block, "data", block))
+        done += np.size(block)
         yield block
 
 

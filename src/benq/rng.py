@@ -58,12 +58,14 @@ def raw64(seed: int, counter: int, n: int) -> np.ndarray:
 
 def _top_bits(r: np.ndarray, shift: int, out: np.ndarray | None) -> np.ndarray:
     """r >> shift as float64, into `out` when given, without a temporary:
-    the shift goes to out's own bytes, which are then converted in place."""
+    the shift goes to out's own bytes, which are then converted in place.
+    They convert as int64, a cheaper cast than uint64's and the same values,
+    since a shift of 11 or more leaves them below 2**53."""
     if out is None:
         out = np.empty(r.shape)
     bits = out.view(np.uint64)
     np.right_shift(r, np.uint64(shift), out=bits)
-    out[...] = bits
+    out[...] = bits.view(np.int64)
     return out
 
 

@@ -4,27 +4,27 @@ Acceptance tests carry @pytest.mark.criterion("Cxx", "description"); after
 the run a one-line PASS/FAIL/SKIP verdict is printed per criterion.
 
 benq's readers and writers stream a block at a time; the helpers below
-hold a whole small tensor set in a dict, which is what most tests want.
+hold a whole small tensor set in memory, which is what most tests want.  A
+tensor set is {name: (TensorSpec, whole tensor)}, the whole-tensor form of
+the (spec, blocks) pairs benq streams: the tensor is an array, or a
+QuantizedTensor where the spec's dtype is None.
 """
 
 import numpy as np
 import pytest
 
-from benq.io import (TensorSpec, WeightTensor, read_benq, read_container, write_benq,
-                     write_container)
+from benq.io import TensorSpec, read_benq, read_container, write_benq, write_container
 from benq.quantizer import QuantizedTensor, apply_policy
 
 
-def spec_of(name, t):
-    """The TensorSpec of an in-memory tensor: a QuantizedTensor, a WeightTensor or an array."""
-    if isinstance(t, QuantizedTensor):
-        return TensorSpec(name, t.shape, None)
-    return TensorSpec(name, np.shape(getattr(t, "data", t)), getattr(t, "source_dtype", "F32"))
+def tensor_set(arrays, dtype="F32"):
+    """The tensor set of {name: array}, every tensor stored as `dtype`."""
+    return {name: (TensorSpec(name, np.shape(a), dtype), a) for name, a in arrays.items()}
 
 
 def stream(tensors):
-    """(spec, blocks) pairs of {name: array or WeightTensor}, each tensor a single block."""
-    return [(spec_of(n, t), iter([t])) for n, t in tensors.items()]
+    """(spec, blocks) pairs of a tensor set, each tensor a single block."""
+    return [(spec, iter([t])) for spec, t in tensors.values()]
 
 
 def joined(blocks, dtype=np.float32):
@@ -33,45 +33,49 @@ def joined(blocks, dtype=np.float32):
 
 
 def load_container(path):
-    """{name: WeightTensor} of a safetensors file."""
+    """The tensor set of a safetensors file."""
     with read_container(str(path)) as (_, tensors):
-        return {s.name: WeightTensor(s.name, joined(blocks).reshape(s.shape), s.dtype)
-                for s, blocks in tensors}
+        return {s.name: (s, joined(blocks).reshape(s.shape)) for s, blocks in tensors}
 
 
 def save_container(path, tensors):
-    """Write {name: array or WeightTensor} as an F32 safetensors file."""
-    write_container(str(path), [spec_of(n, t) for n, t in tensors.items()], tensors.values())
+    """Write a tensor set as an F32 safetensors file."""
+    write_container(str(path), [s for s, _ in tensors.values()],
+                    (blocks for _, blocks in stream(tensors)))
 
 
 def quantize_model(tensors, policy, config, threads=1):
-    """{name: QuantizedTensor or the tensor itself} of apply_policy over a dict."""
+    """The tensor set of apply_policy over a tensor set: each tensor the policy
+    selects as its QuantizedTensor, the others unchanged."""
     outputs = apply_policy(stream(tensors), policy, config, threads)
-    return {name: next(blocks) for name, blocks in zip(tensors, outputs)}
+    out = {}
+    for (spec, _), blocks in zip(tensors.values(), outputs):
+        t = next(blocks)
+        out[spec.name] = (spec._replace(dtype=None) if isinstance(t, QuantizedTensor) else spec, t)
+    return out
 
 
 def save_benq(path, tensors, policy, config):
-    """Quantize {name: tensor} as quantize_model does, write it as a .benq file
-    and return the entries."""
+    """Quantize a tensor set as quantize_model does, write it as a .benq file
+    and return the quantized set."""
     entries = quantize_model(tensors, policy, config)
-    write_benq(str(path), config, policy, [spec_of(n, t) for n, t in entries.items()],
-               entries.values())
+    write_benq(str(path), config, policy, [s for s, _ in entries.values()],
+               (blocks for _, blocks in stream(entries)))
     return entries
 
 
 def load_benq(path):
-    """(config, policy, {name: QuantizedTensor or WeightTensor}) of a .benq file."""
+    """(config, policy, tensor set) of a .benq file."""
     with read_benq(str(path)) as (config, policy, _, entries):
         out = {}
         for s, blocks in entries:
             if s.dtype is None:
                 parts = list(blocks)
-                out[s.name] = QuantizedTensor(s.name, s.shape,
-                                              joined((q.indices for q in parts), np.ubyte),
-                                              joined((q.scales for q in parts), np.float16),
-                                              config)
+                t = QuantizedTensor(s.name, s.shape, joined((q.indices for q in parts), np.ubyte),
+                                    joined((q.scales for q in parts), np.float16), config)
             else:
-                out[s.name] = WeightTensor(s.name, joined(blocks).reshape(s.shape), s.dtype)
+                t = joined(blocks).reshape(s.shape)
+            out[s.name] = (s, t)
         return config, policy, out
 
 

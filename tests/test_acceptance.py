@@ -18,13 +18,13 @@ from benq import rng
 from benq.benford import (Family, classify_family, digit_histogram, mad_score,
                           model_report)
 from benq.io import read_container
-from benq.levels import (Schedule, benford_probability,
-                         generate_log_uniform_levels, make_codebook)
+from benq.levels import (BENFORD_PROBS, Schedule, generate_log_uniform_levels,
+                         make_codebook)
 from benq.metrics import compare_schedules
 from benq.quantizer import (DEFAULT_POLICY, QUANTIZE_ALL, QuantConfig,
                             QuantizedTensor, dequantize, quantize_tensor)
 from benq.synth import synth_tensor
-from conftest import load_benq, quantize_model, save_benq
+from conftest import load_benq, quantize_model, save_benq, tensor_set
 
 
 def first_digit_oracle(x: float) -> int:
@@ -78,7 +78,7 @@ def broad_groups(seed, n=8000):
 @pytest.mark.criterion("C01", "log codebook spans epsilon..1 in exact decades")
 def test_log_codebook_levels_are_exact_decades():
     cb = generate_log_uniform_levels(4, 1e-7)
-    pos = cb.positive_levels
+    pos = cb.levels[cb.levels.size // 2:]
     expect = np.array([10.0 ** e for e in range(-7, 1)])
     assert pos.size == 8
     rel = np.abs(pos - expect) / expect
@@ -90,8 +90,8 @@ def test_log_codebook_levels_are_exact_decades():
 @pytest.mark.criterion("C02", "first-digit reference matches log10(1 + 1/d)")
 def test_benford_reference_probabilities():
     for d in range(1, 10):
-        assert abs(benford_probability(d) - math.log10(1 + 1 / d)) < 1e-12
-    assert abs(math.fsum(benford_probability(d) for d in range(1, 10)) - 1.0) \
+        assert abs(BENFORD_PROBS[d - 1] - math.log10(1 + 1 / d)) < 1e-12
+    assert abs(math.fsum(BENFORD_PROBS[d - 1] for d in range(1, 10)) - 1.0) \
         < 1e-12
 
 
@@ -215,16 +215,16 @@ def test_narrow_tensor_rtn_beats_log_schedule():
 
 @pytest.mark.criterion("C08", ".benq round trip lossless; 3-bit packs to 4")
 def test_packed_format_losslessness(tmp_path):
-    model = {"w": synth_tensor("loguniform(4,37)", seed=3),   # tail group of 5
-             "v": synth_tensor("gaussian(0.1,64)", seed=4)}
+    model = tensor_set({"w": synth_tensor("loguniform(4,37)", seed=3),   # tail group of 5
+                        "v": synth_tensor("gaussian(0.1,64)", seed=4)})
     for bits in (2, 3, 4, 8):
         for schedule in (Schedule.LOG_UNIFORM, Schedule.LINEAR, Schedule.RTN):
             cfg = QuantConfig(bits=bits, group_size=8, schedule=schedule)
             path = tmp_path / f"{bits}-{schedule.value}.benq"
             entries = save_benq(path, model, QUANTIZE_ALL, cfg)
             _, _, back = load_benq(path)
-            for name, qt in entries.items():
-                got = back[name]
+            for name, (_, qt) in entries.items():
+                _, got = back[name]
                 assert got.indices.tobytes() == qt.indices.tobytes()
                 assert got.scales.tobytes() == qt.scales.tobytes()
                 assert got.shape == qt.shape
@@ -248,19 +248,19 @@ def test_default_policy_layer_selection(tmp_path):
         "model.layers.0.input_layernorm.weight": ("lognormal(0,0.05,16)", False),
         "lm_head.weight": ("gaussian(0.05,96)", False),
     }
-    model = {n: synth_tensor(spec, rng.derive_seed(0, n))
-             for n, (spec, _) in shapes.items()}
+    model = tensor_set({n: synth_tensor(spec, rng.derive_seed(0, n))
+                        for n, (spec, _) in shapes.items()})
     entries = quantize_model(model, DEFAULT_POLICY, QuantConfig())
 
     for name, (_, expect_quantized) in shapes.items():
-        got = entries[name]
+        _, got = entries[name]
         assert isinstance(got, QuantizedTensor) == expect_quantized, name
         if not expect_quantized:
-            assert got is model[name]  # untouched, hence byte-identical
+            assert got is model[name][1]  # untouched, hence byte-identical
 
-    quantized = [t for t in entries.values() if isinstance(t, QuantizedTensor)]
-    q_numel = sum(model[n].size for n, (_, q) in shapes.items() if q)
-    total = sum(t.size for t in model.values())
+    quantized = [t for _, t in entries.values() if isinstance(t, QuantizedTensor)]
+    q_numel = sum(model[n][1].size for n, (_, q) in shapes.items() if q)
+    total = sum(t.size for _, t in model.values())
     assert len(quantized) == 3
     assert len(entries) - len(quantized) == 4
     assert sum(t.numel for t in quantized) / total == pytest.approx(q_numel / total)
@@ -270,7 +270,7 @@ def test_default_policy_layer_selection(tmp_path):
     _, _, back = load_benq(path)
     for name, (_, expect_quantized) in shapes.items():
         if not expect_quantized:
-            assert np.array_equal(back[name].data, model[name])
+            assert np.array_equal(back[name][1], model[name][1])
 
 
 @pytest.mark.criterion("C10", "checkpoint: norm family least digit-compliant")

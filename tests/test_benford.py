@@ -8,12 +8,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 from benq import benford, rng
 from benq.benford import (DigitHistogram, Family, classify_family, digit_histogram,
-                          first_digit, mad_from_probs, mad_score, model_report,
-                          signed_deviations, tensor_report)
+                          mad_from_probs, mad_score, model_report, signed_deviations)
 from benq.errors import DataError
 from benq.levels import BENFORD_PROBS
 from benq.quantizer import QuantPolicy
-from conftest import stream
+from conftest import stream, tensor_set
 
 MAD_UNIFORM_DIGITS = 0.05971703510991756
 MAD_SINGLE_DIGIT = 0.1944580585314889  # all mass on digit 3
@@ -23,6 +22,26 @@ def decimal_digit(x: float) -> int:
     """Exact leading digit via the decimal module (binary->decimal is exact)."""
     d = Decimal(abs(x))
     return int(d.scaleb(-d.adjusted()))
+
+
+def digit_of(x) -> int:
+    """The slot digit_histogram counts the one value x in: its digit, 0 for a zero."""
+    h = digit_histogram(np.array([x]))
+    return [h.zeros_skipped, *h.counts].index(1)
+
+
+def assert_digits(values, digits):
+    """digit_histogram counts each of `values` in its slot of `digits` (0 for a zero).
+
+    The values of one slot are counted together, so that one histogram
+    settles thousands of values; the slot holds all of them exactly when
+    each value has that digit.
+    """
+    values, digits = np.asarray(values), np.asarray(digits)
+    for d in np.unique(digits):
+        h = digit_histogram(values[digits == d])
+        slots = [h.zeros_skipped, *h.counts]
+        assert slots[d] == sum(slots), (d, values[digits == d])
 
 
 class TestFirstDigit:
@@ -35,17 +54,17 @@ class TestFirstDigit:
         (7e-111, 7), (7e70, 7), (1e-307, 9), (2e-307, 1),
     ])
     def test_examples(self, value, digit):
-        assert first_digit(value) == digit
+        assert digit_of(value) == digit
         assert decimal_digit(value) == digit
 
     def test_zero_has_no_digit(self):
-        assert first_digit(0.0) is None
-        assert first_digit(-0.0) is None
+        assert digit_of(0.0) == 0
+        assert digit_of(-0.0) == 0
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite(self, bad):
         with pytest.raises(DataError):
-            first_digit(bad)
+            digit_histogram(np.array([bad]))
 
     # frac >= 1 keeps values strictly inside a digit bin; with frac = 0 the
     # nearest double to d.0e k can fall on either side of the decimal boundary
@@ -53,13 +72,13 @@ class TestFirstDigit:
            exp=st.integers(-250, 250), neg=st.booleans())
     def test_matches_decimal_oracle(self, lead, frac, exp, neg):
         x = float(f"{'-' if neg else ''}{lead}.{frac:06d}e{exp}")
-        assert first_digit(x) == lead
+        assert digit_of(x) == lead
         assert decimal_digit(x) == lead
 
     @given(lead=st.integers(1, 9), frac=st.integers(1, 9999), exp=st.integers(-20, 20))
     def test_scale_invariance_by_decades(self, lead, frac, exp):
         x = float(f"{lead}.{frac:04d}")
-        assert first_digit(x * 10.0 ** exp) == first_digit(x)
+        assert digit_of(x * 10.0 ** exp) == digit_of(x)
 
 
 def exact_boundaries(dtype) -> np.ndarray:
@@ -101,8 +120,7 @@ class TestDigitBoundaries:
         values = np.concatenate([near, -near])
         assert np.all(np.isfinite(values))
         expected = oracle_counts(values)
-        for v in values:
-            assert (first_digit(v) or 0) == decimal_digit(float(v)), v
+        assert_digits(values, [decimal_digit(float(v)) for v in values])
         # more than two blocks, the last one partly filled
         reps = 2 * benford._BLOCK_ELEMS // values.size + 1
         h = digit_histogram(np.tile(values, reps))
@@ -122,8 +140,7 @@ class TestDigitKernel:
         h = digit_histogram(values)
         assert h.counts.tolist() == expected[1:].tolist()
         assert h.zeros_skipped == expected[0]
-        for v in values:
-            assert (first_digit(v) or 0) == decimal_digit(float(v))
+        assert_digits(values, [decimal_digit(float(v)) for v in values])
 
     @pytest.mark.parametrize("dtype,bad_bits", [
         (np.float32, 0x7FC00000), (np.float32, 0xFFC00000),   # quiet NaN, sign set
@@ -285,12 +302,12 @@ class TestFamilies:
 
 class TestModelReport:
     def _toy(self):
-        return stream({
+        return stream(tensor_set({
             "layers.0.attn.q_proj.weight": 10.0 ** (5 * (rng.uniform01(1, 0, 4000) - 1)),
             "layers.0.mlp.fc.weight": 10.0 ** (5 * (rng.uniform01(2, 0, 4000) - 1)),
             "layers.0.input_layernorm.weight": np.full(256, 0.35),
             "dead.weight": np.zeros(64),
-        })
+        }))
 
     def test_ordering_and_families(self):
         rep = model_report(self._toy(), source="toy")
@@ -324,7 +341,7 @@ class TestModelReport:
         monkeypatch.setattr(benford, "_BLOCK_ELEMS", 1000)
         data = (10.0 ** (-6 * rng.uniform01(5, 0, 5003))).astype(dtype)
         data[::7] = 0.0
-        rep = tensor_report("big", data.reshape(-1, 1))
+        (rep,) = model_report(stream(tensor_set({"big": data.reshape(-1, 1)}))).per_tensor
         want = digit_histogram(data)
         oracle = np.bincount([decimal_digit(float(x)) for x in data if x], minlength=10)[1:]
         assert np.array_equal(rep.histogram.counts, want.counts)

@@ -78,7 +78,7 @@ class TestSynth:
         assert set(got) == {"layers.0.mlp.up_proj.weight",
                             "layers.0.self_attn.q_proj.weight",
                             "layers.0.input_layernorm.weight"}
-        assert got["layers.0.mlp.up_proj.weight"].data.size == 600
+        assert got["layers.0.mlp.up_proj.weight"][1].size == 600
 
     def test_deterministic_across_runs(self, capsys, tmp_path):
         a = make_model(capsys, tmp_path, "a.safetensors")
@@ -91,8 +91,7 @@ class TestSynth:
         assert main(args + ["--out", str(p0)]) == 0
         assert main(args + ["--seed", "1", "--out", str(p1)]) == 0
         capsys.readouterr()
-        assert not np.array_equal(load_container(p0)["w"].data,
-                                  load_container(p1)["w"].data)
+        assert not np.array_equal(load_container(p0)["w"][1], load_container(p1)["w"][1])
 
     def test_same_spec_different_names_differ(self, capsys, tmp_path):
         p = tmp_path / "t.st"
@@ -100,7 +99,7 @@ class TestSynth:
                          "--tensor", "b=gaussian(1,64)", "--out", str(p))
         assert code == 0
         got = load_container(p)
-        assert not np.array_equal(got["a"].data, got["b"].data)
+        assert not np.array_equal(got["a"][1], got["b"][1])
 
     def test_streamed_output_is_the_whole_tensors_written(self, capsys, tmp_path):
         specs = {"a": f"loguniform(5,{2 * _CHUNK + 5})", "b": "lognormal(0,1,1001)",
@@ -111,7 +110,8 @@ class TestSynth:
         capsys.readouterr()
         write_container(str(want), [TensorSpec(name, (parse_spec(spec).n,), "F32")
                                     for name, spec in specs.items()],
-                        [synth_tensor(spec, derive_seed(4, name)) for name, spec in specs.items()])
+                        [iter([synth_tensor(spec, derive_seed(4, name))])
+                         for name, spec in specs.items()])
         assert p.read_bytes() == want.read_bytes()
 
     def test_malformed_tensor_argument(self, capsys, tmp_path):
@@ -187,14 +187,12 @@ class TestQuantizePipeline:
         assert code == 0
         assert "quantize pass" in err
         _, _, entries = load_benq(out)
-        assert isinstance(entries["layers.0.mlp.up_proj.weight"],
-                          QuantizedTensor)
-        assert isinstance(entries["layers.0.self_attn.q_proj.weight"],
-                          QuantizedTensor)
-        norm = entries["layers.0.input_layernorm.weight"]
+        assert isinstance(entries["layers.0.mlp.up_proj.weight"][1], QuantizedTensor)
+        assert isinstance(entries["layers.0.self_attn.q_proj.weight"][1], QuantizedTensor)
+        _, norm = entries["layers.0.input_layernorm.weight"]
         assert not isinstance(norm, QuantizedTensor)
-        src = load_container(p)["layers.0.input_layernorm.weight"]
-        assert np.array_equal(norm.data, src.data)
+        _, src = load_container(p)["layers.0.input_layernorm.weight"]
+        assert np.array_equal(norm, src)
 
     def test_no_policy_quantizes_everything(self, capsys, tmp_path):
         p = make_model(capsys, tmp_path)
@@ -203,7 +201,7 @@ class TestQuantizePipeline:
                          "--out", str(out))
         assert code == 0
         _, _, entries = load_benq(out)
-        assert all(isinstance(t, QuantizedTensor) for t in entries.values())
+        assert all(isinstance(t, QuantizedTensor) for _, t in entries.values())
 
     def test_default_output_name(self, capsys, tmp_path):
         p = make_model(capsys, tmp_path)
@@ -221,10 +219,8 @@ class TestQuantizePipeline:
                          "--out", str(out))
         assert code == 0
         _, _, entries = load_benq(out)
-        assert isinstance(entries["layers.0.input_layernorm.weight"],
-                          QuantizedTensor)
-        assert not isinstance(entries["layers.0.mlp.up_proj.weight"],
-                              QuantizedTensor)
+        assert isinstance(entries["layers.0.input_layernorm.weight"][1], QuantizedTensor)
+        assert not isinstance(entries["layers.0.mlp.up_proj.weight"][1], QuantizedTensor)
 
     def test_dequantize_round_trip(self, capsys, tmp_path):
         p = make_model(capsys, tmp_path)
@@ -236,9 +232,9 @@ class TestQuantizePipeline:
         _, _, entries = load_benq(benq_path)
         restored = load_container(deq_path)
         assert set(restored) == set(entries)
-        for name, t in entries.items():
-            expect = dequantize(t) if isinstance(t, QuantizedTensor) else t.data
-            assert np.array_equal(restored[name].data, expect), name
+        for name, (_, t) in entries.items():
+            expect = dequantize(t) if isinstance(t, QuantizedTensor) else t
+            assert np.array_equal(restored[name][1], expect), name
 
     def test_dequantize_default_output_name(self, capsys, tmp_path):
         p = make_model(capsys, tmp_path)

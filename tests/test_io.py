@@ -11,14 +11,13 @@ from hypothesis import strategies as st
 
 from benq import rng
 from benq.errors import ConfigError, FormatError
-from benq.io import (BENQ_MAGIC, BENQ_VERSION, WeightTensor, _content_digest,
-                     _demote, _promote, pack_indices, packed_size, read_benq,
-                     unpack_indices, write_benq)
+from benq.io import (BENQ_MAGIC, BENQ_VERSION, _content_digest, _demote, _promote,
+                     pack_indices, packed_size, read_benq, unpack_indices, write_benq)
 from benq.levels import Schedule
 from benq.quantizer import (DEFAULT_POLICY, QUANTIZE_ALL, QuantConfig,
                             QuantizedTensor, QuantPolicy, dequantize)
 from benq.synth import synth_tensor
-from conftest import load_benq, load_container, save_benq, save_container
+from conftest import load_benq, load_container, save_benq, save_container, tensor_set
 
 SCHEDULES = (Schedule.LOG_UNIFORM, Schedule.LINEAR, Schedule.RTN)
 
@@ -31,29 +30,29 @@ def build_safetensors(path, entries, payload):
 
 class TestSafetensors:
     def test_f32_round_trip(self, tmp_path):
-        tensors = {
+        tensors = tensor_set({
             "a": np.arange(12, dtype=np.float32).reshape(3, 4),
             "b": np.array(-1.5, dtype=np.float32),          # zero-dim
             "c": np.zeros((2, 0), dtype=np.float32),        # empty
-        }
+        })
         p = tmp_path / "t.safetensors"
         save_container(p, tensors)
         got = load_container(p)
         assert set(got) == {"a", "b", "c"}
-        for name, arr in tensors.items():
-            wt = got[name]
-            assert wt.source_dtype == "F32"
-            assert wt.data.shape == arr.shape
-            assert np.array_equal(wt.data, arr)
+        for name, (spec, arr) in tensors.items():
+            got_spec, got_arr = got[name]
+            assert got_spec == spec and spec.dtype == "F32"
+            assert got_arr.shape == arr.shape
+            assert np.array_equal(got_arr, arr)
 
     def test_f16_fixture_promotes_exactly(self, tmp_path):
         vals = np.array([1.0, -2.5, 2.0 ** -9, 65504.0], dtype=np.float16)
         p = tmp_path / "t.safetensors"
         build_safetensors(p, {"w": {"dtype": "F16", "shape": [4],
                                     "data_offsets": [0, 8]}}, vals.tobytes())
-        wt = load_container(p)["w"]
-        assert wt.source_dtype == "F16"
-        assert np.array_equal(wt.data, vals.astype(np.float32))
+        spec, arr = load_container(p)["w"]
+        assert spec.dtype == "F16"
+        assert np.array_equal(arr, vals.astype(np.float32))
 
     def test_bf16_fixture_promotes_exactly(self, tmp_path):
         # bit patterns: 1.0, -3.0, max bf16, smallest normal
@@ -61,10 +60,10 @@ class TestSafetensors:
         p = tmp_path / "t.safetensors"
         build_safetensors(p, {"w": {"dtype": "BF16", "shape": [2, 2],
                                     "data_offsets": [0, 8]}}, bits.tobytes())
-        wt = load_container(p)["w"]
+        spec, arr = load_container(p)["w"]
         expect = (bits.astype(np.uint32) << 16).view(np.float32).reshape(2, 2)
-        assert wt.source_dtype == "BF16"
-        assert np.array_equal(wt.data, expect)
+        assert spec.dtype == "BF16"
+        assert np.array_equal(arr, expect)
 
     def test_metadata_entry_skipped(self, tmp_path):
         payload = np.ones(2, dtype=np.float32).tobytes()
@@ -75,7 +74,7 @@ class TestSafetensors:
         assert set(load_container(p)) == {"w"}
 
     def test_write_is_deterministic(self, tmp_path):
-        tensors = {"a": np.linspace(0, 1, 7, dtype=np.float32)}
+        tensors = tensor_set({"a": np.linspace(0, 1, 7, dtype=np.float32)})
         p1, p2 = tmp_path / "1.st", tmp_path / "2.st"
         save_container(p1, tensors)
         save_container(p2, tensors)
@@ -83,7 +82,7 @@ class TestSafetensors:
 
     def test_written_header_is_padded_to_alignment(self, tmp_path):
         p = tmp_path / "t.safetensors"
-        save_container(p, {"abc": np.ones(3, dtype=np.float32)})
+        save_container(p, tensor_set({"abc": np.ones(3, dtype=np.float32)}))
         hlen = int.from_bytes(p.read_bytes()[:8], "little")
         assert (8 + hlen) % 8 == 0
 
@@ -91,7 +90,7 @@ class TestSafetensors:
         umask = os.umask(0)
         os.umask(umask)
         p = tmp_path / "t.safetensors"
-        save_container(p, {"a": np.ones(1, dtype=np.float32)})
+        save_container(p, tensor_set({"a": np.ones(1, dtype=np.float32)}))
         assert (p.stat().st_mode & 0o777) == (0o666 & ~umask)
 
     def test_empty_container_warns(self, tmp_path):
@@ -187,10 +186,6 @@ class TestDtypePromotion:
         above = np.array([1.0 + 2.0 ** -8 + 2.0 ** -16], dtype=np.float32)
         assert _demote(above, "BF16") == np.uint16(0x3F81).tobytes()
 
-    def test_weight_tensor_rejects_unknown_dtype(self):
-        with pytest.raises(FormatError, match="unsupported dtype"):
-            WeightTensor("w", np.ones(2), "F64")
-
 
 class TestPacking:
     def test_low_nibble_first(self):
@@ -246,14 +241,14 @@ class TestPacking:
 
 def toy_model():
     return {
-        "model.layers.0.mlp.up_proj.weight": synth_tensor("loguniform(4,37)", 1),
-        "model.layers.0.self_attn.q_proj.weight": synth_tensor("gaussian(0.5,64)", 2),
-        "model.norm.weight": WeightTensor(
-            "model.norm.weight",
-            np.float16(np.linspace(0.9, 1.1, 6)).astype(np.float32), "F16"),
-        "model.embed_tokens.weight": WeightTensor(
-            "model.embed_tokens.weight",
-            _promote(np.arange(100, 116, dtype="<u2").tobytes(), "BF16", (4, 4)), "BF16"),
+        **tensor_set({"model.layers.0.mlp.up_proj.weight": synth_tensor("loguniform(4,37)", 1),
+                      "model.layers.0.self_attn.q_proj.weight":
+                      synth_tensor("gaussian(0.5,64)", 2)}),
+        **tensor_set({"model.norm.weight":
+                      np.float16(np.linspace(0.9, 1.1, 6)).astype(np.float32)}, "F16"),
+        **tensor_set({"model.embed_tokens.weight":
+                      _promote(np.arange(100, 116, dtype="<u2").tobytes(), "BF16", (4, 4))},
+                     "BF16"),
     }
 
 
@@ -275,8 +270,9 @@ class TestBenqRoundTrip:
         assert config == cfg
         assert policy == QUANTIZE_ALL
         assert list(got) == list(entries)
-        for name, qt in entries.items():
-            g = got[name]
+        for name, (spec, qt) in entries.items():
+            got_spec, g = got[name]
+            assert got_spec == spec
             assert isinstance(qt, QuantizedTensor)
             assert g.shape == qt.shape
             assert g.indices.dtype == qt.indices.dtype
@@ -290,12 +286,11 @@ class TestBenqRoundTrip:
         entries = save_benq(p, toy_model(), DEFAULT_POLICY, cfg)
         _, _, got = load_benq(p)
         for name in ("model.norm.weight", "model.embed_tokens.weight"):
-            orig, back = entries[name], got[name]
-            assert isinstance(back, WeightTensor)
-            assert back.source_dtype == orig.source_dtype
-            assert np.array_equal(back.data, orig.data)
-            assert _demote(back.data, back.source_dtype) == \
-                _demote(orig.data, orig.source_dtype)
+            (orig_spec, orig), (spec, back) = entries[name], got[name]
+            assert not isinstance(back, QuantizedTensor)
+            assert spec.dtype == orig_spec.dtype
+            assert np.array_equal(back, orig)
+            assert _demote(back, spec.dtype) == _demote(orig, orig_spec.dtype)
 
     def test_write_read_write_is_byte_stable(self, tmp_path):
         cfg = QuantConfig(bits=3, group_size=4)
@@ -366,7 +361,7 @@ def pinned_model():
         "model.layers.0.mlp.down_proj.weight": "gaussian(0.02,512)",
         "model.layers.0.input_layernorm.weight": "lognormal(0,0.05,64)",
     }
-    return {n: synth_tensor(s, rng.derive_seed(0, n)) for n, s in specs.items()}
+    return tensor_set({n: synth_tensor(s, rng.derive_seed(0, n)) for n, s in specs.items()})
 
 
 @pytest.mark.parametrize("schedule,bits", sorted(PINNED_SHA256))
@@ -430,7 +425,7 @@ class TestBenqValidation:
 
     def test_safetensors_is_not_benq(self, tmp_path):
         p = tmp_path / "t.safetensors"
-        save_container(p, {"a": np.ones(2, np.float32)})
+        save_container(p, tensor_set({"a": np.ones(2, np.float32)}))
         with pytest.raises(FormatError, match="not a .benq file"):
             load_benq(p)
 
@@ -675,9 +670,9 @@ class TestHostileShapes:
     @settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_mutated_safetensors_shape(self, tmp_path, shape, which):
         p = tmp_path / "m.st"
-        save_container(p, {"a": np.arange(6, dtype=np.float32).reshape(2, 3),
-                           "b": np.ones(5, np.float32), "c": np.float32(2.0),
-                           "d": np.zeros(0, np.float32)})
+        save_container(p, tensor_set({"a": np.arange(6, dtype=np.float32).reshape(2, 3),
+                                      "b": np.ones(5, np.float32), "c": np.float32(2.0),
+                                      "d": np.zeros(0, np.float32)}))
         blob = p.read_bytes()
         hlen = int.from_bytes(blob[:8], "little")
         header = json.loads(blob[8:8 + hlen])
@@ -884,8 +879,8 @@ def replaced(obj, path, value):
 def valid_files(tmp_path_factory):
     d = tmp_path_factory.mktemp("valid")
     st_path, benq_path = d / "m.st", d / "m.benq"
-    save_container(st_path, {"a": np.arange(6, dtype=np.float32).reshape(2, 3),
-                             "b": np.ones(5, np.float32), "c": np.float32(2.0)})
+    save_container(st_path, tensor_set({"a": np.arange(6, dtype=np.float32).reshape(2, 3),
+                                        "b": np.ones(5, np.float32), "c": np.float32(2.0)}))
     save_benq(benq_path, toy_model(), DEFAULT_POLICY, QuantConfig(bits=3, group_size=8))
     return st_path.read_bytes(), read_benq_header(benq_path)
 

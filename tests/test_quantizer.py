@@ -17,7 +17,7 @@ from benq.quantizer import (DEFAULT_POLICY, QUANTIZE_ALL, QuantConfig, QuantPoli
                             QuantizedTensor, apply_policy, dequantize,
                             _BLOCK_ELEMS, _group_max, _level_search, _nearest_levels,
                             nearest_level_indices, quantize_tensor)
-from conftest import quantize_model, save_container, stream
+from conftest import quantize_model, save_container, stream, tensor_set
 
 
 def exact_nearest(z, table):
@@ -217,12 +217,12 @@ KERNEL_TABLES = [(Schedule.LOG_UNIFORM, 1e-7), (Schedule.LINEAR, 1e-7), (Schedul
                  (Schedule.LOG_UNIFORM, 1e-300)]
 
 
-def float32_kernel(z32, levels, divisor=1.0):
-    """The block kernel's indices of the float32 values z32 / divisor, one per group."""
-    w = np.asarray(z32, dtype=np.float32)
+def block_kernel(z, levels, divisor=1.0, dtype=np.float32):
+    """The block kernel's indices of the `dtype` values z / divisor, one per group."""
+    w = np.asarray(z, dtype=dtype)
     out = np.empty(w.size, dtype=np.ubyte)
-    # the float32 quotient, as _quantize_groups divides
-    _nearest_levels(w / np.float32(divisor), w, np.full(w.size, divisor), [levels], [out])
+    # the quotient in the block's dtype, as _quantize_groups divides
+    _nearest_levels(w / dtype(divisor), w, np.full(w.size, divisor), [levels], [out])
     return out
 
 
@@ -277,7 +277,7 @@ class TestBucketKernel:
                 z32 = z.astype(np.float32)
             z32 = z32[np.isfinite(z32)]  # a quotient is finite
             for got, seen in ((nearest_level_indices(z, levels), z),
-                              (float32_kernel(z32, levels), z32)):
+                              (block_kernel(z32, levels), z32)):
                 want = [exact_nearest(v, table) for v in seen]
                 bad = [(float(v), int(g), w) for v, g, w in zip(seen, got, want) if g != w]
                 assert not bad, (bits, bad[:5])
@@ -310,7 +310,7 @@ class TestBucketKernel:
         z = np.concatenate([first[at], last[at]])
         z = np.concatenate([z, np.linspace(z.min(), z.max(), 4001)]).astype(np.float32)
         table = [Fraction(v) for v in levels]
-        assert float32_kernel(z, levels).tolist() == [exact_nearest(v, table) for v in z]
+        assert block_kernel(z, levels).tolist() == [exact_nearest(v, table) for v in z]
 
     @pytest.mark.parametrize("schedule,epsilon", KERNEL_TABLES,
                              ids=lambda v: getattr(v, "value", repr(v)))
@@ -326,7 +326,27 @@ class TestBucketKernel:
             for scale in (1.0, 2.0 ** -14, 2.0 ** -24, float(np.float16(0.1))):
                 w = (z * scale).astype(np.float32)
                 want = nearest_level_indices(w.astype(np.float64) / scale, levels)
-                assert np.array_equal(float32_kernel(w, levels, scale), want), (bits, scale)
+                assert np.array_equal(block_kernel(w, levels, scale), want), (bits, scale)
+
+    @pytest.mark.parametrize("schedule,epsilon", KERNEL_TABLES[:3] + [
+        (Schedule.LOG_UNIFORM, 1e-3), (Schedule.LOG_UNIFORM, 0.3)],
+        ids=lambda v: getattr(v, "value", repr(v)))
+    def test_float64_quotients_key_through_their_float32_rounding(self, schedule, epsilon):
+        # every threshold, the float32s beside it and the float64s halfway between
+        # those, each with its float64 neighbours: the quotients whose float32
+        # rounding is furthest from them or lands in the next bucket
+        down, up = np.float32(-np.inf), np.float32(np.inf)
+        for bits in range(2, 9):
+            levels = make_codebook(schedule, bits, epsilon).levels
+            t = _level_search(levels.tobytes())[0]
+            t32 = t.astype(np.float32)
+            near = [t32, np.nextafter(t32, down), np.nextafter(t32, up)]
+            near = [f.astype(np.float64) for f in near]
+            z = np.concatenate([t, *near, (near[0] + near[1]) / 2, (near[0] + near[2]) / 2])
+            z = np.concatenate([z, np.nextafter(z, -np.inf), np.nextafter(z, np.inf)])
+            z = np.concatenate([z, -z, self.SPECIAL, [1e39, -1e39]])
+            got = block_kernel(z, levels, dtype=np.float64)
+            assert np.array_equal(got, nearest_level_indices(z, levels)), bits
 
     def test_special_values(self):
         levels = make_codebook(Schedule.LINEAR, 3).levels   # -1 .. -1/4, 1/4 .. 1
@@ -345,8 +365,11 @@ class TestBlockKernel:
         g = rng_np.choice(pool, size=(37, G))
         g[0] = -0.0                                  # all negative zeros
         g[1] = np.resize(self.SPECIAL[2:6], G)       # all subnormal
-        got, want = _group_max(g), np.max(np.abs(g), axis=1)
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        with np.errstate(over="ignore"):  # +-1e300 is +-inf in float32
+            g32 = g.astype(np.float32)
+        for groups, uint in ((g, np.uint64), (g32, np.uint32)):
+            got, want = _group_max(groups), np.max(np.abs(groups), axis=1)
+            assert np.array_equal(got.view(uint), want.view(uint)), groups.dtype
 
     def test_non_finite_in_last_block_rejected(self):
         w = np.ones(2 * _BLOCK_ELEMS + 11, dtype=np.float32)
@@ -371,7 +394,8 @@ class TestBlockKernel:
 
     @pytest.mark.parametrize("dtype", [np.float16, np.float32])
     def test_key_table_path_matches_the_exact_path(self, dtype, rng_np):
-        # float16 and float32 blocks take the key table, their float64 copy the exact search
+        # float16 and float32 blocks divide in float32 and their float64 copy in
+        # float64; both take the float64 quotient's indices
         n = _BLOCK_ELEMS + 3  # two blocks at G=1 and G=8
         w = (rng_np.standard_normal(n) * np.exp2(rng_np.uniform(-30, 4, n))).astype(dtype)
         for cfg in ALL_CONFIGS:
@@ -697,18 +721,18 @@ class TestPolicy:
 
 class TestApplyPolicy:
     def _model(self, rng_np):
-        return {n: rng_np.normal(0, 0.05, (16, 8)) for n in TOY_NAMES}
+        return tensor_set({n: rng_np.normal(0, 0.05, (16, 8)) for n in TOY_NAMES})
 
     def test_split_and_preservation(self, rng_np):
         model = self._model(rng_np)
         entries = quantize_model(model, DEFAULT_POLICY, QuantConfig())
-        assert sorted(n for n, t in entries.items() if isinstance(t, QuantizedTensor)) == [
+        assert sorted(n for n, (_, t) in entries.items() if isinstance(t, QuantizedTensor)) == [
             "model.layers.0.mlp.up_proj.weight",
             "model.layers.0.self_attn.q_proj.weight",
         ]
-        for name, t in entries.items():
+        for name, (_, t) in entries.items():
             if not isinstance(t, QuantizedTensor):
-                assert t is model[name]  # untouched, not copied
+                assert t is model[name][1]  # untouched, not copied
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_pulls_tensors_as_outputs_are_taken(self, rng_np, threads):
@@ -752,9 +776,9 @@ class TestApplyPolicy:
         a = quantize_model(model, QUANTIZE_ALL, QuantConfig(), threads=1)
         b = quantize_model(model, QUANTIZE_ALL, QuantConfig(), threads=4)
         assert list(a) == list(b)
-        for n in a:
-            assert np.array_equal(a[n].indices, b[n].indices)
-            assert np.array_equal(a[n].scales, b[n].scales)
+        for (_, qa), (_, qb) in zip(a.values(), b.values()):
+            assert np.array_equal(qa.indices, qb.indices)
+            assert np.array_equal(qa.scales, qb.scales)
 
     def test_empty_model_rejected(self, tmp_path, capsys):
         # apply_policy streams, so rejecting an empty set is the quantize command's job

@@ -19,7 +19,7 @@ from benq.io import (BENQ_MAGIC, TensorSpec, _content_digest, pack_indices, read
 from benq.levels import Schedule
 from benq.quantizer import QuantConfig, dequantize, quantize_tensor
 from benq.synth import synth_tensor
-from conftest import load_container, save_container
+from conftest import load_container, save_container, tensor_set
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -143,9 +143,9 @@ def eight_tensors(tmp_path_factory):
     d = tmp_path_factory.mktemp("stream")
     p = d / "m.safetensors"
     g = np.random.default_rng(0)
-    save_container(p, {f"layers.{i}.mlp.up_proj.weight":
-                       g.standard_normal(N, dtype=np.float32) * np.float32(0.02)
-                       for i in range(8)})
+    save_container(p, tensor_set({f"layers.{i}.mlp.up_proj.weight":
+                                  g.standard_normal(N, dtype=np.float32) * np.float32(0.02)
+                                  for i in range(8)}))
     assert main(["quantize", str(p), "--threads", "1", "--out", str(d / "m.benq")]) == 0
     return d
 
@@ -176,8 +176,8 @@ def one_big_tensor(tmp_path_factory):
     d = tmp_path_factory.mktemp("big")
     p = d / "m.safetensors"
     g = np.random.default_rng(2)
-    save_container(p, {"layers.0.mlp.up_proj.weight":
-                       g.standard_normal(BIG, dtype=np.float32) * np.float32(0.02)})
+    save_container(p, tensor_set({"layers.0.mlp.up_proj.weight":
+                                  g.standard_normal(BIG, dtype=np.float32) * np.float32(0.02)}))
     assert main(["quantize", str(p), "--threads", "1", "--out", str(d / "m.benq")]) == 0
     return d
 
@@ -243,7 +243,7 @@ class TestOddBlockEdges:
     def tensor(self, tmp_path_factory):
         d = tmp_path_factory.mktemp("odd")
         w = np.random.default_rng(3).standard_normal(self.N, dtype=np.float32)
-        save_container(d / "m.safetensors", {"layers.0.mlp.up_proj.weight": w})
+        save_container(d / "m.safetensors", tensor_set({"layers.0.mlp.up_proj.weight": w}))
         return d, w, quantize_tensor(w, self.CONFIG, "layers.0.mlp.up_proj.weight")
 
     @pytest.mark.parametrize("threads", ["1", "2", "4"])
@@ -267,7 +267,7 @@ class TestOddBlockEdges:
 
         assert span("indices") == pack_indices(qt.indices, 3)
         assert span("scales") == qt.scales.astype("<f2").tobytes()
-        got = load_container(restored)["layers.0.mlp.up_proj.weight"].data
+        _, got = load_container(restored)["layers.0.mlp.up_proj.weight"]
         assert got.tobytes() == dequantize(qt).tobytes()
 
     @pytest.mark.parametrize("threads", ["1", "2"])
@@ -276,7 +276,7 @@ class TestOddBlockEdges:
         bad = w.copy()
         bad[self.STEP + 1234] = np.nan
         p = tmp_path / "m.safetensors"
-        save_container(p, {"layers.0.mlp.up_proj.weight": bad})
+        save_container(p, tensor_set({"layers.0.mlp.up_proj.weight": bad}))
         out = tmp_path / "m.benq"
         code = main(["quantize", str(p), "--bits", "3", "--group-size", "3",
                      "--threads", threads, "--out", str(out)])
@@ -300,7 +300,7 @@ def small_model():
 def small_benq(tmp_path, capsys):
     """(path, bytes, payload start, header) of a 2-bit .benq of small_model()."""
     p = tmp_path / "m.safetensors"
-    save_container(p, small_model())
+    save_container(p, tensor_set(small_model()))
     benq = tmp_path / "m.benq"
     assert main(["quantize", str(p), "--bits", "2", "--out", str(benq)]) == 0
     capsys.readouterr()
@@ -317,7 +317,7 @@ class TestNoPartialOutput:
         tensors = small_model()
         tensors["layers.1.mlp.up_proj.weight"][4321] = np.nan
         p = tmp_path / "m.safetensors"
-        save_container(p, tensors)
+        save_container(p, tensor_set(tensors))
         out = tmp_path / "m.benq"
         out.write_bytes(b"previous contents")
         code = main(["quantize", str(p), "--out", str(out), "--threads", threads])
@@ -359,16 +359,18 @@ class TestNoPartialOutput:
 
 def test_stream_writer_rejects_a_tensor_unlike_its_header(tmp_path):
     target = tmp_path / "t.safetensors"
+    a = [TensorSpec("a", (2,), "F32")]
     with pytest.raises(DataError, match="does not match"):
-        write_container(str(target), [TensorSpec("a", (2,), "F32")], [np.ones(3)])
+        write_container(str(target), a, [iter([np.ones(3)])])
+    with pytest.raises(DataError, match="does not match"):  # a whole tensor, not its blocks
+        write_container(str(target), a, [np.ones(2)])
     with pytest.raises(DataError, match="ended before 'b'"):
-        write_container(str(target), [TensorSpec("a", (2,), "F32"),
-                                      TensorSpec("b", (1,), "F32")], [np.ones(2)])
+        write_container(str(target), a + [TensorSpec("b", (1,), "F32")], [iter([np.ones(2)])])
     with pytest.raises(DataError, match="more tensors"):
-        write_container(str(target), [TensorSpec("a", (2,), "F32")], [np.ones(2), np.ones(2)])
+        write_container(str(target), a, [iter([np.ones(2)]), iter([np.ones(2)])])
     assert not target.exists() and debris(tmp_path) == []
-    write_container(str(target), [TensorSpec("a", (2,), "F32")], [np.ones(2)])
-    assert load_container(target)["a"].data.tolist() == [1.0, 1.0]
+    write_container(str(target), a, [iter([np.ones(2)])])
+    assert load_container(target)["a"][1].tolist() == [1.0, 1.0]
 
 
 class TestHeaderBeforeTensors:
