@@ -11,13 +11,24 @@ from __future__ import annotations
 import functools
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 _BLOCK_ELEMS = 1 << 18  # elements per block: analyze's, and about a block of groups elsewhere
 # items queued beyond one per worker thread, so the workers stay busy while the
 # consuming thread handles a result and reads the next item
 _QUEUED = 2
 _END = object()         # end-of-stream marker, never an item of a stream
+
+
+class TensorSpec(NamedTuple):
+    """What a file's header says of one tensor, known before any tensor is read.
+
+    `dtype` is the stored dtype, None for a quantized .benq tensor.
+    """
+
+    name: str
+    shape: tuple[int, ...]
+    dtype: str | None
 
 
 def _map(fn: Callable, items: Iterable, threads: int) -> Iterator:
@@ -53,8 +64,9 @@ def _bounded_map(fn: Callable, items: Iterable, threads: int) -> Iterator:
         pool.shutdown(cancel_futures=True)
 
 
-def _map_blocks(fn: Callable[[Any, Any], Any], tensors: Iterable[tuple[Any, Iterable]],
-                threads: int) -> Iterator[tuple[Any, Iterator]]:
+def _map_blocks(fn: Callable[[TensorSpec, Any], Any],
+                tensors: Iterable[tuple[TensorSpec, Iterable]],
+                threads: int) -> Iterator[tuple[TensorSpec, Iterator]]:
     """fn(spec, block) over every block of every (spec, blocks) tensor, as one _map.
 
     Lazily yields (spec, results) per tensor, in order; `results` yields

@@ -35,11 +35,11 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._pool import _BLOCK_ELEMS, _map_blocks
+from ._pool import _BLOCK_ELEMS, TensorSpec, _map_blocks
 from .errors import DataError
 from .levels import BENFORD_PROBS
 
@@ -300,18 +300,19 @@ def _digit_report(name: str, hist: DigitHistogram, policy: "QuantPolicy | None")
                        hist, mad)
 
 
-def model_report(tensors: Iterable[tuple[Any, Iterable]], policy: "QuantPolicy | None" = None,
-                 *, source: str = "", threads: int = 1) -> ModelReport:
+def model_report(tensors: Iterable[tuple[TensorSpec, Iterable]],
+                 policy: "QuantPolicy | None" = None, *, source: str = "",
+                 threads: int = 1) -> ModelReport:
     """Per-tensor and per-family digit statistics for a streamed tensor set.
 
-    `tensors` yields (spec, blocks) pairs (a TensorSpec or anything with a
-    `.name`).  Every block of every tensor is counted as it arrives, through
-    one bounded map with at most `threads + 2` blocks in flight (one when
-    `threads` is 1), and a tensor's counts are added up.  Tensors are
-    ordered by descending MAD (tensors without one last); family summaries
-    aggregate the tensors with a MAD in declaration order.
+    `tensors` yields (spec, blocks) pairs.  Every block of every tensor is
+    counted as it arrives, through one bounded map with at most
+    `threads + 2` blocks in flight (one when `threads` is 1), and a
+    tensor's counts are added up.  Tensors are ordered by descending MAD
+    (tensors without one last); family summaries aggregate the tensors
+    with a MAD in declaration order.
     """
-    def count(spec: Any, block: np.ndarray) -> DigitHistogram:
+    def count(spec: TensorSpec, block: np.ndarray) -> DigitHistogram:
         return digit_histogram(block)
 
     reports = []

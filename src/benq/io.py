@@ -31,16 +31,25 @@ never a bool or a float.  Each object is checked against its table before any
 value in it is used: a hostile header is a FormatError (ConfigError for the
 config and the policy), never a traceback.
 
-Payload offsets are relative to the payload start and 8-byte aligned (the
-payload itself starts at a multiple of 8 from the file start).  Quantized
-tensors store packed level indices followed by float16 group scales; at 4
-bits or less two indices share a byte, low nibble first, so 3-bit indices
-occupy 4 bits on disk.  Every schedule stores plain indices into its
-codebook; the rtn codebook is the integers -2**(bits-1) .. 2**(bits-1) - 1,
-so rtn integer q is stored as index q + 2**(bits-1).  Preserved tensors
-store their original bytes in their source dtype.  content_digest covers
-the config, the tensor directory and the payload, so any header tampering
-or payload corruption is rejected before a single tensor is materialized.
+The payload holds every tensor's spans in directory order: a quantized
+tensor's packed level indices and then its float16 group scales, a
+preserved tensor's data.  Each span is padded with zero bytes to a
+multiple of 8, the next span starts right after that padding, and the
+payload ends with the last span's padding; offsets are relative to the
+payload start, which is a multiple of 8 from the file start.  So every
+span, n_groups and tail_len follows from the config and the shapes alone.
+The reader rebuilds the directory from each entry's name, shape and dtype
+with the writer's `_benq_directory`, and any other layout (overlapping,
+gapped or reordered spans, trailing payload bytes) is a FormatError.
+
+At 4 bits or less two packed indices share a byte, low nibble first, so
+3-bit indices occupy 4 bits on disk.  Every schedule stores plain indices
+into its codebook; the rtn codebook is the integers -2**(bits-1) ..
+2**(bits-1) - 1, so rtn integer q is stored as index q + 2**(bits-1).
+Preserved tensors store their original bytes in their source dtype.
+content_digest covers the config, the tensor directory and the payload, so
+any header tampering or payload corruption is rejected before a single
+tensor is materialized.
 
 Both formats are streamed a block at a time, and a streamed tensor is one
 thing on both sides: its TensorSpec and an iterator of its blocks.  A reader
@@ -61,6 +70,7 @@ output.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import hashlib
 import json
@@ -68,13 +78,13 @@ import math
 import os
 import tempfile
 import warnings
-from typing import Any, BinaryIO, Iterable, Iterator, NamedTuple, Sequence
+from typing import Any, BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import (ANY, BOOL, INT, NONNEG, OBJECT, STR, ConfigError, DataError, FormatError,
                      checked, list_of, one_of, tuple_of)
-from ._pool import _BLOCK_ELEMS, _END
+from ._pool import _BLOCK_ELEMS, _END, TensorSpec
 from .quantizer import QuantConfig, QuantizedTensor, QuantPolicy
 
 SUPPORTED_DTYPES = ("F32", "F16", "BF16")
@@ -83,17 +93,6 @@ BENQ_VERSION = 2
 
 _MAX_HEADER = 1 << 30
 _CHUNK = 1 << 20  # bytes per read of the digest pass
-
-
-class TensorSpec(NamedTuple):
-    """What a file's header says of one tensor, known before any tensor is read.
-
-    `dtype` is the stored dtype, None for a quantized .benq tensor.
-    """
-
-    name: str
-    shape: tuple[int, ...]
-    dtype: str | None
 
 
 def _promote(raw, dtype: str, shape: tuple[int, ...],
@@ -220,14 +219,6 @@ _PRESERVED_ENTRY = {"name": STR, "shape": _SHAPE, "quantized": BOOL,
                     "dtype": _DTYPE, "data": _SPAN}
 
 
-def _shape(raw: list[int], name: str, span: int, size_of) -> tuple[int, ...]:
-    """A checked shape whose element count fills `span` bytes; size_of(n) gives n's bytes."""
-    need = size_of(math.prod(raw))
-    if need != span:
-        raise FormatError(f"{name}: offsets span {span} bytes, expected {need} for shape {raw}")
-    return tuple(raw)
-
-
 def _atomic_write(path: str, writer) -> None:
     """Run writer(file) against a temp file, then rename over path."""
     directory = os.path.dirname(os.path.abspath(path))
@@ -312,12 +303,15 @@ def read_container(path: str, block: int = _BLOCK_ELEMS
                 continue
             checked(entry, _SAFETENSORS_ENTRY, f"malformed header entry for {name!r}",
                     FormatError, extra=True)
-            dtype = entry["dtype"]
+            dtype, shape = entry["dtype"], entry["shape"]
             start, end = entry["data_offsets"]
             if not start <= end <= payload_size:
                 raise FormatError(f"{name}: data offsets [{start}, {end}] outside payload")
-            shape = _shape(entry["shape"], name, end - start, lambda n: n * _itemsize(dtype))
-            located.append((TensorSpec(name, shape, dtype), 8 + hlen + start))
+            need = math.prod(shape) * _itemsize(dtype)
+            if need != end - start:
+                raise FormatError(f"{name}: offsets span {end - start} bytes, "
+                                  f"expected {need} for shape {shape}")
+            located.append((TensorSpec(name, tuple(shape), dtype), 8 + hlen + start))
         if not located:
             warnings.warn(f"{path}: container holds no tensors", stacklevel=3)
         tensors = ((s, _read_blocks(f, at, s, block, f"tensor {s.name!r}"))
@@ -391,8 +385,13 @@ def packed_size(count: int, bits: int) -> int:
     return -(-count // 2) if bits <= 4 else count
 
 
-def _benq_directory(config: QuantConfig, specs: Sequence[TensorSpec]) -> list[dict]:
-    """The .benq tensor directory of `specs`: every span follows from the shapes alone."""
+def _benq_directory(config: QuantConfig, specs: Sequence[TensorSpec]) -> tuple[list[dict], int]:
+    """(directory, payload size) of a .benq file of `specs`, the one layout of the format.
+
+    Spans follow each other in directory order, a quantized tensor's
+    indices before its scales, each padded to 8 bytes, so every span
+    follows from the shapes alone.
+    """
     directory = []
     offset = 0
 
@@ -413,7 +412,7 @@ def _benq_directory(config: QuantConfig, specs: Sequence[TensorSpec]) -> list[di
         else:
             directory.append({"name": s.name, "shape": list(s.shape), "quantized": False,
                               "dtype": s.dtype, "data": span(numel * _itemsize(s.dtype))})
-    return directory
+    return directory, offset
 
 
 def _content_hash(config: QuantConfig, directory: list[dict]):
@@ -423,12 +422,6 @@ def _content_hash(config: QuantConfig, directory: list[dict]):
                         sort_keys=True, separators=(",", ":")).encode("utf-8"))
     h.update(b"\0")
     return h
-
-
-def _content_digest(config: QuantConfig, directory: list[dict], payload: bytes) -> str:
-    h = _content_hash(config, directory)
-    h.update(payload)
-    return h.hexdigest()
 
 
 def _packed(spec: TensorSpec, blocks: Iterable, config: QuantConfig,
@@ -475,7 +468,7 @@ def write_benq(path: str, config: QuantConfig, policy: QuantPolicy,
     tensor's float16 scales once its indices are written, and the header is
     written last.  Atomic and deterministic.
     """
-    directory = _benq_directory(config, specs)
+    directory, _ = _benq_directory(config, specs)
 
     def header(content_digest: str) -> bytes:
         raw = json.dumps({
@@ -529,31 +522,6 @@ def _require(cond: bool, message: str) -> None:
         raise FormatError(message)
 
 
-def _benq_spec(entry: dict, config: QuantConfig, payload_size: int) -> TensorSpec:
-    """The spec of a schema-checked directory entry whose spans fit the payload."""
-    name = entry["name"]
-
-    def span(key: str) -> int:
-        off, length = entry[key]
-        _require(off % 8 == 0, f"{name}: {key} offset {off} is not 8-byte aligned")
-        _require(off + length <= payload_size, f"{name}: {key} span outside payload")
-        return length
-
-    if not entry["quantized"]:
-        dtype = entry["dtype"]
-        return TensorSpec(name, _shape(entry["shape"], name, span("data"),
-                                       lambda n: n * _itemsize(dtype)), dtype)
-    shape = _shape(entry["shape"], name, span("indices"), lambda n: packed_size(n, config.bits))
-    numel = math.prod(shape)
-    n_groups = -(-numel // config.group_size)
-    _require(entry["n_groups"] == n_groups,
-             f"{name}: header claims {entry['n_groups']} groups, expected {n_groups}")
-    _require(entry["tail_len"] == numel % config.group_size, f"{name}: tail length mismatch")
-    _require(span("scales") == 2 * n_groups,
-             f"{name}: {entry['scales'][1]} scale bytes for {n_groups} groups")
-    return TensorSpec(name, shape, None)
-
-
 def _read_benq_entry(f: BinaryIO, base: int, entry: dict, spec: TensorSpec,
                      config: QuantConfig) -> Iterator:
     """The blocks of one directory entry, each read when it is reached.
@@ -586,10 +554,13 @@ def read_benq(path: str) -> Iterator[tuple[QuantConfig, QuantPolicy, list[Tensor
     """(config, policy, specs, entries) of a fully validated .benq file.
 
     Reading takes two passes over the open file.  The first checks the
-    header, every directory entry and the content digest, which it hashes
-    from the payload in chunks, so a tampered header (for example an edited
-    bits field) or a corrupt payload raises FormatError before any tensor is
-    read.  `entries` then yields (spec, blocks) in directory order, where
+    header against its schema tables and the content digest, which it
+    hashes from the payload in chunks.  It then rebuilds the directory with
+    `_benq_directory` from each entry's name, shape and dtype, and every
+    entry and the payload size must equal the rebuilt ones.  So a tampered
+    header (for example an edited bits field), a corrupt payload or any
+    layout but the writer's raises FormatError before any tensor is read.
+    `entries` then yields (spec, blocks) in directory order, where
     `blocks` lazily reads the tensor's spans a block of config.block_elems
     elements at a time: flat float32 arrays for a preserved tensor, and for
     a quantized one a QuantizedTensor of the block's indices and scales.  The
@@ -619,12 +590,18 @@ def read_benq(path: str) -> Iterator[tuple[QuantConfig, QuantPolicy, list[Tensor
         _require(h.hexdigest() == header["content_digest"],
                  "content digest mismatch: header or payload corrupted")
 
-        specs: list[TensorSpec] = []
-        names: set[str] = set()
-        for entry in directory:
-            _require(entry["name"] not in names, f"duplicate tensor name {entry['name']!r}")
-            specs.append(_benq_spec(entry, config, payload_size))
-            names.add(entry["name"])
+        specs = [TensorSpec(e["name"], tuple(e["shape"]), None if e["quantized"] else e["dtype"])
+                 for e in directory]
+        for name, count in collections.Counter(s.name for s in specs).items():
+            _require(count == 1, f"duplicate tensor name {name!r}")
+        rebuilt, rebuilt_size = _benq_directory(config, specs)
+        for entry, want in zip(directory, rebuilt):
+            for key, value in want.items():
+                if entry[key] != value:
+                    raise FormatError(f"{entry['name']}: {key} {entry[key]} is not {value}, "
+                                      f"as its shape {entry['shape']} gives")
+        _require(payload_size == rebuilt_size,
+                 f"payload is {payload_size} bytes, not {rebuilt_size}, as the directory gives")
         base = len(BENQ_MAGIC) + 8 + hlen
         entries = ((s, _read_benq_entry(f, base, e, s, config))
                    for s, e in zip(specs, directory))

@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ._pool import _map_blocks
+from ._pool import TensorSpec, _map_blocks
 from .errors import ConfigError, DataError
 # dequantize and quantize_tensor are not called here: compare runs the block
 # steps they are made of.  perfbench's tracer still wraps both names on this module.
@@ -100,18 +99,18 @@ def _group_size(configs: Sequence[QuantConfig]) -> int:
     return sizes[0]
 
 
-def compare_tensors(tensors: Iterable[tuple[Any, Iterable]], configs: Sequence[QuantConfig],
+def compare_tensors(tensors: Iterable[tuple[TensorSpec, Iterable]],
+                    configs: Sequence[QuantConfig],
                     threads: int = 1) -> Iterator[list[DistortionReport]]:
     """Quantize and reconstruct each streamed tensor under each config, in given order.
 
-    `tensors` yields (spec, blocks) pairs (a TensorSpec or anything with a
-    `.name`) whose blocks but the last hold whole groups, as
-    quantize_tensor's blocks do; the
-    configs share one group size (ConfigError if they are empty or do not).
-    Lazily yields each tensor's reports.  A block is grouped, checked and
-    reduced to group maxima and Σw² once.  The configs of each top level
-    then take their scales, one quotient and their nearest levels; once every
-    config has its indices, each rebuilds the float32 reconstruction and keeps
+    `tensors` yields (spec, blocks) pairs whose blocks but the last hold
+    whole groups, as quantize_tensor's blocks do; the configs share one
+    group size (ConfigError if they are empty or do not).  Lazily yields
+    each tensor's reports.  A block is grouped, checked and reduced to
+    group maxima and Σw² once.  The configs of each top level then take
+    their scales, one quotient and their nearest levels; once every config
+    has its indices, each rebuilds the float32 reconstruction and keeps
     Σerr² and max|err|.  One float64 scratch buffer holds the quotients, the
     reconstructions and the errors in turn.  Only these sums leave a block,
     and a tensor's are added in block order, so the reports do not depend on
@@ -120,7 +119,7 @@ def compare_tensors(tensors: Iterable[tuple[Any, Iterable]], configs: Sequence[Q
     G = _group_size(configs)
     levels = [cfg.codebook().levels for cfg in configs]
 
-    def work(spec: Any, block: np.ndarray) -> tuple[int, float, list]:
+    def work(spec: TensorSpec, block: np.ndarray) -> tuple[int, float, list]:
         context = f"tensor {spec.name or '<unnamed>'}"
         groups, gmax = _promote_block(np.asarray(block).ravel(), G, context)
         w = groups.ravel()[:np.size(block)]
@@ -155,5 +154,5 @@ def compare_schedules(data: np.ndarray, configs: Sequence[QuantConfig],
     step = configs[0].block_elems
     flat = np.asarray(data).ravel()
     blocks = (flat[i:i + step] for i in range(0, flat.size, step))
-    (reports,) = compare_tensors([(SimpleNamespace(name=name), blocks)], configs, threads)
+    (reports,) = compare_tensors([(TensorSpec(name, flat.shape, None), blocks)], configs, threads)
     return reports

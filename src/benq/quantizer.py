@@ -38,7 +38,7 @@ from typing import Any, Iterable, Iterator
 
 import numpy as np
 
-from ._pool import _BLOCK_ELEMS, _map_blocks
+from ._pool import _BLOCK_ELEMS, TensorSpec, _map_blocks
 from .benford import DEFAULT_FAMILY_PATTERNS, Family, _read_dtype, classify_family
 from .errors import (INT, NUMBER, STR, ConfigError, DataError, FormatError, checked, list_of,
                      one_of, tuple_of)
@@ -318,11 +318,6 @@ class QuantizedTensor:
     def n_groups(self) -> int:
         return -(-self.numel // self.config.group_size) if self.numel else 0
 
-    @property
-    def tail_len(self) -> int:
-        """Length of the final short group, 0 when group_size divides numel."""
-        return self.numel % self.config.group_size
-
 
 def quantize_tensor(data: np.ndarray, config: QuantConfig, name: str = "") -> QuantizedTensor:
     """Quantize a whole tensor group-wise (row-major order, in blocks of groups)."""
@@ -437,19 +432,18 @@ def _whole_groups(blocks: Iterable, group_size: int, name: str) -> Iterator:
         yield block
 
 
-def apply_policy(tensors: Iterable[tuple[Any, Iterable]], policy: QuantPolicy,
+def apply_policy(tensors: Iterable[tuple[TensorSpec, Iterable]], policy: QuantPolicy,
                  config: QuantConfig, threads: int = 1) -> Iterator[Iterator]:
     """Quantize the tensors a policy selects; pass the rest through untouched.
 
-    `tensors` yields (spec, blocks) pairs (a TensorSpec or anything with a
-    `.name`), each block of a selected tensor but the last holding whole
-    groups.  Lazily yields, per tensor in input order, an iterator of its
-    blocks' outputs: the block's QuantizedTensor when the policy selects
-    the tensor, else the block itself.  Every block of every tensor goes
-    through one bounded map, so at most `threads + 2` blocks are in flight
-    (one when `threads` is 1).
+    `tensors` yields (spec, blocks) pairs, each block of a selected tensor
+    but the last holding whole groups.  Lazily yields, per tensor in input
+    order, an iterator of its blocks' outputs: the block's QuantizedTensor
+    when the policy selects the tensor, else the block itself.  Every block
+    of every tensor goes through one bounded map, so at most `threads + 2`
+    blocks are in flight (one when `threads` is 1).
     """
-    def work(spec: Any, block: Any) -> Any:
+    def work(spec: TensorSpec, block: Any) -> Any:
         if policy.should_quantize(spec.name):
             return quantize_tensor(block, config, spec.name)
         return block

@@ -13,7 +13,8 @@ QuantizedTensor where the spec's dtype is None.
 import numpy as np
 import pytest
 
-from benq.io import TensorSpec, read_benq, read_container, write_benq, write_container
+from benq.io import (TensorSpec, _content_hash, read_benq, read_container, write_benq,
+                     write_container)
 from benq.quantizer import QuantizedTensor, apply_policy
 
 
@@ -62,6 +63,14 @@ def save_benq(path, tensors, policy, config):
     write_benq(str(path), config, policy, [s for s, _ in entries.values()],
                (blocks for _, blocks in stream(entries)))
     return entries
+
+
+def content_digest(config, directory, payload):
+    """The content digest of a .benq file of `config`, `directory` and `payload`,
+    for re-signing a crafted header."""
+    h = _content_hash(config, directory)
+    h.update(payload)
+    return h.hexdigest()
 
 
 def load_benq(path):

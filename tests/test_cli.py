@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 
 from benq.cli import main
-from benq.io import BENQ_MAGIC, TensorSpec, _content_digest, write_container
+from benq.io import BENQ_MAGIC, TensorSpec, write_container
 from benq.quantizer import _BLOCK_ELEMS, QuantConfig, QuantizedTensor, dequantize
 from benq.rng import derive_seed
 from benq.synth import _CHUNK, parse_spec, synth_tensor
-from conftest import load_benq, load_container
+from conftest import content_digest, load_benq, load_container
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -496,8 +496,8 @@ def resigned_non_object_entry(capsys, tmp_path):
     hlen = int.from_bytes(blob[4:12], "little")
     header = json.loads(blob[12:12 + hlen])
     header["tensors"] = [5]
-    header["content_digest"] = _content_digest(QuantConfig.from_dict(header["config"]),
-                                               [5], blob[12 + hlen:])
+    header["content_digest"] = content_digest(QuantConfig.from_dict(header["config"]),
+                                              [5], blob[12 + hlen:])
     raw = json.dumps(header).encode()
     q.write_bytes(BENQ_MAGIC + len(raw).to_bytes(8, "little") + raw + blob[12 + hlen:])
     return ["dequantize", str(q), "--out", str(tmp_path / "d.st")]

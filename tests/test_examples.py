@@ -1,5 +1,9 @@
-"""The README's library example and the scripts under scripts/ run as documented."""
+"""The README's library example and the scripts under scripts/ run as documented,
+and the benchmark's tracer finds every function it wraps."""
 
+import importlib
+import importlib.util
+import inspect
 import json
 import os
 import re
@@ -52,3 +56,21 @@ def test_script_runs_on_toy_model(toy, script):
     done = run_script(script, str(toy))
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()
+
+
+def test_perfbench_tracer_targets_resolve():
+    # perfbench/tracing.py wraps these by module attribute; one gone would
+    # break `perfbench/run.py --trace 1`
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", os.path.join(ROOT, "perfbench", "tracing.py"))
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    positional = (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
+    assert tracing.TARGETS
+    for module, attr, key, rate in tracing.TARGETS:
+        fn = getattr(importlib.import_module(module), attr, None)
+        assert callable(fn), f"{module}.{attr} ({key})"
+        if rate is not None:
+            params = list(inspect.signature(fn).parameters.values())
+            assert rate[1] < len(params) and params[rate[1]].kind in positional, \
+                f"{module}.{attr} has no positional parameter {rate[1]}"

@@ -10,14 +10,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from benq import rng
+from benq.cli import main
 from benq.errors import ConfigError, FormatError
-from benq.io import (BENQ_MAGIC, BENQ_VERSION, _content_digest, _demote, _promote,
-                     pack_indices, packed_size, read_benq, unpack_indices, write_benq)
+from benq.io import (BENQ_MAGIC, BENQ_VERSION, _demote, _promote, pack_indices, packed_size,
+                     read_benq, unpack_indices, write_benq)
 from benq.levels import Schedule
 from benq.quantizer import (DEFAULT_POLICY, QUANTIZE_ALL, QuantConfig,
                             QuantizedTensor, QuantPolicy, dequantize)
 from benq.synth import synth_tensor
-from conftest import load_benq, load_container, save_benq, save_container, tensor_set
+from conftest import (content_digest, load_benq, load_container, save_benq, save_container,
+                      tensor_set)
 
 SCHEDULES = (Schedule.LOG_UNIFORM, Schedule.LINEAR, Schedule.RTN)
 
@@ -437,13 +439,18 @@ def build_benq(path, cfg, policy, directory, payload):
         "config": cfg.to_dict(),
         "policy": policy.to_dict(),
         "policy_digest": policy.digest(),
-        "content_digest": _content_digest(cfg, directory, payload),
+        "content_digest": content_digest(cfg, directory, payload),
         "tensors": directory,
     }
     header = json.dumps(header_obj, separators=(",", ":")).encode()
     header += b" " * (-(4 + 8 + len(header)) % 8)
     path.write_bytes(BENQ_MAGIC + len(header).to_bytes(8, "little")
                      + header + payload)
+
+
+def f32_entry(name, offset):
+    """The directory entry of a preserved 2-element F32 tensor at payload `offset`."""
+    return {"name": name, "shape": [2], "quantized": False, "dtype": "F32", "data": [offset, 8]}
 
 
 class TestBenqCrafted:
@@ -468,7 +475,7 @@ class TestBenqCrafted:
                       "indices": [0, 1], "scales": [8, 1000]}]
         p = tmp_path / "c.benq"
         build_benq(p, self.CFG, QUANTIZE_ALL, directory, bytes(16))
-        with pytest.raises(FormatError, match="outside payload"):
+        with pytest.raises(FormatError, match=r"w: scales \[8, 1000\] is not \[8, 2\]"):
             load_benq(p)
 
     def test_misaligned_offset(self, tmp_path):
@@ -477,7 +484,7 @@ class TestBenqCrafted:
                       "indices": [1, 1], "scales": [8, 2]}]
         p = tmp_path / "c.benq"
         build_benq(p, self.CFG, QUANTIZE_ALL, directory, bytes(16))
-        with pytest.raises(FormatError, match="not 8-byte aligned"):
+        with pytest.raises(FormatError, match=r"w: indices \[1, 1\] is not \[0, 1\]"):
             load_benq(p)
 
     def test_duplicate_tensor_name(self, tmp_path):
@@ -496,8 +503,29 @@ class TestBenqCrafted:
                       "indices": [0, 1], "scales": [8, 2]}]
         p = tmp_path / "c.benq"
         build_benq(p, self.CFG, QUANTIZE_ALL, directory, bytes(16))
-        with pytest.raises(FormatError, match="claims 9 groups"):
+        with pytest.raises(FormatError, match="w: n_groups 9 is not 1"):
             load_benq(p)
+
+    @pytest.mark.parametrize("directory,payload,message", [
+        ([f32_entry("a", 0), f32_entry("b", 0)], bytes(8), r"b: data \[0, 8\] is not \[8, 8\]"),
+        ([f32_entry("a", 0), f32_entry("b", 16)], bytes(24),
+         r"b: data \[16, 8\] is not \[8, 8\]"),
+        ([{"name": "w", "shape": [1], "quantized": True, "n_groups": 1, "tail_len": 1,
+           "indices": [8, 1], "scales": [0, 2]}],
+         np.float16(1.0).tobytes() + bytes(6) + bytes([0x01]) + bytes(7),
+         r"w: indices \[8, 1\] is not \[0, 1\]"),
+        ([f32_entry("a", 0)], bytes(8 + 64), "payload is 72 bytes, not 8"),
+    ], ids=["overlap", "hole", "scales-before-indices", "trailing-bytes"])
+    def test_layout_not_the_writers(self, tmp_path, capsys, directory, payload, message):
+        # each span lies inside the payload and is 8-byte aligned, yet the
+        # writer lays the spans out one way only
+        p = tmp_path / "c.benq"
+        build_benq(p, self.CFG, QUANTIZE_ALL, directory, payload)
+        with pytest.raises(FormatError, match=message):
+            load_benq(p)
+        assert main(["dequantize", str(p), "--out", str(tmp_path / "d.st")]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "d.st").exists()
 
     def test_entry_missing_field(self, tmp_path):
         directory = [{"name": "w", "quantized": True}]
@@ -912,8 +940,8 @@ class TestHostileHeaders:
         header = replaced(header, path, data.draw(JSON_VALUES))
         payload = blob[12 + hlen:]
         if path[0] != "config":  # the config is parsed before the digest is checked
-            header["content_digest"] = _content_digest(QuantConfig.from_dict(header["config"]),
-                                                       header["tensors"], payload)
+            header["content_digest"] = content_digest(QuantConfig.from_dict(header["config"]),
+                                                      header["tensors"], payload)
         raw = json.dumps(header, separators=(",", ":")).encode()
         p = tmp_path / "m.benq"
         p.write_bytes(BENQ_MAGIC + len(raw).to_bytes(8, "little") + raw + payload)

@@ -490,9 +490,9 @@ class TestQuantizeTensor:
     def test_group_arithmetic(self):
         cfg = QuantConfig(bits=4, group_size=4)
         qt = quantize_tensor(np.arange(10, dtype=np.float64) / 10.0, cfg, "t")
-        assert qt.n_groups == 3 and qt.tail_len == 2
+        assert qt.n_groups == 3 and qt.numel % cfg.group_size == 2
         qt2 = quantize_tensor(np.ones((2, 4)), cfg)
-        assert qt2.n_groups == 2 and qt2.tail_len == 0
+        assert qt2.n_groups == 2 and qt2.numel % cfg.group_size == 0
 
     def test_row_major_grouping(self):
         cfg = QuantConfig(bits=4, group_size=2)

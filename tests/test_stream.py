@@ -14,12 +14,12 @@ import pytest
 from benq._pool import _QUEUED, _map
 from benq.cli import main
 from benq.errors import DataError, FormatError
-from benq.io import (BENQ_MAGIC, TensorSpec, _content_digest, pack_indices, read_benq,
-                     read_container, write_container)
+from benq.io import (BENQ_MAGIC, TensorSpec, pack_indices, read_benq, read_container,
+                     write_container)
 from benq.levels import Schedule
 from benq.quantizer import QuantConfig, dequantize, quantize_tensor
 from benq.synth import synth_tensor
-from conftest import load_container, save_container, tensor_set
+from conftest import content_digest, load_container, save_container, tensor_set
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -349,8 +349,8 @@ class TestNoPartialOutput:
         at = base + header["tensors"][1]["indices"][0]
         payload = bytearray(blob[base:])
         payload[at - base] = 0xFF  # a 2-bit index of 15
-        digest = _content_digest(QuantConfig.from_dict(header["config"]),
-                                 header["tensors"], bytes(payload))
+        digest = content_digest(QuantConfig.from_dict(header["config"]),
+                                header["tensors"], bytes(payload))
         head = blob[:base].replace(header["content_digest"].encode(), digest.encode())
         benq.write_bytes(head + bytes(payload))
         assert head[:4] == BENQ_MAGIC and len(head) == base
@@ -395,13 +395,13 @@ class TestHeaderBeforeTensors:
         benq, blob, base, header = small_benq(tmp_path, capsys)
         header["tensors"][1]["shape"] = [7]  # no longer fills its indices span
         config = QuantConfig.from_dict(header["config"])
-        header["content_digest"] = _content_digest(config, header["tensors"], blob[base:])
+        header["content_digest"] = content_digest(config, header["tensors"], blob[base:])
         raw = json.dumps(header, separators=(",", ":")).encode()
         raw += b" " * (-(12 + len(raw)) % 8)
         benq.write_bytes(BENQ_MAGIC + len(raw).to_bytes(8, "little") + raw + blob[base:])
         reads = []
         monkeypatch.setattr(io_mod, "_read_benq_entry", lambda *args: reads.append(args))
-        with pytest.raises(FormatError, match="offsets span"):
+        with pytest.raises(FormatError, match=r"n_groups \d+ is not 1, as its shape \[7\]"):
             with read_benq(str(benq)) as (_, _, _, entries):
                 list(entries)
         assert reads == []
