@@ -6,7 +6,10 @@ safetensors layout (subset: F32, F16, BF16 tensors):
     header: {name: {"dtype": "F32" | "F16" | "BF16", "shape": [uint, ...],
                     "data_offsets": [start uint, end uint]}, ..., "__metadata__"?: any}
     offsets are relative to the payload.  The format is external, so an
-    entry may hold more keys and __metadata__ is skipped.
+    entry may hold more keys and __metadata__ is skipped.  The tensors tile
+    the payload: sorted by offset, the first starts at 0, each starts where
+    the one before it ends and the last ends at the payload's end, so no
+    two tensors share bytes and no byte lies outside a tensor.
 
 .benq layout (one quantization run over a tensor set):
 
@@ -14,7 +17,7 @@ safetensors layout (subset: F32, F16, BF16 tensors):
     header: {
       "version": 2,
       "config":  {"bits": int, "group_size": int, "schedule": "log" | "linear" | "rtn",
-                  "epsilon": number (log only; optional)},
+                  "epsilon": number (log only)},
       "policy":  {"family_patterns": [[family, [str, ...]], ...],
                   "quantize_families": [family, ...]},
       "policy_digest": sha256 hex str, "content_digest": sha256 hex str,
@@ -38,9 +41,16 @@ multiple of 8, the next span starts right after that padding, and the
 payload ends with the last span's padding; offsets are relative to the
 payload start, which is a multiple of 8 from the file start.  So every
 span, n_groups and tail_len follows from the config and the shapes alone.
-The reader rebuilds the directory from each entry's name, shape and dtype
-with the writer's `_benq_directory`, and any other layout (overlapping,
-gapped or reordered spans, trailing payload bytes) is a FormatError.
+
+A .benq file is exactly what `write_benq` writes.  The reader rebuilds the
+directory from each entry's name, shape and dtype with the writer's
+`_benq_directory`, and the header's bytes must be `_benq_header`'s for the
+config, the policy and that directory, so any other layout (overlapping,
+gapped or reordered spans), policy digest or spelling of the JSON is a
+FormatError, and so is a payload of any other size.  The bits the writer
+leaves zero must be zero: each span's padding and, at 4 bits or less, the
+unused high nibble of an odd-length tensor's last index byte.  Every scale
+must be a finite, non-negative float16; 0 is an all-zero group's scale.
 
 At 4 bits or less two packed indices share a byte, low nibble first, so
 3-bit indices occupy 4 bits on disk.  Every schedule stores plain indices
@@ -137,6 +147,11 @@ def _read_exact(f: BinaryIO, n: int, what: str) -> bytes:
     if len(buf) != n:
         raise FormatError(f"truncated file while reading {what}")
     return buf
+
+
+def _require(cond: bool, message: str) -> None:
+    if not cond:
+        raise FormatError(message)
 
 
 def _read_at(f: BinaryIO, offset: int, n: int, what: str) -> bytes:
@@ -284,7 +299,7 @@ def read_container(path: str, block: int = _BLOCK_ELEMS
                    ) -> Iterator[tuple[list[TensorSpec], Iterator]]:
     """(specs, tensors) of a safetensors file, its tensors read as they are iterated.
 
-    Every header entry is checked, its span against the file's size too,
+    Every header entry is checked, and the tensors must tile the payload,
     before any tensor is read.  `tensors` yields (spec, blocks) in header
     order, where `blocks` lazily reads the tensor from the open file as flat
     float32 arrays of `block` elements, the last one possibly short.
@@ -297,7 +312,7 @@ def read_container(path: str, block: int = _BLOCK_ELEMS
         header = parse_json(_read_exact(f, hlen, "header"), "header")
         payload_size = size - 8 - hlen
 
-        located = []  # (spec, file offset)
+        located = []  # (spec, payload start, payload end)
         for name, entry in header.items():
             if name == "__metadata__":
                 continue
@@ -305,18 +320,23 @@ def read_container(path: str, block: int = _BLOCK_ELEMS
                     FormatError, extra=True)
             dtype, shape = entry["dtype"], entry["shape"]
             start, end = entry["data_offsets"]
-            if not start <= end <= payload_size:
-                raise FormatError(f"{name}: data offsets [{start}, {end}] outside payload")
             need = math.prod(shape) * _itemsize(dtype)
             if need != end - start:
                 raise FormatError(f"{name}: offsets span {end - start} bytes, "
                                   f"expected {need} for shape {shape}")
-            located.append((TensorSpec(name, tuple(shape), dtype), 8 + hlen + start))
+            located.append((TensorSpec(name, tuple(shape), dtype), start, end))
+        covered = 0  # the tensors tile the payload: no overlap, hole or trailing bytes
+        for s, start, end in sorted(located, key=lambda x: x[1:]):
+            _require(start == covered, f"{s.name}: data offsets [{start}, {end}] do not start "
+                                       f"at byte {covered}, where the tensors before end")
+            covered = end
+        _require(covered == payload_size,
+                 f"tensors end at payload byte {covered}, not at its end, {payload_size}")
         if not located:
             warnings.warn(f"{path}: container holds no tensors", stacklevel=3)
-        tensors = ((s, _read_blocks(f, at, s, block, f"tensor {s.name!r}"))
-                   for s, at in located)
-        yield [s for s, _ in located], tensors
+        tensors = ((s, _read_blocks(f, 8 + hlen + start, s, block, f"tensor {s.name!r}"))
+                   for s, start, _ in located)
+        yield [s for s, _, _ in located], tensors
 
 
 def write_container(path: str, specs: Sequence[TensorSpec], arrays: Iterable) -> None:
@@ -424,6 +444,21 @@ def _content_hash(config: QuantConfig, directory: list[dict]):
     return h
 
 
+def _benq_header(config: QuantConfig, policy: QuantPolicy, directory: list[dict],
+                 content_digest: str) -> bytes:
+    """The one serialization of a .benq header, space-padded so that the payload
+    starts 8-byte aligned; the reader accepts no other header bytes."""
+    raw = json.dumps({
+        "version": BENQ_VERSION,
+        "config": config.to_dict(),
+        "policy": policy.to_dict(),
+        "policy_digest": policy.digest(),
+        "content_digest": content_digest,
+        "tensors": directory,
+    }, separators=(",", ":")).encode("utf-8")
+    return raw + b" " * (-(len(BENQ_MAGIC) + 8 + len(raw)) % 8)
+
+
 def _packed(spec: TensorSpec, blocks: Iterable, config: QuantConfig,
             scales: list) -> Iterator[bytes]:
     """The packed indices of a quantized tensor's QuantizedTensor blocks, in order.
@@ -469,19 +504,7 @@ def write_benq(path: str, config: QuantConfig, policy: QuantPolicy,
     written last.  Atomic and deterministic.
     """
     directory, _ = _benq_directory(config, specs)
-
-    def header(content_digest: str) -> bytes:
-        raw = json.dumps({
-            "version": BENQ_VERSION,
-            "config": config.to_dict(),
-            "policy": policy.to_dict(),
-            "policy_digest": policy.digest(),
-            "content_digest": content_digest,
-            "tensors": directory,
-        }, separators=(",", ":")).encode("utf-8")
-        return raw + b" " * (-(len(BENQ_MAGIC) + 8 + len(raw)) % 8)
-
-    reserved = len(header("0" * 64))
+    reserved = len(_benq_header(config, policy, directory, "0" * 64))
 
     def writer(f: BinaryIO) -> None:
         f.write(BENQ_MAGIC)
@@ -509,17 +532,12 @@ def write_benq(path: str, config: QuantConfig, policy: QuantPolicy,
             span(s.astype("<f2").tobytes() for s in scales)
 
         _stream(specs, entries, put)
-        final = header(h.hexdigest())
+        final = _benq_header(config, policy, directory, h.hexdigest())
         assert len(final) == reserved
         f.seek(len(BENQ_MAGIC) + 8)
         f.write(final)
 
     _atomic_write(path, writer)
-
-
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise FormatError(message)
 
 
 def _read_benq_entry(f: BinaryIO, base: int, entry: dict, spec: TensorSpec,
@@ -546,24 +564,30 @@ def _read_benq_entry(f: BinaryIO, base: int, entry: dict, spec: TensorSpec,
                  f"{name}: stored value outside the {bits}-bit range")
         g0, g1 = start // G, -(-stop // G)
         scales = np.frombuffer(_read_at(f, scales_at + 2 * g0, 2 * (g1 - g0), what), dtype="<f2")
+        _require(int(scales.view("<u2").max()) < 0x7C00,  # finite, sign bit clear
+                 f"{name}: a scale is not a finite non-negative float16")
         yield QuantizedTensor(name, (stop - start,), indices, scales, config)
 
 
 @contextlib.contextmanager
 def read_benq(path: str) -> Iterator[tuple[QuantConfig, QuantPolicy, list[TensorSpec], Iterator]]:
-    """(config, policy, specs, entries) of a fully validated .benq file.
+    """(config, policy, specs, entries) of a .benq file: exactly what `write_benq` writes.
 
     Reading takes two passes over the open file.  The first checks the
     header against its schema tables and the content digest, which it
     hashes from the payload in chunks.  It then rebuilds the directory with
-    `_benq_directory` from each entry's name, shape and dtype, and every
-    entry and the payload size must equal the rebuilt ones.  So a tampered
-    header (for example an edited bits field), a corrupt payload or any
-    layout but the writer's raises FormatError before any tensor is read.
-    `entries` then yields (spec, blocks) in directory order, where
-    `blocks` lazily reads the tensor's spans a block of config.block_elems
-    elements at a time: flat float32 arrays for a preserved tensor, and for
-    a quantized one a QuantizedTensor of the block's indices and scales.  The
+    `_benq_directory` from each entry's name, shape and dtype.  The header's
+    bytes must be `_benq_header`'s for the config, the policy and that
+    directory, the payload must have the rebuilt size, and each span's
+    padding and, at 4 bits or less, an odd-length tensor's unused last
+    nibble must be zero.  So a tampered header, a corrupt payload or any
+    bytes but the writer's raise FormatError before any tensor is read.
+    `entries` then yields (spec, blocks) in directory order, where `blocks`
+    lazily reads the tensor's spans a block of config.block_elems elements
+    at a time: flat float32 arrays for a preserved tensor, and for a
+    quantized one a QuantizedTensor of the block's indices and scales; an
+    index outside the bit range or a scale that is not a finite
+    non-negative float16 is a FormatError when its block is reached.  The
     two passes assume the file is not rewritten in place meanwhile; benq's
     own writes replace a file by rename, which leaves an open file as it was.
     """
@@ -572,12 +596,11 @@ def read_benq(path: str) -> Iterator[tuple[QuantConfig, QuantPolicy, list[Tensor
         _require(_read_exact(f, 4, "magic") == BENQ_MAGIC, f"{path}: not a .benq file")
         hlen = int.from_bytes(_read_exact(f, 8, "header length"), "little")
         _require(hlen <= min(size - 12, _MAX_HEADER), f"header length {hlen} exceeds file size")
-        header = checked(parse_json(_read_exact(f, hlen, "header"), "header"), _BENQ_HEADER,
-                         "header", FormatError)
+        raw = _read_exact(f, hlen, "header")
+        header = checked(parse_json(raw, "header"), _BENQ_HEADER, "header", FormatError)
 
         config = QuantConfig.from_dict(header["config"])
         policy = QuantPolicy.from_dict(header["policy"])
-        _require(policy.digest() == header["policy_digest"], "policy digest mismatch")
         directory = header["tensors"]
         for i, entry in enumerate(directory):
             checked(entry, _QUANTIZED_ENTRY if entry.get("quantized") is True
@@ -595,14 +618,19 @@ def read_benq(path: str) -> Iterator[tuple[QuantConfig, QuantPolicy, list[Tensor
         for name, count in collections.Counter(s.name for s in specs).items():
             _require(count == 1, f"duplicate tensor name {name!r}")
         rebuilt, rebuilt_size = _benq_directory(config, specs)
-        for entry, want in zip(directory, rebuilt):
-            for key, value in want.items():
-                if entry[key] != value:
-                    raise FormatError(f"{entry['name']}: {key} {entry[key]} is not {value}, "
-                                      f"as its shape {entry['shape']} gives")
+        _require(raw == _benq_header(config, policy, rebuilt, header["content_digest"]),
+                 "header is not the one the writer gives for its config, policy and shapes")
         _require(payload_size == rebuilt_size,
                  f"payload is {payload_size} bytes, not {rebuilt_size}, as the directory gives")
         base = len(BENQ_MAGIC) + 8 + hlen
+        for e in rebuilt:  # the writer's zeros: each span's padding, an odd count's last nibble
+            for key in ("indices", "scales") if e["quantized"] else ("data",):
+                offset, length = e[key]
+                odd = int(key == "indices" and config.bits <= 4 and math.prod(e["shape"]) % 2)
+                if n := odd + -length % 8:
+                    tail = _read_at(f, base + offset + length - odd, n, key)
+                    _require(int.from_bytes(tail, "little") >> 4 * odd == 0,
+                             f"{e['name']}: nonzero bits past its {key}")
         entries = ((s, _read_benq_entry(f, base, e, s, config))
                    for s, e in zip(specs, directory))
         yield config, policy, specs, entries

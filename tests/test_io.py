@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 from benq import rng
 from benq.cli import main
 from benq.errors import ConfigError, FormatError
-from benq.io import (BENQ_MAGIC, BENQ_VERSION, _demote, _promote, pack_indices, packed_size,
-                     read_benq, unpack_indices, write_benq)
+from benq.io import (BENQ_MAGIC, BENQ_VERSION, TensorSpec, _benq_header, _demote, _promote,
+                     pack_indices, packed_size, read_benq, unpack_indices, write_benq)
 from benq.levels import Schedule
-from benq.quantizer import (DEFAULT_POLICY, QUANTIZE_ALL, QuantConfig,
+from benq.quantizer import (_FAMILIES, DEFAULT_POLICY, QUANTIZE_ALL, QuantConfig,
                             QuantizedTensor, QuantPolicy, dequantize)
 from benq.synth import synth_tensor
 from conftest import (content_digest, load_benq, load_container, save_benq, save_container,
@@ -144,7 +144,7 @@ class TestSafetensors:
         p = tmp_path / "bad.st"
         build_safetensors(p, {"w": {"dtype": "F32", "shape": [1],
                                     "data_offsets": [0, 100]}}, b"\0" * 4)
-        with pytest.raises(FormatError, match="outside payload"):
+        with pytest.raises(FormatError, match=r"w: offsets span 100 bytes, expected 4"):
             load_container(p)
 
     def test_offsets_span_wrong_size(self, tmp_path):
@@ -302,6 +302,39 @@ class TestBenqRoundTrip:
             write_benq(str(p2), config, policy, specs, (t for _, t in entries))
         assert p1.read_bytes() == p2.read_bytes()
 
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_rewrite_of_what_is_read_is_the_file(self, tmp_path, data):
+        schedule = data.draw(st.sampled_from(SCHEDULES))
+        cfg = QuantConfig(bits=data.draw(st.integers(2, 8)),
+                          group_size=data.draw(st.integers(1, 9)), schedule=schedule,
+                          epsilon=data.draw(st.sampled_from([1e-7, 1e-3, 0.01])))
+        families = st.lists(st.sampled_from(_FAMILIES), unique=True, max_size=4)
+        patterns = st.lists(st.tuples(st.sampled_from(_FAMILIES),
+                                      st.lists(st.text("abmpx._", max_size=4), max_size=2)),
+                            max_size=3)
+        policy = data.draw(st.one_of(st.just(DEFAULT_POLICY), st.builds(
+            lambda p, q: QuantPolicy(family_patterns=p, quantize_families=q), patterns,
+            families)))
+        names = st.sampled_from(["layers.0.mlp.up_proj.weight", "layers.1.self_attn.q_proj.weight",
+                                 "model.norm.weight", "lm_head.bias", "embed_tokens.weight",
+                                 "ab", "x"])
+        shapes = st.lists(st.integers(0, 9), max_size=3)
+        drawn = data.draw(st.dictionaries(names, st.tuples(
+            shapes, st.sampled_from(["F32", "F16", "BF16"]),
+            st.sampled_from([0.0, 1e-3, 1.0, 300.0]), st.integers(0, 2 ** 32 - 1)),
+            min_size=1, max_size=4))
+        tensors = {name: (TensorSpec(name, tuple(shape), dtype),
+                          (np.random.default_rng(seed).standard_normal(shape) * scale)
+                          .astype(np.float32))
+                   for name, (shape, dtype, scale, seed) in drawn.items()}
+        p1, p2 = tmp_path / "a.benq", tmp_path / "b.benq"
+        save_benq(p1, tensors, policy, cfg)
+        with read_benq(str(p1)) as (config, got_policy, specs, entries):
+            write_benq(str(p2), config, got_policy, specs, (t for _, t in entries))
+        assert p1.read_bytes() == p2.read_bytes()
+
     def test_layout_offsets_and_sizes(self, tmp_path):
         cfg = QuantConfig(bits=3, group_size=8)
         p = tmp_path / "m.benq"
@@ -414,7 +447,7 @@ class TestBenqValidation:
         old = header["policy_digest"].encode()
         new = (b"0" * 64) if old != b"0" * 64 else (b"1" * 64)
         self.expect_reject(tmp_path, blob.replace(old, new),
-                           "policy digest mismatch")
+                           "header is not the one the writer gives")
 
     def test_truncated_prefix(self, tmp_path, written):
         _, blob = written
@@ -434,16 +467,7 @@ class TestBenqValidation:
 
 def build_benq(path, cfg, policy, directory, payload):
     """Handcraft a structurally valid file with a correct content digest."""
-    header_obj = {
-        "version": BENQ_VERSION,
-        "config": cfg.to_dict(),
-        "policy": policy.to_dict(),
-        "policy_digest": policy.digest(),
-        "content_digest": content_digest(cfg, directory, payload),
-        "tensors": directory,
-    }
-    header = json.dumps(header_obj, separators=(",", ":")).encode()
-    header += b" " * (-(4 + 8 + len(header)) % 8)
+    header = _benq_header(cfg, policy, directory, content_digest(cfg, directory, payload))
     path.write_bytes(BENQ_MAGIC + len(header).to_bytes(8, "little")
                      + header + payload)
 
@@ -475,7 +499,7 @@ class TestBenqCrafted:
                       "indices": [0, 1], "scales": [8, 1000]}]
         p = tmp_path / "c.benq"
         build_benq(p, self.CFG, QUANTIZE_ALL, directory, bytes(16))
-        with pytest.raises(FormatError, match=r"w: scales \[8, 1000\] is not \[8, 2\]"):
+        with pytest.raises(FormatError, match="header is not the one the writer gives"):
             load_benq(p)
 
     def test_misaligned_offset(self, tmp_path):
@@ -484,7 +508,7 @@ class TestBenqCrafted:
                       "indices": [1, 1], "scales": [8, 2]}]
         p = tmp_path / "c.benq"
         build_benq(p, self.CFG, QUANTIZE_ALL, directory, bytes(16))
-        with pytest.raises(FormatError, match=r"w: indices \[1, 1\] is not \[0, 1\]"):
+        with pytest.raises(FormatError, match="header is not the one the writer gives"):
             load_benq(p)
 
     def test_duplicate_tensor_name(self, tmp_path):
@@ -503,17 +527,18 @@ class TestBenqCrafted:
                       "indices": [0, 1], "scales": [8, 2]}]
         p = tmp_path / "c.benq"
         build_benq(p, self.CFG, QUANTIZE_ALL, directory, bytes(16))
-        with pytest.raises(FormatError, match="w: n_groups 9 is not 1"):
+        with pytest.raises(FormatError, match="header is not the one the writer gives"):
             load_benq(p)
 
     @pytest.mark.parametrize("directory,payload,message", [
-        ([f32_entry("a", 0), f32_entry("b", 0)], bytes(8), r"b: data \[0, 8\] is not \[8, 8\]"),
+        ([f32_entry("a", 0), f32_entry("b", 0)], bytes(8),
+         "header is not the one the writer gives"),
         ([f32_entry("a", 0), f32_entry("b", 16)], bytes(24),
-         r"b: data \[16, 8\] is not \[8, 8\]"),
+         "header is not the one the writer gives"),
         ([{"name": "w", "shape": [1], "quantized": True, "n_groups": 1, "tail_len": 1,
            "indices": [8, 1], "scales": [0, 2]}],
          np.float16(1.0).tobytes() + bytes(6) + bytes([0x01]) + bytes(7),
-         r"w: indices \[8, 1\] is not \[0, 1\]"),
+         "header is not the one the writer gives"),
         ([f32_entry("a", 0)], bytes(8 + 64), "payload is 72 bytes, not 8"),
     ], ids=["overlap", "hole", "scales-before-indices", "trailing-bytes"])
     def test_layout_not_the_writers(self, tmp_path, capsys, directory, payload, message):
@@ -541,6 +566,86 @@ class TestBenqCrafted:
         build_benq(p, self.CFG, QUANTIZE_ALL, directory, bytes(8))
         with pytest.raises(FormatError, match="unsupported dtype 'I8'"):
             load_benq(p)
+
+
+# a 2-bit tensor of one element, its index and its group's scale each padded to 8 bytes
+ONE_INDEX = {"name": "w", "shape": [1], "quantized": True, "n_groups": 1, "tail_len": 1,
+             "indices": [0, 1], "scales": [8, 2]}
+ONE_F16 = {"name": "a", "shape": [1], "quantized": False, "dtype": "F16", "data": [0, 2]}
+
+
+def one_index(index=0x01, index_pad=bytes(7), scale=1.0, scale_pad=bytes(6)):
+    """The payload of ONE_INDEX."""
+    return bytes([index]) + index_pad + np.float16(scale).tobytes() + scale_pad
+
+
+def reserialized(**kwargs):
+    """A header edit: the same JSON written by json.dumps(**kwargs)."""
+    return lambda raw: json.dumps(json.loads(raw), **kwargs).encode()
+
+
+NOT_THE_HEADER = "header is not the one the writer gives"
+
+
+class TestNotTheWritersBytes:
+    """Digest-valid files that differ from what the writer writes only in bytes it fixes."""
+
+    def expect_one_error_line(self, capsys, argv):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1, err
+
+    @pytest.mark.parametrize("directory,payload,edit,message", [
+        ([ONE_INDEX], one_index(index_pad=b"hidden!"), None, "w: nonzero bits past its indices"),
+        ([ONE_INDEX], one_index(scale_pad=b"secret"), None, "w: nonzero bits past its scales"),
+        ([ONE_INDEX], one_index(index=0x31), None, "w: nonzero bits past its indices"),
+        ([ONE_F16], np.float16(1.0).tobytes() + b"extra!", None, "a: nonzero bits past its data"),
+        *[([ONE_INDEX], one_index(scale=scale), None,
+           "w: a scale is not a finite non-negative float16")
+          for scale in (np.nan, np.inf, -np.inf, -1.0, -0.0)],
+        ([ONE_INDEX], one_index(), reserialized(indent=1), NOT_THE_HEADER),
+        ([ONE_INDEX], one_index(), reserialized(sort_keys=True, separators=(",", ":")),
+         NOT_THE_HEADER),
+        ([ONE_INDEX], one_index(),
+         lambda raw: tampered(raw, b'"epsilon":1e-07', b'"epsilon":1.0000e-7'), NOT_THE_HEADER),
+    ], ids=["index-padding", "scale-padding", "unused-nibble", "data-padding", "scale-nan",
+            "scale-inf", "scale-minus-inf", "scale-negative", "scale-minus-zero",
+            "header-indented", "header-sorted", "header-epsilon-spelling"])
+    def test_benq(self, tmp_path, capsys, directory, payload, edit, message):
+        p = tmp_path / "c.benq"
+        build_benq(p, TestBenqCrafted.CFG, QUANTIZE_ALL, directory, payload)
+        if edit is not None:
+            _, hlen, blob = read_benq_header(p)
+            raw = edit(blob[12:12 + hlen].rstrip(b" "))
+            raw += b" " * (-(4 + 8 + len(raw)) % 8)
+            p.write_bytes(BENQ_MAGIC + len(raw).to_bytes(8, "little") + raw + blob[12 + hlen:])
+        with pytest.raises(FormatError, match=message):
+            load_benq(p)
+        self.expect_one_error_line(capsys, ["dequantize", str(p), "--out", str(tmp_path / "d.st")])
+        assert not (tmp_path / "d.st").exists()
+
+    @pytest.mark.parametrize("offsets,payload,message", [
+        ([[0, 8], [0, 8]], bytes(8), r"b: data offsets \[0, 8\] do not start at byte 8"),
+        ([[0, 8], [16, 24]], bytes(24), r"b: data offsets \[16, 24\] do not start at byte 8"),
+        ([[0, 8], [8, 16]], bytes(24), "tensors end at payload byte 16, not at its end, 24"),
+    ], ids=["overlap", "hole", "trailing-bytes"])
+    def test_safetensors(self, tmp_path, capsys, offsets, payload, message):
+        p = tmp_path / "t.safetensors"
+        build_safetensors(p, {name: {"dtype": "F32", "shape": [2], "data_offsets": span}
+                              for name, span in zip("ab", offsets)}, payload)
+        with pytest.raises(FormatError, match=message):
+            load_container(p)
+        self.expect_one_error_line(capsys, ["analyze", str(p)])
+
+    def test_empty_tensors_tile_the_payload_too(self, tmp_path):
+        p = tmp_path / "t.safetensors"
+        build_safetensors(p, {name: {"dtype": "F32", "shape": shape, "data_offsets": span}
+                              for name, shape, span in [("a", [0], [0, 0]), ("b", [2], [0, 8]),
+                                                        ("c", [3, 0], [8, 8])]},
+                          np.float32([1, 2]).tobytes())
+        got = load_container(p)
+        assert [a.shape for _, a in got.values()] == [(0,), (2,), (3, 0)]
+        assert got["b"][1].tolist() == [1.0, 2.0]
 
 
 def rewrite_header(path, edit):
@@ -943,6 +1048,7 @@ class TestHostileHeaders:
             header["content_digest"] = content_digest(QuantConfig.from_dict(header["config"]),
                                                       header["tensors"], payload)
         raw = json.dumps(header, separators=(",", ":")).encode()
+        raw += b" " * (-(4 + 8 + len(raw)) % 8)
         p = tmp_path / "m.benq"
         p.write_bytes(BENQ_MAGIC + len(raw).to_bytes(8, "little") + raw + payload)
         try:

@@ -385,7 +385,7 @@ class TestHeaderBeforeTensors:
         raw = json.dumps(header).encode()
         p = tmp_path / "t.safetensors"
         p.write_bytes(len(raw).to_bytes(8, "little") + raw + bytes(16))
-        with pytest.raises(FormatError, match="b: data offsets"):
+        with pytest.raises(FormatError, match="b: offsets span 92 bytes"):
             with read_container(str(p)) as (_, tensors):
                 list(tensors)
         assert reads == []
@@ -401,7 +401,7 @@ class TestHeaderBeforeTensors:
         benq.write_bytes(BENQ_MAGIC + len(raw).to_bytes(8, "little") + raw + blob[base:])
         reads = []
         monkeypatch.setattr(io_mod, "_read_benq_entry", lambda *args: reads.append(args))
-        with pytest.raises(FormatError, match=r"n_groups \d+ is not 1, as its shape \[7\]"):
+        with pytest.raises(FormatError, match="header is not the one the writer gives"):
             with read_benq(str(benq)) as (_, _, _, entries):
                 list(entries)
         assert reads == []
