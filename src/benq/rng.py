@@ -18,13 +18,21 @@ the same seed and counters reproduce the same doubles on any platform
 (transcendental mappings may differ in the last ulp or two across libm
 implementations; the integer stream is bit-exact).
 
-raw64 mixes in place in its result, with one scratch array of the same
-size.  The mappings from raw outputs to doubles take an optional `out`, so
-that a caller drawing a stream in chunks reuses its buffers.
+raw64 draws one contiguous stream, counters counter + i*step for i < n, so
+a caller with k counters per sample draws each counter role as a stream of
+step k.  Its states are (seed + (counter+1)*gamma) + i*step*gamma mod 2**64,
+one addition to a ramp i*step*gamma.  The ramp for draws of up to 2**15
+counters (synth's chunk) is cached for the last three steps used (3 x 256
+KiB); a longer draw builds its own.  raw64 writes into `out` and mixes there
+with one `scratch` array (both uint64 of n elements), allocating either only
+when it is not given.  The mappings from raw outputs to doubles take an
+optional `out` too, so that a caller drawing a stream in chunks reuses its
+buffers.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
@@ -34,11 +42,13 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _MASK = (1 << 64) - 1
 _INV53 = float(2.0 ** -53)
+_RAMP_CACHED = 1 << 15  # counters per cached ramp: one synth chunk
 
 
-def _mix(z: np.ndarray) -> np.ndarray:
-    """SplitMix64's output function, in place on z with one scratch array."""
-    t = np.empty_like(z)
+def _mix(z: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
+    """SplitMix64's output function, in place on z with one scratch array t."""
+    if t is None:
+        t = np.empty_like(z)
     for shift, mult in ((30, _MIX1), (27, _MIX2)):
         z ^= np.right_shift(z, np.uint64(shift), out=t)
         z *= mult
@@ -46,14 +56,31 @@ def _mix(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def raw64(seed: int, counter: int, n: int) -> np.ndarray:
-    """uint64 outputs for counters counter .. counter+n-1."""
+def _ramp_of(n: int, step: int) -> np.ndarray:
+    """i * step * gamma mod 2**64 for i < n."""
+    ramp = np.arange(n, dtype=np.uint64)
+    ramp *= np.uint64(step * int(_GAMMA) & _MASK)
+    return ramp
+
+
+@functools.lru_cache(maxsize=3)
+def _cached_ramp(step: int) -> np.ndarray:
+    ramp = _ramp_of(_RAMP_CACHED, step)
+    ramp.flags.writeable = False
+    return ramp
+
+
+def raw64(seed: int, counter: int, n: int, step: int = 1, out: np.ndarray | None = None,
+          scratch: np.ndarray | None = None) -> np.ndarray:
+    """uint64 outputs for counters counter + i*step, i < n; into `out`, mixing
+    with `scratch` (both uint64 of n elements) when given."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    z = np.arange(counter + 1, counter + n + 1, dtype=np.uint64)
-    z *= _GAMMA
-    z += np.uint64(seed & _MASK)
-    return _mix(z)
+    ramp = _cached_ramp(step)[:n] if n <= _RAMP_CACHED else _ramp_of(n, step)
+    if out is None:
+        out = np.empty(n, dtype=np.uint64)
+    np.add(ramp, np.uint64((seed + (counter + 1) * int(_GAMMA)) & _MASK), out=out)
+    return _mix(out, scratch)
 
 
 def _top_bits(r: np.ndarray, shift: int, out: np.ndarray | None) -> np.ndarray:
@@ -114,8 +141,7 @@ def signs(seed: int, counter: int, n: int) -> np.ndarray:
 
 def normals(seed: int, counter: int, n: int) -> np.ndarray:
     """n standard normals; sample i uses counters counter+2i and counter+2i+1."""
-    r = raw64(seed, counter, 2 * n)
-    return normal_from_raw(r[0::2], r[1::2])
+    return normal_from_raw(raw64(seed, counter, n, 2), raw64(seed, counter + 1, n, 2))
 
 
 def derive_seed(seed: int, name: str) -> int:

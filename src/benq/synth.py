@@ -12,16 +12,26 @@ sample i (all streams start at counter 0 of the tensor's seed):
 * gaussian(sigma, n): counters 2i and 2i+1 feed Box-Muller; value sigma * z.
 * constant(c, n): every element is c; no counters consumed.
 
+Every parameter must be finite.
+
 Generation runs over fixed chunks of samples: chunk [start, start + m) draws
 counters k*start .. k*(start+m) - 1 (k per sample, as above) and computes
 its values in place in float64 buffers of the chunk's size, with the same
 operations in the same order as on the whole tensor.  So the layouts and
-every value are independent of the chunk size, and `synth_blocks` holds
-O(chunk) memory whatever n is; `synth_tensor` adds only its float32 result.
+every value are independent of the chunk size.  Each chunk draws its k
+counter roles as k contiguous streams of step k (rng.raw64), into three
+buffers allocated once per tensor: the first stream into the float64 value
+buffer's own bytes, which are converted in place, the others into one uint64
+buffer, with a float64 scratch buffer that also serves raw64's mixing.  A
+sign is applied by flipping the value's sign bit, which is the product with
++/-1.0 bit for bit, as no accepted spec yields NaN.  So `synth_blocks` holds
+O(chunk) memory whatever n is, and `synth_tensor` adds only its float32
+result, into which each chunk is cast directly.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -35,7 +45,8 @@ _SPEC_RE = re.compile(r"^\s*([A-Za-z_]+)\s*\(\s*([^()]*)\s*\)\s*$")
 
 _ARITY = {"loguniform": 1, "lognormal": 2, "gaussian": 1, "constant": 1}
 
-# samples per chunk: a chunk's counters and float64 buffers (1.5-2.2 MB) stay in cache
+# samples per chunk: a chunk's three buffers (0.75 MiB) stay in cache, and rng
+# caches its counter ramps at this length
 _CHUNK = 1 << 15
 
 
@@ -52,6 +63,8 @@ class SynthSpec:
         if len(self.params) != _ARITY[self.dist]:
             raise ConfigError(f"{self.dist} takes {_ARITY[self.dist]} parameter(s) "
                               f"plus a sample count, got {self.params}")
+        if not all(math.isfinite(p) for p in self.params):
+            raise ConfigError(f"{self.dist} parameters must be finite, got {self.params}")
         if self.n < 1:
             raise ConfigError(f"sample count must be >= 1, got {self.n}")
         if self.dist == "loguniform" and self.params[0] <= 0:
@@ -81,30 +94,50 @@ def parse_spec(text: str) -> SynthSpec:
     return SynthSpec(name, params, n)
 
 
-def _fill(spec: SynthSpec, seed: int, start: int, out: np.ndarray, scratch: np.ndarray) -> None:
+_SIGN = np.uint64(1 << 63)
+
+
+def _draw(seed: int, counter: int, m: int, step: int, out: np.ndarray,
+          scratch: np.ndarray) -> np.ndarray:
+    """rng.raw64's stream of m counters into out's bytes, mixed in scratch's."""
+    return rng.raw64(seed, counter, m, step, out.view(np.uint64), scratch.view(np.uint64))
+
+
+def _apply_signs(out: np.ndarray, r: np.ndarray) -> None:
+    """out *= rng.sign_from_raw(r), bit for bit for every non-NaN value: r's top
+    bit flips out's sign bit.  r is overwritten."""
+    r &= _SIGN
+    bits = out.view(np.uint64)
+    bits ^= r
+
+
+def _fill(spec: SynthSpec, seed: int, start: int, out: np.ndarray, scratch: np.ndarray,
+          raw: np.ndarray | None = None) -> None:
     """Samples start .. start+out.size-1 of the spec into `out`, in place;
-    `scratch` is float64 of out's size."""
+    `scratch` is float64 and `raw` uint64 (allocated when not given), both
+    of out's size."""
     m = out.size
+    if raw is None:
+        raw = np.empty(m, dtype=np.uint64)
     if spec.dist == "constant":
         out.fill(spec.params[0])
     elif spec.dist == "loguniform":
-        r = rng.raw64(seed, 2 * start, 2 * m)
-        rng.unit_from_raw(r[0::2], out=out)
+        rng.unit_from_raw(_draw(seed, 2 * start, m, 2, out, scratch), out=out)
         out -= 1.0
         out *= spec.params[0]
         np.power(10.0, out, out=out)
-        out *= rng.sign_from_raw(r[1::2], out=scratch)
+        _apply_signs(out, _draw(seed, 2 * start + 1, m, 2, raw, scratch))
     elif spec.dist == "lognormal":
         mu, sigma = spec.params
-        r = rng.raw64(seed, 3 * start, 3 * m)
-        rng.normal_from_raw(r[0::3], r[1::3], out, scratch)
+        rng.normal_from_raw(_draw(seed, 3 * start, m, 3, out, scratch),
+                            _draw(seed, 3 * start + 1, m, 3, raw, scratch), out, scratch)
         out *= sigma
         out += mu
         np.exp(out, out=out)
-        out *= rng.sign_from_raw(r[2::3], out=scratch)
+        _apply_signs(out, _draw(seed, 3 * start + 2, m, 3, raw, scratch))
     else:  # gaussian
-        r = rng.raw64(seed, 2 * start, 2 * m)
-        rng.normal_from_raw(r[0::2], r[1::2], out, scratch)
+        rng.normal_from_raw(_draw(seed, 2 * start, m, 2, out, scratch),
+                            _draw(seed, 2 * start + 1, m, 2, raw, scratch), out, scratch)
         out *= spec.params[0]
 
 
@@ -112,24 +145,29 @@ def _parsed(spec: SynthSpec | str) -> SynthSpec:
     return parse_spec(spec) if isinstance(spec, str) else spec
 
 
+def _chunks(spec: SynthSpec, seed: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(start, float64 values of samples start ..) per _CHUNK samples, each
+    in the same buffer."""
+    values = np.empty(min(spec.n, _CHUNK))
+    scratch = np.empty_like(values)
+    raw = np.empty(values.size, dtype=np.uint64)
+    for start in range(0, spec.n, _CHUNK):
+        m = min(_CHUNK, spec.n - start)
+        _fill(spec, seed, start, values[:m], scratch[:m], raw[:m])
+        yield start, values[:m]
+
+
 def synth_blocks(spec: SynthSpec | str, seed: int = 0) -> Iterator[np.ndarray]:
     """The float32 values of synth_tensor(spec, seed), in order, _CHUNK samples
     at a time (the last block holds the rest)."""
-    spec = _parsed(spec)
-    values = np.empty(min(spec.n, _CHUNK))
-    scratch = np.empty_like(values)
-    for start in range(0, spec.n, _CHUNK):
-        m = min(_CHUNK, spec.n - start)
-        _fill(spec, seed, start, values[:m], scratch[:m])
-        yield values[:m].astype(np.float32)
+    for _, values in _chunks(_parsed(spec), seed):
+        yield values.astype(np.float32)
 
 
 def synth_tensor(spec: SynthSpec | str, seed: int = 0) -> np.ndarray:
     """Generate a 1-D float32 tensor for a spec at a given seed."""
     spec = _parsed(spec)
     out = np.empty(spec.n, dtype=np.float32)
-    start = 0
-    for block in synth_blocks(spec, seed):
-        out[start:start + block.size] = block
-        start += block.size
+    for start, values in _chunks(spec, seed):
+        out[start:start + values.size] = values
     return out

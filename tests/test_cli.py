@@ -363,6 +363,15 @@ class TestExitCodes:
         assert code == 1
         assert "unknown distribution" in err
 
+    def test_non_finite_spec(self, capsys, tmp_path):
+        out = tmp_path / "t.st"
+        code, _, err = run(capsys, "synth", "--tensor", "w=gaussian(nan,8)", "--out", str(out))
+        assert code == 1
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), err
+        assert "finite" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["analyze", "quantize"])
     @pytest.mark.parametrize("policy", [
         5, {"family_patterns": 5}, {"family_patterns": [["foo", ["x"]]]},

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -64,10 +65,17 @@ class TestRaw64:
         got = [int(v) for v in rng.raw64(0, 0, 3)]
         assert got == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
 
-    @given(seed=st.integers(0, MASK), counter=st.integers(0, 1 << 40), n=st.integers(1, 64))
-    def test_matches_pure_python_reference(self, seed, counter, n):
-        got = [int(v) for v in rng.raw64(seed, counter, n)]
-        assert got == [splitmix_reference(seed, counter + i) for i in range(n)]
+    @given(seed=st.integers(0, MASK),
+           counter=st.integers(0, 1 << 40) | st.integers(MASK - 200, MASK),
+           n=st.integers(1, 64), step=st.integers(1, 3), given_out=st.booleans())
+    def test_matches_pure_python_reference(self, seed, counter, n, step, given_out):
+        # counters near 2**64 wrap: counter c stands for c mod 2**64
+        out = np.empty(n, dtype=np.uint64) if given_out else None
+        got = rng.raw64(seed, counter, n, step, out=out)
+        if given_out:
+            assert got is out
+        for i in range(n):
+            assert int(got[i]) == splitmix_reference(seed, (counter + i * step) & MASK), i
 
     def test_counters_are_stateless(self):
         s = 99
@@ -80,6 +88,17 @@ class TestRaw64:
         for seed, counter in ((0, 0), (MASK - 5, 1 << 40), (0x0123456789ABCDEF, 77)):
             assert np.array_equal(rng.raw64(seed, counter, 100_003),
                                   reference_raw64(seed, counter, 100_003))
+
+    def test_stream_with_a_step_is_a_strided_draw(self):
+        # longer than the cached ramp, and a short draw after it, on reused buffers
+        n = rng._RAMP_CACHED + 3
+        whole = rng.raw64(77, 5, 3 * n)
+        out, scratch = np.empty(n, dtype=np.uint64), np.empty(n, dtype=np.uint64)
+        for j in range(3):
+            assert rng.raw64(77, 5 + j, n, 3, out, scratch) is out
+            assert np.array_equal(out, whole[j::3]), j
+            rng.raw64(77, 5 + j, 10, 3, out[:10], scratch[:10])
+            assert np.array_equal(out[:10], whole[j:30:3]), j
 
     def test_empty_draw(self):
         assert rng.raw64(1, 0, 0).size == 0
@@ -150,6 +169,8 @@ class TestParseSpec:
         "uniform(1,2)", "loguniform(6)", "loguniform(6,7,8)", "loguniform(0,100)",
         "loguniform(-2,100)", "gaussian(-1,100)", "constant(1,0)", "constant(1,-5)",
         "lognormal(0,1.5)", "notafunc", "loguniform(a,100)", "()", "",
+        "gaussian(nan,8)", "loguniform(inf,8)", "constant(inf,4)", "lognormal(0,inf,8)",
+        "lognormal(nan,1,8)",
     ])
     def test_invalid(self, bad):
         with pytest.raises(ConfigError):
@@ -212,10 +233,13 @@ class TestSynth:
         assert gauss > broad
 
 
+# the last two reach float32 +-0, subnormals and +-inf (loguniform(400) float64 +-0 and
+# subnormals too), so TestChunks checks the sign, a bit flip, on each against a product
 SPEC_TEMPLATES = ["loguniform(5,{n})", "lognormal(-2,1.5,{n})", "gaussian(0.02,{n})",
-                  "constant(0.35,{n})"]
+                  "constant(0.35,{n})", "loguniform(400,{n})", "lognormal(0,30,{n})"]
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
 class TestChunks:
     """Chunked generation gives the whole-array formulas' values at any chunk size."""
 
@@ -254,3 +278,28 @@ class TestChunks:
         for start in (0, 1000, 2000):
             synth._fill(spec, 13, start, out, scratch)
             assert out.tobytes() == want[start:start + 1000].tobytes(), (spec, start)
+
+    def test_edge_templates_reach_every_edge_value(self):
+        n = 2 * synth._CHUNK + 5
+        v = np.concatenate([synth_tensor(t.format(n=n), 12) for t in SPEC_TEMPLATES[-2:]])
+        bits = v.view(np.uint32)
+        subnormal = (v != 0) & (np.abs(v) < np.finfo(np.float32).tiny)
+        for name, hit in (("+0", bits == 0), ("-0", bits == 0x80000000),
+                          ("+subnormal", subnormal & (v > 0)), ("-subnormal", subnormal & (v < 0)),
+                          ("+inf", v == np.inf), ("-inf", v == -np.inf)):
+            assert hit.any(), name
+
+
+@pytest.mark.parametrize("template", SPEC_TEMPLATES[:4])
+def test_synth_tensor_holds_o_chunk_memory(template):
+    """Besides its float32 result, synth_tensor holds three chunk buffers (values,
+    scratch, raw counters), whatever n is."""
+    synth_tensor(template.format(n=8), 3)  # build the cached counter ramps first
+    spec = parse_spec(template.format(n=(1 << 20) + 17))
+    tracemalloc.start()
+    try:
+        v = synth_tensor(spec, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - v.nbytes <= 4 * 8 * synth._CHUNK, peak - v.nbytes
