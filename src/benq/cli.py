@@ -26,7 +26,9 @@ import threading
 import time
 from concurrent.futures import CancelledError, ThreadPoolExecutor
 
-from . import __version__, benford, rng, synth
+import numpy as np
+
+from . import __version__, _pool, benford, rng, synth
 from ._pool import _map_blocks
 from .errors import BenqError, ConfigError, DataError
 from .io import TensorSpec, parse_json, read_benq, read_container, write_benq, write_container
@@ -62,24 +64,11 @@ def _keep_scratch_mapped() -> None:
 
 
 def _thread_count(text: str) -> int:
-    """A thread count: an integer of at least 1."""
+    """--threads: an integer of at least 1."""
     try:
-        n = int(text)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
-    return n
-
-
-def _default_threads() -> int:
-    env = os.environ.get("BENQ_THREADS")
-    if env:
-        try:
-            return _thread_count(env)
-        except argparse.ArgumentTypeError as e:
-            raise ConfigError(f"BENQ_THREADS: {e}") from None
-    return os.cpu_count() or 1
+        return _pool._thread_count(text)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
 
 
 class _Clock:
@@ -272,6 +261,15 @@ def cmd_compare(args) -> int:
     return 0
 
 
+def _finite_blocks(name: str, spec: synth.SynthSpec, blocks):
+    """The float32 blocks of a synthetic tensor; DataError at one that holds +/-inf."""
+    for block in blocks:
+        if not np.isfinite(block).all():
+            raise DataError(f"tensor {name!r}: {spec.describe()} has values beyond "
+                            "float32's range")
+        yield block
+
+
 def cmd_synth(args) -> int:
     t0 = time.perf_counter()
     parsed = {}
@@ -283,9 +281,12 @@ def cmd_synth(args) -> int:
             raise ConfigError(f"duplicate tensor name {name!r}")
         parsed[name] = synth.parse_spec(spec_text)
     specs = [TensorSpec(name, (spec.n,), "F32") for name, spec in parsed.items()]
+    threads = _pool._default_threads()
     # each tensor is generated a chunk at a time, as the writer reaches it
-    write_container(args.out, specs, (synth.synth_blocks(spec, rng.derive_seed(args.seed, name))
-                                      for name, spec in parsed.items()))
+    write_container(args.out, specs,
+                    (_finite_blocks(name, spec, synth.synth_blocks(
+                        spec, rng.derive_seed(args.seed, name), threads))
+                     for name, spec in parsed.items()))
     _emit_manifest(args, "synth",
                    {"tensors": {i.partition('=')[0]: i.partition('=')[2] for i in args.tensor}},
                    {"total": time.perf_counter() - t0}, args.out)
@@ -365,7 +366,7 @@ def main(argv: list[str] | None = None) -> int:
     with ThreadPoolExecutor(max_workers=1) as digest_thread:
         try:
             if getattr(args, "threads", 1) is None:
-                args.threads = _default_threads()
+                args.threads = _pool._default_threads()
             paths = [p for p in (getattr(args, a, None) for a in _INPUT_ARGS) if p]
             args._digests = digest_thread.submit(lambda: {p: _sha256(p, stopped) for p in paths})
             return args.func(args)

@@ -18,27 +18,39 @@ Generation runs over fixed chunks of samples: chunk [start, start + m) draws
 counters k*start .. k*(start+m) - 1 (k per sample, as above) and computes
 its values in place in float64 buffers of the chunk's size, with the same
 operations in the same order as on the whole tensor.  So the layouts and
-every value are independent of the chunk size.  Each chunk draws its k
-counter roles as k contiguous streams of step k (rng.raw64), into three
-buffers allocated once per tensor: the first stream into the float64 value
-buffer's own bytes, which are converted in place, the others into one uint64
-buffer, with a float64 scratch buffer that also serves raw64's mixing.  A
-sign is applied by flipping the value's sign bit, which is the product with
-+/-1.0 bit for bit, as no accepted spec yields NaN.  So `synth_blocks` holds
-O(chunk) memory whatever n is, and `synth_tensor` adds only its float32
-result, into which each chunk is cast directly.
+every value are independent of the chunk size and of the thread count.
+Each chunk draws its k counter roles as k contiguous streams of step k
+(rng.raw64), into a set of three buffers: the first stream into the float64
+value buffer's own bytes, which are converted in place, the others into one
+uint64 buffer, with a float64 scratch buffer that also serves raw64's
+mixing.  A sign is applied by flipping the value's sign bit, which is the
+product with +/-1.0 bit for bit, as no accepted spec yields NaN.  The chunk
+is then cast to float32; values beyond float32's range become +/-inf.
+
+Chunks are independent, so each one is a task of the process's thread pool
+(`_pool._map`) on up to `threads` threads, BENQ_THREADS or every core by
+default, and a tensor of one chunk runs on the calling thread.  Each thread
+computes its chunks in its own buffer set (0.75 MiB), allocated at its
+first chunk and kept for the life of the thread, so a tensor allocates no
+buffers and frees none.  Synthesis thus holds one buffer set per thread
+whatever n is: `synth_blocks` adds its float32 blocks in flight, and
+`synth_tensor` only its float32 result, into whose slices the tasks cast
+their chunks directly.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from collections.abc import Iterator
+import threading
+from collections import deque
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import rng
+from ._pool import _default_threads, _map
 from .errors import ConfigError
 
 _SPEC_RE = re.compile(r"^\s*([A-Za-z_]+)\s*\(\s*([^()]*)\s*\)\s*$")
@@ -48,6 +60,7 @@ _ARITY = {"loguniform": 1, "lognormal": 2, "gaussian": 1, "constant": 1}
 # samples per chunk: a chunk's three buffers (0.75 MiB) stay in cache, and rng
 # caches its counter ramps at this length
 _CHUNK = 1 << 15
+_BUFFERS = threading.local()  # each thread's chunk buffers, kept for its life
 
 
 @dataclass(frozen=True)
@@ -145,29 +158,52 @@ def _parsed(spec: SynthSpec | str) -> SynthSpec:
     return parse_spec(spec) if isinstance(spec, str) else spec
 
 
-def _chunks(spec: SynthSpec, seed: int) -> Iterator[tuple[int, np.ndarray]]:
-    """(start, float64 values of samples start ..) per _CHUNK samples, each
-    in the same buffer."""
-    values = np.empty(min(spec.n, _CHUNK))
-    scratch = np.empty_like(values)
-    raw = np.empty(values.size, dtype=np.uint64)
-    for start in range(0, spec.n, _CHUNK):
-        m = min(_CHUNK, spec.n - start)
+def _buffer_set(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The calling thread's buffers for _fill of up to m <= _CHUNK samples:
+    values and scratch (float64) and raw (uint64), of _CHUNK samples each."""
+    buffers = getattr(_BUFFERS, "set", None)
+    if buffers is None or buffers[0].size < m:
+        buffers = _BUFFERS.set = (np.empty(_CHUNK), np.empty(_CHUNK),
+                                  np.empty(_CHUNK, dtype=np.uint64))
+    return buffers
+
+
+def _cast_chunks(spec: SynthSpec, seed: int, threads: int | None,
+                 into: Callable[[int, int], np.ndarray]) -> Iterator[np.ndarray]:
+    """Per _CHUNK samples, in order: into(start, m), a float32 array of m
+    elements, holding the values of samples start .. start+m-1.
+
+    The chunks are pool tasks on up to `threads` threads (None: the
+    default thread count), one chunk to the calling thread; each task
+    computes its chunk in its thread's buffer set.
+    """
+    def chunk(start: int) -> np.ndarray:
+        out = into(start, min(_CHUNK, spec.n - start))
+        m = out.size
+        values, scratch, raw = _buffer_set(m)
         _fill(spec, seed, start, values[:m], scratch[:m], raw[:m])
-        yield start, values[:m]
+        with np.errstate(over="ignore"):  # beyond float32's range casts to +/-inf
+            out[...] = values[:m]
+        return out
+
+    starts = range(0, spec.n, _CHUNK)
+    threads = _default_threads() if threads is None else threads
+    return _map(chunk, starts, min(threads, len(starts)))
 
 
-def synth_blocks(spec: SynthSpec | str, seed: int = 0) -> Iterator[np.ndarray]:
+def synth_blocks(spec: SynthSpec | str, seed: int = 0,
+                 threads: int | None = None) -> Iterator[np.ndarray]:
     """The float32 values of synth_tensor(spec, seed), in order, _CHUNK samples
-    at a time (the last block holds the rest)."""
-    for _, values in _chunks(_parsed(spec), seed):
-        yield values.astype(np.float32)
+    at a time (the last block holds the rest), computed on up to `threads`
+    threads (None: BENQ_THREADS, else every core)."""
+    yield from _cast_chunks(_parsed(spec), seed, threads,
+                            lambda start, m: np.empty(m, dtype=np.float32))
 
 
-def synth_tensor(spec: SynthSpec | str, seed: int = 0) -> np.ndarray:
-    """Generate a 1-D float32 tensor for a spec at a given seed."""
+def synth_tensor(spec: SynthSpec | str, seed: int = 0, threads: int | None = None) -> np.ndarray:
+    """Generate a 1-D float32 tensor for a spec at a given seed, on up to
+    `threads` threads (None: BENQ_THREADS, else every core)."""
     spec = _parsed(spec)
     out = np.empty(spec.n, dtype=np.float32)
-    for start, values in _chunks(spec, seed):
-        out[start:start + values.size] = values
+    deque(_cast_chunks(spec, seed, threads, lambda start, m: out[start:start + m]), maxlen=0)
     return out

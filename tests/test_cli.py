@@ -372,6 +372,19 @@ class TestExitCodes:
         assert "finite" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("spec", ["lognormal(0,30,1000)", "constant(1e39,4)"])
+    def test_spec_beyond_float32(self, tmp_path, spec):
+        # finite parameters whose float32 values overflow; a process of its own,
+        # so that a raw numpy warning from any thread would reach stderr
+        out = tmp_path / "t.st"
+        done = run_process("synth", "--tensor", f"layers.0.mlp.up_proj.weight={spec}",
+                           "--out", str(out))
+        assert done.returncode == 1
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), done.stderr
+        assert "layers.0.mlp.up_proj.weight" in lines[0] and "float32" in lines[0]
+        assert os.listdir(tmp_path) == []
+
     @pytest.mark.parametrize("command", ["analyze", "quantize"])
     @pytest.mark.parametrize("policy", [
         5, {"family_patterns": 5}, {"family_patterns": [["foo", ["x"]]]},
@@ -570,6 +583,30 @@ class TestThreads:
         code, _, err = run(capsys, "analyze", str(p))
         assert code == 1
         assert err.startswith("error: BENQ_THREADS")
+
+    def test_synth_output_is_independent_of_the_thread_count(self, capsys, tmp_path,
+                                                             monkeypatch):
+        specs = (f"loguniform(5,{3 * _CHUNK + 7})", f"gaussian(1,{_CHUNK})",
+                 f"lognormal(0,1,{2 * _CHUNK - 1})", "constant(2,5)")
+        tensors = [a for i, spec in enumerate(specs) for a in ("--tensor", f"w{i}={spec}")]
+        outs = []
+        for threads in ("1", "2", "4"):
+            monkeypatch.setenv("BENQ_THREADS", threads)
+            out = tmp_path / f"s{threads}.st"
+            assert main(["synth", "--seed", "5", "--out", str(out), *tensors]) == 0
+            outs.append(out.read_bytes())
+        capsys.readouterr()
+        assert outs[0] == outs[1] == outs[2]
+
+    @pytest.mark.parametrize("threads", ["many", "0"])
+    def test_synth_env_garbage_is_an_error(self, capsys, tmp_path, monkeypatch, threads):
+        monkeypatch.setenv("BENQ_THREADS", threads)
+        code, _, err = run(capsys, "synth", "--tensor", "w=gaussian(1,8)",
+                           "--out", str(tmp_path / "s.st"))
+        assert code == 1
+        assert err == ("error: BENQ_THREADS: expected an integer of at least 1, "
+                       f"got {threads!r}\n")
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_flag_below_one_is_a_usage_error(self, capsys, tmp_path, threads):

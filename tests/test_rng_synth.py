@@ -290,16 +290,33 @@ class TestChunks:
             assert hit.any(), name
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
+@pytest.mark.parametrize("n", [1, synth._CHUNK - 1, synth._CHUNK, 2 * synth._CHUNK + 5,
+                               37 * synth._CHUNK + 17])
+@pytest.mark.parametrize("template", SPEC_TEMPLATES)
+def test_every_thread_count_gives_the_same_values(template, n):
+    spec = parse_spec(template.format(n=n))
+    want = reference_float64(spec, 14).astype(np.float32).tobytes()
+    for threads in (1, 2, 4):
+        assert synth_tensor(spec, 14, threads).tobytes() == want, threads
+        blocks = list(synth_blocks(spec, 14, threads))
+        assert [b.size for b in blocks] == [min(synth._CHUNK, n - s)
+                                            for s in range(0, n, synth._CHUNK)]
+        assert np.concatenate(blocks).tobytes() == want, threads
+
+
 @pytest.mark.parametrize("template", SPEC_TEMPLATES[:4])
 def test_synth_tensor_holds_o_chunk_memory(template):
     """Besides its float32 result, synth_tensor holds three chunk buffers (values,
-    scratch, raw counters), whatever n is."""
+    scratch, raw counters) per thread, whatever n is."""
     synth_tensor(template.format(n=8), 3)  # build the cached counter ramps first
     spec = parse_spec(template.format(n=(1 << 20) + 17))
-    tracemalloc.start()
-    try:
-        v = synth_tensor(spec, 3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak - v.nbytes <= 4 * 8 * synth._CHUNK, peak - v.nbytes
+    for threads in (1, 2):
+        tracemalloc.start()
+        try:
+            v = synth_tensor(spec, 3, threads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = threads * 24 * synth._CHUNK + 8 * synth._CHUNK
+        assert peak - v.nbytes <= bound, (threads, peak - v.nbytes)

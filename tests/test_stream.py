@@ -4,6 +4,7 @@ import importlib
 import importlib.util
 import json
 import os
+import sys
 import threading
 import time
 import tracemalloc
@@ -121,6 +122,79 @@ class TestBoundedMap:
         finally:
             timer.join(10)
         assert sorted(calls) == list(range(threads + 1))
+
+
+class TestSharedPool:
+    """Maps on one thread count share one pool of workers for the whole process."""
+
+    THREADS = 3
+
+    def test_successive_maps_start_no_threads(self):
+        barrier = threading.Barrier(self.THREADS)
+
+        def meet(x):  # every worker of the pool runs at once, so all of them exist
+            barrier.wait(10)
+            return x
+
+        assert list(_map(meet, range(self.THREADS), self.THREADS)) == list(range(self.THREADS))
+        before = threading.active_count()
+        names = set()
+
+        def square(x):
+            names.add(threading.current_thread().name)
+            return x * x
+
+        for _ in range(100):
+            assert list(_map(square, range(8), self.THREADS)) == [x * x for x in range(8)]
+            assert threading.active_count() == before
+        assert len(names) <= self.THREADS, names
+
+    def test_interleaved_maps_keep_their_own_results(self):
+        a = _map(jittered_square, range(30), self.THREADS)
+        b = _map(lambda x: -x, range(30), self.THREADS)
+        assert [(next(a), next(b)) for _ in range(30)] == [(x * x, -x) for x in range(30)]
+        for rest in (a, b):
+            with pytest.raises(StopIteration):
+                next(rest)
+
+    def test_concurrent_callers_share_one_pool(self):
+        """Eight callers at once, with a short switch interval: one pool of a thread
+        count no other test uses, and every synthetic tensor keeps its bytes."""
+        threads, spec = 7, "lognormal(0,1,300000)"
+        want = synth_tensor(spec, 5, 1).tobytes()
+        workers, failures = set(), []
+
+        def caller(k):
+            try:
+                got = list(_map(lambda x: (threading.get_ident(), x + k), range(40), threads))
+                workers.update(ident for ident, _ in got)
+                assert [x for _, x in got] == [x + k for x in range(40)]
+                assert synth_tensor(spec, 5, 2).tobytes() == want
+            except BaseException as e:
+                failures.append(e)
+                raise
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=caller, args=(k,)) for k in range(8)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert failures == []
+        assert len(workers) <= threads, len(workers)
+
+    def test_closing_one_map_cancels_none_of_the_others_items(self):
+        a = _map(jittered_square, range(50), self.THREADS)
+        b = _map(jittered_square, range(100, 150), self.THREADS)
+        assert next(a) == 0
+        assert next(b) == 100 * 100  # b's next items are queued behind a's on the pool
+        a.close()
+        assert list(b) == [x * x for x in range(101, 150)]
 
 
 def test_tracer_targets_resolve():
