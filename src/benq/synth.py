@@ -27,12 +27,11 @@ mixing.  A sign is applied by flipping the value's sign bit, which is the
 product with +/-1.0 bit for bit, as no accepted spec yields NaN.  The chunk
 is then cast to float32; values beyond float32's range become +/-inf.
 
-Chunks are independent, so each one is a task of the process's thread pool
-(`_pool._map`) on up to `threads` threads, BENQ_THREADS or every core by
-default, and a tensor of one chunk runs on the calling thread.  Each thread
-computes its chunks in its own buffer set (0.75 MiB), allocated at its
-first chunk and kept for the life of the thread, so a tensor allocates no
-buffers and frees none.  Synthesis thus holds one buffer set per thread
+Chunks are independent, so each one is a task of the process's pool of
+BENQ_THREADS threads, else one per core (`_pool._map`), and a tensor of one
+chunk runs on the calling thread.  Each thread computes its chunks in its
+own buffer set (0.75 MiB), allocated at its first chunk and kept for the
+life of the thread, so a tensor allocates no buffers and frees none.  Synthesis thus holds one buffer set per thread
 whatever n is: `synth_blocks` adds its float32 blocks in flight, and
 `synth_tensor` only its float32 result, into whose slices the tasks cast
 their chunks directly.
@@ -158,52 +157,51 @@ def _parsed(spec: SynthSpec | str) -> SynthSpec:
     return parse_spec(spec) if isinstance(spec, str) else spec
 
 
-def _buffer_set(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The calling thread's buffers for _fill of up to m <= _CHUNK samples:
-    values and scratch (float64) and raw (uint64), of _CHUNK samples each."""
+def _buffer_set() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The calling thread's buffers for _fill of up to _CHUNK samples: values
+    and scratch (float64) and raw (uint64), made at its first call."""
     buffers = getattr(_BUFFERS, "set", None)
-    if buffers is None or buffers[0].size < m:
+    if buffers is None:
         buffers = _BUFFERS.set = (np.empty(_CHUNK), np.empty(_CHUNK),
                                   np.empty(_CHUNK, dtype=np.uint64))
     return buffers
 
 
-def _cast_chunks(spec: SynthSpec, seed: int, threads: int | None,
+def _cast_chunks(spec: SynthSpec, seed: int,
                  into: Callable[[int, int], np.ndarray]) -> Iterator[np.ndarray]:
     """Per _CHUNK samples, in order: into(start, m), a float32 array of m
     elements, holding the values of samples start .. start+m-1.
 
-    The chunks are pool tasks on up to `threads` threads (None: the
-    default thread count), one chunk to the calling thread; each task
-    computes its chunk in its thread's buffer set.
+    The chunks are tasks of the pool of the default thread count, a single
+    chunk runs on the calling thread; each task computes its chunk in its
+    thread's buffer set.
     """
     def chunk(start: int) -> np.ndarray:
         out = into(start, min(_CHUNK, spec.n - start))
         m = out.size
-        values, scratch, raw = _buffer_set(m)
+        values, scratch, raw = _buffer_set()
         _fill(spec, seed, start, values[:m], scratch[:m], raw[:m])
         with np.errstate(over="ignore"):  # beyond float32's range casts to +/-inf
             out[...] = values[:m]
         return out
 
     starts = range(0, spec.n, _CHUNK)
-    threads = _default_threads() if threads is None else threads
-    return _map(chunk, starts, min(threads, len(starts)))
+    # the one pool of the thread count, whatever the chunk count: the map
+    # submits at most one task per chunk, so a short tensor wakes few workers
+    threads = _default_threads()
+    return _map(chunk, starts, threads if len(starts) > 1 else 1)
 
 
-def synth_blocks(spec: SynthSpec | str, seed: int = 0,
-                 threads: int | None = None) -> Iterator[np.ndarray]:
+def synth_blocks(spec: SynthSpec | str, seed: int = 0) -> Iterator[np.ndarray]:
     """The float32 values of synth_tensor(spec, seed), in order, _CHUNK samples
-    at a time (the last block holds the rest), computed on up to `threads`
-    threads (None: BENQ_THREADS, else every core)."""
-    yield from _cast_chunks(_parsed(spec), seed, threads,
+    at a time (the last block holds the rest)."""
+    yield from _cast_chunks(_parsed(spec), seed,
                             lambda start, m: np.empty(m, dtype=np.float32))
 
 
-def synth_tensor(spec: SynthSpec | str, seed: int = 0, threads: int | None = None) -> np.ndarray:
-    """Generate a 1-D float32 tensor for a spec at a given seed, on up to
-    `threads` threads (None: BENQ_THREADS, else every core)."""
+def synth_tensor(spec: SynthSpec | str, seed: int = 0) -> np.ndarray:
+    """Generate a 1-D float32 tensor for a spec at a given seed."""
     spec = _parsed(spec)
     out = np.empty(spec.n, dtype=np.float32)
-    deque(_cast_chunks(spec, seed, threads, lambda start, m: out[start:start + m]), maxlen=0)
+    deque(_cast_chunks(spec, seed, lambda start, m: out[start:start + m]), maxlen=0)
     return out

@@ -1,11 +1,12 @@
 import math
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from benq import rng, synth
+from benq import _pool, rng, synth
 from benq.benford import digit_histogram, mad_score
 from benq.errors import ConfigError
 from benq.synth import SynthSpec, parse_spec, synth_blocks, synth_tensor
@@ -294,29 +295,40 @@ class TestChunks:
 @pytest.mark.parametrize("n", [1, synth._CHUNK - 1, synth._CHUNK, 2 * synth._CHUNK + 5,
                                37 * synth._CHUNK + 17])
 @pytest.mark.parametrize("template", SPEC_TEMPLATES)
-def test_every_thread_count_gives_the_same_values(template, n):
+def test_every_thread_count_gives_the_same_values(template, n, monkeypatch):
     spec = parse_spec(template.format(n=n))
     want = reference_float64(spec, 14).astype(np.float32).tobytes()
-    for threads in (1, 2, 4):
-        assert synth_tensor(spec, 14, threads).tobytes() == want, threads
-        blocks = list(synth_blocks(spec, 14, threads))
+    for threads in ("1", "2", "4"):
+        monkeypatch.setenv("BENQ_THREADS", threads)
+        assert synth_tensor(spec, 14).tobytes() == want, threads
+        blocks = list(synth_blocks(spec, 14))
         assert [b.size for b in blocks] == [min(synth._CHUNK, n - s)
                                             for s in range(0, n, synth._CHUNK)]
         assert np.concatenate(blocks).tobytes() == want, threads
 
 
 @pytest.mark.parametrize("template", SPEC_TEMPLATES[:4])
-def test_synth_tensor_holds_o_chunk_memory(template):
+def test_synth_tensor_holds_o_chunk_memory(template, monkeypatch):
     """Besides its float32 result, synth_tensor holds three chunk buffers (values,
     scratch, raw counters) per thread, whatever n is."""
     synth_tensor(template.format(n=8), 3)  # build the cached counter ramps first
     spec = parse_spec(template.format(n=(1 << 20) + 17))
     for threads in (1, 2):
+        # a new calling thread and a new pool, so that every buffer set the
+        # call uses is made inside the trace
+        monkeypatch.setenv("BENQ_THREADS", str(threads))
+        monkeypatch.setattr(_pool, "_POOLS", {})
+        result = []
+        caller = threading.Thread(target=lambda: result.append(synth_tensor(spec, 3)))
         tracemalloc.start()
         try:
-            v = synth_tensor(spec, 3, threads)
+            caller.start()
+            caller.join()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+            for pool in _pool._POOLS.values():
+                pool.shutdown()
+        assert len(_pool._POOLS) == (threads > 1)
         bound = threads * 24 * synth._CHUNK + 8 * synth._CHUNK
-        assert peak - v.nbytes <= bound, (threads, peak - v.nbytes)
+        assert peak - result[0].nbytes <= bound, (threads, peak - result[0].nbytes)

@@ -12,6 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from benq import _pool
 from benq._pool import _QUEUED, _map
 from benq.cli import main
 from benq.errors import DataError, FormatError
@@ -19,7 +20,7 @@ from benq.io import (BENQ_MAGIC, TensorSpec, pack_indices, read_benq, read_conta
                      write_container)
 from benq.levels import Schedule
 from benq.quantizer import QuantConfig, dequantize, quantize_tensor
-from benq.synth import synth_tensor
+from benq.synth import _CHUNK, synth_tensor
 from conftest import content_digest, load_container, save_container, tensor_set
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
@@ -157,11 +158,13 @@ class TestSharedPool:
             with pytest.raises(StopIteration):
                 next(rest)
 
-    def test_concurrent_callers_share_one_pool(self):
+    def test_concurrent_callers_share_one_pool(self, monkeypatch):
         """Eight callers at once, with a short switch interval: one pool of a thread
         count no other test uses, and every synthetic tensor keeps its bytes."""
         threads, spec = 7, "lognormal(0,1,300000)"
-        want = synth_tensor(spec, 5, 1).tobytes()
+        monkeypatch.setenv("BENQ_THREADS", "1")
+        want = synth_tensor(spec, 5).tobytes()
+        monkeypatch.setenv("BENQ_THREADS", "2")
         workers, failures = set(), []
 
         def caller(k):
@@ -169,7 +172,7 @@ class TestSharedPool:
                 got = list(_map(lambda x: (threading.get_ident(), x + k), range(40), threads))
                 workers.update(ident for ident, _ in got)
                 assert [x for _, x in got] == [x + k for x in range(40)]
-                assert synth_tensor(spec, 5, 2).tobytes() == want
+                assert synth_tensor(spec, 5).tobytes() == want
             except BaseException as e:
                 failures.append(e)
                 raise
@@ -187,6 +190,17 @@ class TestSharedPool:
         assert not any(t.is_alive() for t in callers)
         assert failures == []
         assert len(workers) <= threads, len(workers)
+
+    def test_synth_uses_one_pool_whatever_the_chunk_count(self, monkeypatch):
+        monkeypatch.setenv("BENQ_THREADS", "5")
+        monkeypatch.setattr(_pool, "_POOLS", {})
+        try:
+            for chunks in (1, 2, 3, 4, 6):
+                synth_tensor(f"gaussian(1,{chunks * _CHUNK})", 1)
+            assert list(_pool._POOLS) == [5]
+        finally:
+            for pool in _pool._POOLS.values():
+                pool.shutdown()
 
     def test_closing_one_map_cancels_none_of_the_others_items(self):
         a = _map(jittered_square, range(50), self.THREADS)
