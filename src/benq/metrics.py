@@ -117,7 +117,7 @@ def compare_tensors(tensors: Iterable[tuple[TensorSpec, Iterable]],
     `threads`.
     """
     G = _group_size(configs)
-    levels = [cfg.codebook().levels for cfg in configs]
+    levels = [cfg.levels for cfg in configs]
 
     def work(spec: TensorSpec, block: np.ndarray) -> tuple[int, float, list]:
         context = f"tensor {spec.name or '<unnamed>'}"

@@ -5,7 +5,7 @@ Tensors are flattened row-major and cut into groups of `group_size`
 schedule works the same way: each group stores one float16 scale,
 max|w| / top level (the top level is 1.0 for log and linear and
 qmax = 2**(bits-1) - 1 for rtn).  Elements are divided by the stored scale
-and matched to the nearest level of the schedule's codebook, ties going
+and matched to the nearest level of the schedule's level table, ties going
 away from zero; an exact zero between -l and +l takes +l, the code an
 all-zero group gets.  Reconstruction is level * scale.
 
@@ -42,7 +42,7 @@ from ._pool import _BLOCK_ELEMS, TensorSpec, _map_blocks
 from .benford import DEFAULT_FAMILY_PATTERNS, Family, _read_dtype, classify_family
 from .errors import (INT, NUMBER, STR, ConfigError, DataError, FormatError, checked, list_of,
                      one_of, tuple_of)
-from .levels import DEFAULT_EPSILON, Codebook, Schedule, make_codebook
+from .levels import DEFAULT_EPSILON, MAX_BITS, MIN_BITS, Schedule, level_table
 
 _F16_TINY = np.float16(2.0 ** -24)
 _FOLD_MAX_GROUP = 32     # _group_max folds columns up to this group size
@@ -65,10 +65,17 @@ class QuantConfig:
         object.__setattr__(self, "schedule", Schedule.parse(self.schedule))
         if not INT.test(self.group_size) or self.group_size < 1:
             raise ConfigError(f"group_size must be a positive integer, got {self.group_size!r}")
-        self.codebook()  # validates bits and epsilon
+        if not INT.test(self.bits):
+            raise ConfigError(f"bits must be an integer in {MIN_BITS}..{MAX_BITS}, "
+                              f"got {self.bits!r}")
+        if not NUMBER.test(self.epsilon):
+            raise ConfigError(f"epsilon must be a number, got {self.epsilon!r}")
+        self.levels  # validates the range of bits and, for log, epsilon
 
-    def codebook(self) -> Codebook:
-        return make_codebook(self.schedule, self.bits, self.epsilon)
+    @property
+    def levels(self) -> np.ndarray:
+        """The read-only level table of this schedule, bits and epsilon."""
+        return level_table(self.schedule, self.bits, self.epsilon)
 
     @property
     def block_elems(self) -> int:
@@ -292,7 +299,7 @@ class QuantizedTensor:
     """Packed result of quantizing one tensor under one QuantConfig.
 
     `indices` holds one byte per element, an index into the config's
-    codebook; `scales` holds one float16 per group in group order.
+    level table; `scales` holds one float16 per group in group order.
     """
 
     name: str
@@ -324,7 +331,7 @@ def quantize_tensor(data: np.ndarray, config: QuantConfig, name: str = "") -> Qu
     arr = np.asarray(data)
     flat = arr.ravel()
     G = config.group_size
-    levels = config.codebook().levels
+    levels = config.levels
     context = f"tensor {name or '<unnamed>'}"
     n_groups = -(-flat.size // G)
     out = np.empty(n_groups * G, dtype=np.ubyte)
@@ -341,10 +348,10 @@ def quantize_tensor(data: np.ndarray, config: QuantConfig, name: str = "") -> Qu
 
 
 def dequantize(qt: QuantizedTensor) -> np.ndarray:
-    """Reconstruct a float32 tensor as level * scale of its config's codebook,
+    """Reconstruct a float32 tensor as level * scale of its config's level table,
     in blocks of groups."""
-    codebook = qt.config.codebook()
-    if qt.indices.size and qt.indices.max() >= codebook.n_levels:
+    levels = qt.config.levels
+    if qt.indices.size and qt.indices.max() >= levels.size:
         raise FormatError(f"{qt.name}: level index outside {qt.config.bits}-bit codebook")
     G = qt.config.group_size
     step = _block_groups(G)
@@ -352,7 +359,7 @@ def dequantize(qt: QuantizedTensor) -> np.ndarray:
     buf = np.empty(min(step, qt.n_groups) * G, dtype=np.float64)
     for g in range(0, qt.n_groups, step):
         span = slice(g * G, (g + step) * G)
-        _reconstruct(qt.indices[span], qt.scales[g:g + step], codebook.levels, G, buf, out[span])
+        _reconstruct(qt.indices[span], qt.scales[g:g + step], levels, G, buf, out[span])
     return out.reshape(qt.shape)
 
 

@@ -18,8 +18,7 @@ from benq import rng
 from benq.benford import (Family, classify_family, digit_histogram, mad_score,
                           model_report)
 from benq.io import read_container
-from benq.levels import (BENFORD_PROBS, Schedule, generate_log_uniform_levels,
-                         make_codebook)
+from benq.levels import BENFORD_PROBS, Schedule, level_table
 from benq.metrics import compare_schedules
 from benq.quantizer import (DEFAULT_POLICY, QUANTIZE_ALL, QuantConfig,
                             QuantizedTensor, dequantize, quantize_tensor)
@@ -77,14 +76,14 @@ def broad_groups(seed, n=8000):
 
 @pytest.mark.criterion("C01", "log codebook spans epsilon..1 in exact decades")
 def test_log_codebook_levels_are_exact_decades():
-    cb = generate_log_uniform_levels(4, 1e-7)
-    pos = cb.levels[cb.levels.size // 2:]
+    levels = level_table(Schedule.LOG_UNIFORM, 4, 1e-7)
+    pos = levels[levels.size // 2:]
     expect = np.array([10.0 ** e for e in range(-7, 1)])
     assert pos.size == 8
     rel = np.abs(pos - expect) / expect
     assert np.max(rel) < 1e-12
     assert pos[-1] == 1.0
-    assert np.array_equal(cb.levels, np.concatenate([-pos[::-1], pos]))
+    assert np.array_equal(levels, np.concatenate([-pos[::-1], pos]))
 
 
 @pytest.mark.criterion("C02", "first-digit reference matches log10(1 + 1/d)")
@@ -132,7 +131,7 @@ def test_codebook_quantization_against_brute_force():
             cfg = QuantConfig(bits=bits, group_size=8, schedule=schedule)
             values = broad_groups(seed=bits)
             qt = quantize_tensor(values, cfg, "w")
-            levels = cfg.codebook().levels
+            levels = cfg.levels
 
             expect = brute_force_indices(values, qt.scales, levels, 8)
             assert np.array_equal(qt.indices, expect), (bits, schedule)
@@ -154,7 +153,7 @@ def test_codebook_quantization_against_brute_force():
 
 @pytest.mark.criterion("C06", "rtn: worked example, sign symmetry, s/2 bound")
 def test_round_to_nearest_baseline():
-    ints = make_codebook(Schedule.RTN, 4).levels
+    ints = level_table(Schedule.RTN, 4)
     assert list(ints) == list(range(-8, 8))
     group = quantize_tensor(np.array([1.0, -0.5, 0.1]),
                             QuantConfig(bits=4, group_size=3, schedule=Schedule.RTN))

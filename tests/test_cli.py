@@ -418,10 +418,13 @@ class TestExitCodes:
         assert not (tmp_path / "d.st").exists()
 
     def test_usage_errors_exit_two(self, capsys, tmp_path):
-        # levels has no groups and synth no threads, so neither takes those options
+        # levels has no groups and synth no threads, so neither takes those options;
+        # --policy and --no-policy contradict each other, so neither file is opened
         for argv in (["frobnicate"], ["synth"], [], ["levels", "--group-size", "8"],
                      ["synth", "--tensor", "w=gaussian(1,8)", "--threads", "2",
-                      "--out", str(tmp_path / "s.st")]):
+                      "--out", str(tmp_path / "s.st")],
+                     ["quantize", str(tmp_path / "m.st"), "--policy", str(tmp_path / "p.json"),
+                      "--no-policy"]):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2

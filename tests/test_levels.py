@@ -1,4 +1,4 @@
-import dataclasses
+import json
 import math
 
 import numpy as np
@@ -6,13 +6,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from benq.errors import ConfigError
-from benq.levels import (BENFORD_PROBS, Codebook, Schedule, generate_linear_levels,
-                         generate_log_uniform_levels, make_codebook)
+from benq.cli import main
+from benq.levels import BENFORD_PROBS, Schedule, level_table
+
+LOG, LINEAR, RTN = Schedule.LOG_UNIFORM, Schedule.LINEAR, Schedule.RTN
 
 
-def positive(cb):
-    """The positive half of a log or linear codebook's levels."""
-    return cb.levels[cb.n_levels // 2:]
+def positive(levels):
+    """The positive half of a log or linear level table."""
+    return levels[levels.size // 2:]
 
 
 class TestBenfordProbs:
@@ -35,57 +37,55 @@ class TestBenfordProbs:
 
 class TestLogUniform:
     def test_default_four_bit_is_one_level_per_decade(self):
-        cb = generate_log_uniform_levels(4, 1e-7)
+        levels = level_table(LOG, 4, 1e-7)
         expected = 10.0 ** -np.arange(7, -1, -1, dtype=np.float64)
-        rel = np.abs(positive(cb) - expected) / expected
+        rel = np.abs(positive(levels) - expected) / expected
         assert rel.max() < 1e-12
 
     def test_three_bit_levels(self):
-        cb = generate_log_uniform_levels(3, 1e-7)
+        levels = level_table(LOG, 3, 1e-7)
         expected = np.array([1e-7, 10.0 ** (-14 / 3), 10.0 ** (-7 / 3), 1.0])
-        assert positive(cb) == pytest.approx(expected, rel=1e-12)
+        assert positive(levels) == pytest.approx(expected, rel=1e-12)
 
     def test_endpoints_exact(self):
         for bits in range(2, 9):
-            cb = generate_log_uniform_levels(bits)
-            assert cb.levels[-1] == 1.0
-            assert cb.levels[0] == -1.0
-            assert positive(cb)[0] == pytest.approx(1e-7, rel=1e-12)
+            levels = level_table(LOG, bits)
+            assert levels[-1] == 1.0
+            assert levels[0] == -1.0
+            assert positive(levels)[0] == pytest.approx(1e-7, rel=1e-12)
 
     def test_constant_log_spacing(self):
         for bits in range(2, 9):
-            steps = np.diff(np.log10(positive(generate_log_uniform_levels(bits))))
+            steps = np.diff(np.log10(positive(level_table(LOG, bits))))
             assert np.ptp(steps) < 1e-9 if steps.size else True
 
     @pytest.mark.parametrize("bad_bits", [1, 9, 0, -3, 3.5])
     def test_bits_validation(self, bad_bits):
         with pytest.raises(ConfigError):
-            generate_log_uniform_levels(bad_bits)
+            level_table(LOG, bad_bits)
 
     @pytest.mark.parametrize("bad_eps", [0.0, 1.0, -0.1, 1.5, float("nan"), float("inf")])
     def test_epsilon_validation(self, bad_eps):
         with pytest.raises(ConfigError):
-            generate_log_uniform_levels(4, bad_eps)
+            level_table(LOG, 4, bad_eps)
 
 
 class TestLinear:
     def test_four_bit_grid(self):
-        cb = generate_linear_levels(4)
-        assert np.array_equal(positive(cb), np.arange(1, 9) / 8.0)
+        assert np.array_equal(positive(level_table(LINEAR, 4)), np.arange(1, 9) / 8.0)
 
     def test_exact_rationals(self):
         for bits in range(2, 9):
             n = 2 ** (bits - 1)
-            assert np.array_equal(positive(generate_linear_levels(bits)),
+            assert np.array_equal(positive(level_table(LINEAR, bits)),
                                   np.arange(1, n + 1) / n)
 
 
 @given(bits=st.integers(2, 8),
        epsilon=st.floats(1e-100, 0.9, exclude_max=True),
-       schedule=st.sampled_from([Schedule.LOG_UNIFORM, Schedule.LINEAR]))
+       schedule=st.sampled_from([LOG, LINEAR]))
 def test_codebook_invariants(bits, epsilon, schedule):
-    cb = make_codebook(schedule, bits, epsilon)
-    levels = cb.levels
+    levels = level_table(schedule, bits, epsilon)
     assert levels.size == 2 ** bits
     assert np.all(np.diff(levels) > 0)            # strictly ascending
     assert not np.any(levels == 0.0)              # zero is never a level
@@ -93,25 +93,23 @@ def test_codebook_invariants(bits, epsilon, schedule):
     assert np.array_equal(levels, -levels[::-1])  # exact symmetry
 
 
-def test_make_codebook_rtn_is_integer_table():
+def test_level_table_rtn_is_integer_table():
     for bits in range(2, 9):
-        cb = make_codebook(Schedule.RTN, bits)
-        assert cb.levels.tolist() == list(range(-2 ** (bits - 1), 2 ** (bits - 1)))
-        assert cb.schedule is Schedule.RTN and cb.bits == bits
+        levels = level_table(RTN, bits)
+        assert levels.dtype == np.float64
+        assert levels.tolist() == list(range(-2 ** (bits - 1), 2 ** (bits - 1)))
     with pytest.raises(ConfigError):
-        make_codebook(Schedule.RTN, 9)
+        level_table(RTN, 9)
 
 
-def test_make_codebook_is_shared_and_read_only():
-    cb = make_codebook(Schedule.LOG_UNIFORM, 4, 1e-7)
-    assert make_codebook(Schedule.LOG_UNIFORM, 4, 1e-7) is cb
+def test_level_table_is_shared_and_read_only():
+    levels = level_table(LOG, 4, 1e-7)
+    assert level_table(LOG, 4, 1e-7) is levels
     with pytest.raises(ValueError):
-        cb.levels[0] = 0.0
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        cb.bits = 5
+        levels[0] = 0.0
     for _ in range(2):  # a rejected request is rejected every time
         with pytest.raises(ConfigError):
-            make_codebook(Schedule.LOG_UNIFORM, 4, 1.5)
+            level_table(LOG, 4, 1.5)
 
 
 def test_schedule_parse():
@@ -123,12 +121,13 @@ def test_schedule_parse():
 
 
 def test_codebook_levels_read_only():
-    cb = generate_log_uniform_levels(4)
-    with pytest.raises(ValueError):
-        cb.levels[0] = 0.0
+    for schedule in Schedule:
+        with pytest.raises(ValueError):
+            level_table(schedule, 4)[0] = 0.0
 
 
-def test_describe_round_trips_through_json():
-    import json
-    d = json.loads(json.dumps(generate_log_uniform_levels(3).describe()))
+def test_describe_round_trips_through_json(capsys):
+    assert main(["levels", "--bits", "3"]) == 0
+    d = json.loads(capsys.readouterr().out)
     assert d["schedule"] == "log" and d["bits"] == 3 and len(d["levels"]) == 8
+    assert d["levels"] == level_table(LOG, 3).tolist()

@@ -10,8 +10,7 @@ from benq.benford import Family, classify_family
 from benq.cli import main
 from benq.errors import ConfigError, DataError, FormatError
 from benq.io import TensorSpec
-from benq.levels import (Schedule, generate_linear_levels, generate_log_uniform_levels,
-                         make_codebook)
+from benq.levels import Schedule, level_table
 from benq.metrics import compare_schedules, distortion
 from benq.quantizer import (DEFAULT_POLICY, QUANTIZE_ALL, QuantConfig, QuantPolicy,
                             QuantizedTensor, apply_policy, dequantize,
@@ -63,7 +62,7 @@ def one_group(values, bits, schedule=Schedule.LOG_UNIFORM):
 def rtn_group(values, bits):
     """One rtn group; returns (signed integer levels, stored scale)."""
     idx, scale = one_group(values, bits, Schedule.RTN)
-    return make_codebook(Schedule.RTN, bits).levels[idx], scale
+    return level_table(Schedule.RTN, bits)[idx], scale
 
 
 def half_gaps(levels):
@@ -119,7 +118,9 @@ class TestConfig:
 
     @pytest.mark.parametrize("kwargs", [
         {"group_size": True}, {"group_size": 8.0}, {"schedule": "bogus"},
-    ], ids=["bool-group-size", "float-group-size", "unknown-schedule"])
+        {"bits": 4.0}, {"bits": np.int64(4)}, {"epsilon": "0.001"}, {"epsilon": np.float32(1e-3)},
+    ], ids=["bool-group-size", "float-group-size", "unknown-schedule",
+            "float-bits", "int64-bits", "str-epsilon", "float32-epsilon"])
     def test_direct_construction_checks_types(self, kwargs):
         # the types a config read from a file must have, as in QuantConfig.from_dict
         with pytest.raises(ConfigError):
@@ -132,48 +133,44 @@ class TestConfig:
             QuantConfig.from_dict({"bits": 4})
 
     def test_rtn_codebook_is_integer_table(self):
-        levels = QuantConfig(bits=4, schedule=Schedule.RTN).codebook().levels
+        levels = QuantConfig(bits=4, schedule=Schedule.RTN).levels
         assert levels.tolist() == list(range(-8, 8))
 
 
-def generate_rtn_levels(bits):
-    return make_codebook(Schedule.RTN, bits)
-
-
 class TestNearestLevel:
-    @pytest.mark.parametrize("make", [generate_log_uniform_levels, generate_linear_levels,
-                                      generate_rtn_levels])
+    # the ids are the names these cases have always had in the suite
+    @pytest.mark.parametrize("schedule", list(Schedule), ids=[
+        "generate_log_uniform_levels", "generate_linear_levels", "generate_rtn_levels"])
     @pytest.mark.parametrize("bits", [2, 3, 4, 8])
-    def test_matches_brute_force(self, make, bits, rng_np):
-        levels = make(bits).levels
+    def test_matches_brute_force(self, schedule, bits, rng_np):
+        levels = level_table(schedule, bits)
         z = np.concatenate([rng_np.uniform(-1.3, 1.3, 4000) * levels[-1],
                             levels, (levels[:-1] + levels[1:]) / 2.0, [0.0, -0.0]])
         assert np.array_equal(nearest_level_indices(z, levels), brute_nearest(z, levels))
 
     def test_exact_midpoint_goes_away_from_zero(self):
-        levels = generate_linear_levels(4).levels   # positive side k/8 at 8..15
+        levels = level_table(Schedule.LINEAR, 4)   # positive side k/8 at 8..15
         # 3/16 is midway between 1/8 (index 8) and 2/8 (index 9)
         assert nearest_level_indices(np.array([3.0 / 16.0]), levels)[0] == 9
         # -3/16 is midway between -2/8 (index 6) and -1/8 (index 7)
         assert nearest_level_indices(np.array([-3.0 / 16.0]), levels)[0] == 6
-        rtn = generate_rtn_levels(4).levels         # integers -8..7 at 0..15
+        rtn = level_table(Schedule.RTN, 4)         # integers -8..7 at 0..15
         assert nearest_level_indices(np.array([2.5, -2.5, 0.5, -0.5]), rtn).tolist() == \
             [11, 5, 9, 7]
 
     def test_zero_maps_to_smallest_positive_level(self):
-        cb = generate_log_uniform_levels(4)
-        assert nearest_level_indices(np.array([0.0, -0.0]), cb.levels).tolist() == [8, 8]
+        levels = level_table(Schedule.LOG_UNIFORM, 4)
+        assert nearest_level_indices(np.array([0.0, -0.0]), levels).tolist() == [8, 8]
 
     def test_out_of_range_clamps_to_endpoints(self):
-        cb = generate_log_uniform_levels(3)
-        idx = nearest_level_indices(np.array([5.0, -5.0]), cb.levels)
+        levels = level_table(Schedule.LOG_UNIFORM, 3)
+        idx = nearest_level_indices(np.array([5.0, -5.0]), levels)
         assert idx.tolist() == [7, 0]
 
     @given(finite_arrays(max_size=32), st.integers(2, 8),
            st.sampled_from(["log", "linear"]))
     def test_matches_brute_force_hypothesis(self, values, bits, schedule):
-        levels = (generate_log_uniform_levels(bits) if schedule == "log"
-                  else generate_linear_levels(bits)).levels
+        levels = level_table(Schedule(schedule), bits)
         assert np.array_equal(nearest_level_indices(values, levels),
                               brute_nearest(values, levels))
 
@@ -184,7 +181,7 @@ class TestBoundaries:
     @pytest.mark.parametrize("schedule", list(Schedule), ids=lambda s: s.value)
     def test_every_midpoint_matches_exact_oracle(self, schedule):
         for bits in range(2, 9):
-            levels = make_codebook(schedule, bits).levels
+            levels = level_table(schedule, bits)
             table = [Fraction(v) for v in levels]
             mids = (levels[:-1] + levels[1:]) / 2.0
             z = np.concatenate([mids, np.nextafter(mids, -np.inf), np.nextafter(mids, np.inf)])
@@ -270,7 +267,7 @@ class TestBucketKernel:
                              ids=lambda v: getattr(v, "value", repr(v)))
     def test_matches_exact_oracle(self, schedule, epsilon):
         for bits in range(2, 9):
-            levels = make_codebook(schedule, bits, epsilon).levels
+            levels = level_table(schedule, bits, epsilon)
             table = [Fraction(v) for v in levels]
             z = self.edge_inputs(levels)
             with np.errstate(over="ignore"):
@@ -286,7 +283,7 @@ class TestBucketKernel:
     def test_exactly_the_buckets_near_a_threshold_split(self, schedule):
         keys, first, _ = float32_buckets()
         for bits in range(2, 9):
-            levels = make_codebook(schedule, bits).levels
+            levels = level_table(schedule, bits)
             key_table = _level_search(levels.tobytes())[1]
             split = split_keys(levels)
             assert np.all(key_table[split] == 255), bits
@@ -298,7 +295,7 @@ class TestBucketKernel:
             assert split.size <= 2 * levels.size, bits
 
     def test_crowded_thresholds_share_split_buckets(self):
-        levels = make_codebook(Schedule.LOG_UNIFORM, 8, 0.999999).levels
+        levels = level_table(Schedule.LOG_UNIFORM, 8, 0.999999)
         t = _level_search(levels.tobytes())[0]
         split = split_keys(levels)
         assert 0 < split.size <= 8
@@ -317,7 +314,7 @@ class TestBucketKernel:
     def test_block_kernel_is_the_float64_search_at_every_split_bucket(self, schedule, epsilon):
         keys, first, last = float32_buckets()
         for bits in range(2, 9):
-            levels = make_codebook(schedule, bits, epsilon).levels
+            levels = level_table(schedule, bits, epsilon)
             at = np.isin(keys, split_keys(levels))
             z = np.concatenate([first[at], last[at]]).astype(np.float32)
             z = np.concatenate([z, np.nextafter(z, np.float32(-np.inf)),
@@ -337,7 +334,7 @@ class TestBucketKernel:
         # rounding is furthest from them or lands in the next bucket
         down, up = np.float32(-np.inf), np.float32(np.inf)
         for bits in range(2, 9):
-            levels = make_codebook(schedule, bits, epsilon).levels
+            levels = level_table(schedule, bits, epsilon)
             t = _level_search(levels.tobytes())[0]
             t32 = t.astype(np.float32)
             near = [t32, np.nextafter(t32, down), np.nextafter(t32, up)]
@@ -349,7 +346,7 @@ class TestBucketKernel:
             assert np.array_equal(got, nearest_level_indices(z, levels)), bits
 
     def test_special_values(self):
-        levels = make_codebook(Schedule.LINEAR, 3).levels   # -1 .. -1/4, 1/4 .. 1
+        levels = level_table(Schedule.LINEAR, 3)   # -1 .. -1/4, 1/4 .. 1
         z = np.array(self.SPECIAL + [np.inf, -np.inf])
         assert nearest_level_indices(z, levels).tolist() == [4, 4, 4, 3, 4, 3, 7, 0, 7, 0]
 
@@ -386,7 +383,7 @@ class TestBlockKernel:
             scales = np.exp2(rng_np.uniform(-26, 15, -(-n // G))).astype(np.float16)
             idx = rng_np.integers(0, 2 ** cfg.bits, n).astype(np.uint8)
             qt = QuantizedTensor("w", (n,), idx, scales, cfg)
-            levels = cfg.codebook().levels
+            levels = cfg.levels
             want = (levels[idx] * np.repeat(scales.astype(np.float64), G)[:n]).astype(np.float32)
             got = dequantize(qt)
             assert got.dtype == np.float32
@@ -409,7 +406,7 @@ class TestBlockKernel:
         # beside a group maximum that pins the scale
         cfgs = [QuantConfig(bits=4, group_size=8, schedule=s) for s in Schedule]
         for cfg in cfgs:
-            levels = cfg.codebook().levels
+            levels = cfg.levels
             mids = (levels[:-1] + levels[1:]) / 2.0
             v = np.concatenate([np.nextafter(mids, -np.inf), np.nextafter(mids, np.inf),
                                 [0.1, 2.0 ** -1050, 1e-300]])
@@ -561,7 +558,7 @@ class TestRoundTripProperties:
         qt = quantize_tensor(values, cfg, "w")
         rec = dequantize(qt).astype(np.float64)
         scales = np.repeat(qt.scales.astype(np.float64), cfg.group_size)[:values.size]
-        bound = scales * half_gaps(cfg.codebook().levels)[qt.indices]
+        bound = scales * half_gaps(cfg.levels)[qt.indices]
         # reconstruction is float32, so allow its half-ulp on top of the
         # mathematical bound (ties sit exactly on the bound and the output
         # rounding can land a hair past it)
@@ -598,7 +595,7 @@ class TestRoundTripProperties:
         values = np.array([5.585e-15])
         qt1 = quantize_tensor(values, cfg, "w")
         assert qt1.scales[0] == np.float16(2.0 ** -24)
-        assert cfg.codebook().levels[qt1.indices[0]] == 0
+        assert cfg.levels[qt1.indices[0]] == 0
         rec = dequantize(qt1)
         assert np.array_equal(rec, np.zeros(1))
         qt2 = quantize_tensor(rec, cfg, "w")
@@ -614,7 +611,7 @@ class TestRoundTripProperties:
         qt_pos = quantize_tensor(values, cfg, "w")
         qt_neg = quantize_tensor(-values, cfg, "w")
         assert np.array_equal(qt_pos.scales, qt_neg.scales)
-        levels = cfg.codebook().levels
+        levels = cfg.levels
         assert np.array_equal(levels[qt_neg.indices], -levels[qt_pos.indices])
         assert np.array_equal(dequantize(qt_neg), -dequantize(qt_pos))
 

@@ -1,7 +1,5 @@
 """Streaming: the bounded thread map, block-at-a-time commands and their memory bound."""
 
-import importlib
-import importlib.util
 import json
 import os
 import sys
@@ -22,8 +20,6 @@ from benq.levels import Schedule
 from benq.quantizer import QuantConfig, dequantize, quantize_tensor
 from benq.synth import _CHUNK, synth_tensor
 from conftest import content_digest, load_container, save_container, tensor_set
-
-PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
 
 class Counting:
@@ -209,17 +205,6 @@ class TestSharedPool:
         assert next(b) == 100 * 100  # b's next items are queued behind a's on the pool
         a.close()
         assert list(b) == [x * x for x in range(101, 150)]
-
-
-def test_tracer_targets_resolve():
-    """Every (module, attribute) perfbench's tracer wraps still exists."""
-    spec = importlib.util.spec_from_file_location("perfbench_tracing",
-                                                  os.path.join(PERFBENCH, "tracing.py"))
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    assert tracing.TARGETS
-    for module, attr, _, _ in tracing.TARGETS:
-        assert callable(getattr(importlib.import_module(module), attr)), f"{module}.{attr}"
 
 
 N = 1 << 21  # elements per tensor: well above the 2**18-element blocks' scratch
