@@ -1,11 +1,12 @@
 """The `benq` command line tool.
 
 Subcommands: levels, analyze, quantize, dequantize, compare, synth.
-Diagnostics go to stderr; requested data goes to stdout or --out.  Every
-run that touches files emits a manifest (command, config, input digests,
-tool version, seed, timings) next to the output, or to stderr when the
-result goes to stdout; the input files are hashed on one background thread
-while the command runs.  Only `synth` draws random numbers, so only it
+Diagnostics go to stderr; requested data goes to stdout or --out.  Each
+command but `levels` returns what it made, and `main` writes every run's
+manifest (command, argv, tool version, seed, config, input digests,
+timings) next to the output, or to stderr when the result goes to stdout;
+the input files are hashed on one background thread while the command
+runs.  Only `synth` draws random numbers, so only it
 takes `--seed`; every other manifest records a null seed.  `analyze`
 counts the leading digit of every element of every tensor.  Exit codes:
 0 success, 1 operational error, 2 usage error.
@@ -17,7 +18,6 @@ import argparse
 import ctypes
 import csv
 import hashlib
-import io as stdio
 import json
 import math
 import os
@@ -120,16 +120,16 @@ def _load_policy(path: str | None, no_policy: bool) -> QuantPolicy:
         raise ConfigError(f"{path}: {e}") from None
 
 
-def _emit_manifest(args, command: str, config: dict, timings: dict,
+def _emit_manifest(args, argv: list[str], digests, config: dict, timings: dict,
                    out_path: str | None) -> None:
-    """Write the run's manifest; it waits for the input digests `main` started."""
+    """Write the run's manifest; it waits for the input `digests`, a future."""
     manifest = {
-        "command": command,
-        "argv": args._argv,
+        "command": args.command,
+        "argv": argv,
         "tool_version": __version__,
         "seed": getattr(args, "seed", None),
         "config": config,
-        "inputs": args._digests.result(),
+        "inputs": digests.result(),
         "timings": {k: round(v, 6) for k, v in timings.items()},
     }
     blob = json.dumps(manifest, indent=2)
@@ -140,62 +140,46 @@ def _emit_manifest(args, command: str, config: dict, timings: dict,
         print(blob, file=sys.stderr)
 
 
-def _write_text(path: str | None, text: str) -> None:
-    if path:
-        with open(path, "w", encoding="utf-8") as f:
+def _write_report(args, report: dict, header: list[str], rows) -> None:
+    """The report JSON to --out or stdout, then with --csv the table: `header`,
+    then `rows`, a float as its repr and None as ""."""
+    text = json.dumps(report, indent=2) + "\n"
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as f:
             f.write(text)
     else:
         sys.stdout.write(text)
+    if args.csv:
+        with open(args.csv, "w", encoding="utf-8") as f:
+            w = csv.writer(f, lineterminator="\n")
+            w.writerow(header)
+            w.writerows([repr(v) if isinstance(v, float) else v for v in row] for row in rows)
 
 
-def _csv(header: list[str], rows) -> str:
-    """A CSV table: `header`, then `rows`, a float as its repr and None as ""."""
-    buf = stdio.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    for row in rows:
-        w.writerow([repr(v) if isinstance(v, float) else v for v in row])
-    return buf.getvalue()
-
-
-def cmd_levels(args) -> int:
-    schedule = Schedule.parse(args.schedule)
-    levels = level_table(schedule, args.bits, args.epsilon)
-    out = {"schedule": schedule.value, "bits": args.bits}
-    if schedule is Schedule.LOG_UNIFORM:
+def cmd_levels(args) -> None:
+    out = {"schedule": args.schedule, "bits": args.bits}
+    if args.schedule == Schedule.LOG_UNIFORM:
         out["epsilon"] = args.epsilon
-    out["levels"] = levels.tolist()
+    out["levels"] = level_table(args.schedule, args.bits, args.epsilon).tolist()
     print(json.dumps(out, indent=2))
-    return 0
 
 
-def cmd_analyze(args) -> int:
-    t0 = time.perf_counter()
+def cmd_analyze(args):
     policy = _load_policy(args.policy, no_policy=False)
     with read_container(args.container) as (_, tensors):
         report = benford.model_report(tensors, policy, source=os.path.basename(args.container),
                                       threads=args.threads)
-    text = json.dumps(report.to_dict(), indent=2) + "\n"
-    _write_text(args.out, text)
-    if args.csv:
-        _write_text(args.csv, _csv(
-            ["name", "family", "numel", "zeros_skipped", "mad"]
-            + [f"count_{d}" for d in range(1, 10)],
-            ([r.name, r.family.value, r.numel, r.histogram.zeros_skipped, r.mad]
-             + [int(c) for c in r.histogram.counts] for r in report.per_tensor)))
-    _emit_manifest(args, "analyze", {"policy_digest": policy.digest()},
-                   {"total": time.perf_counter() - t0}, args.out)
-    return 0
+    _write_report(args, report.to_dict(),
+                  ["name", "family", "numel", "zeros_skipped", "mad"]
+                  + [f"count_{d}" for d in range(1, 10)],
+                  ([r.name, r.family.value, r.numel, r.histogram.zeros_skipped, r.mad]
+                   + [int(c) for c in r.histogram.counts] for r in report.per_tensor))
+    return {"policy_digest": policy.digest()}, {}, args.out
 
 
-def _parse_config(args) -> QuantConfig:
-    return QuantConfig(bits=args.bits, group_size=args.group_size,
-                       schedule=Schedule.parse(args.schedule), epsilon=args.epsilon)
-
-
-def cmd_quantize(args) -> int:
+def cmd_quantize(args):
     t0 = time.perf_counter()
-    config = _parse_config(args)
+    config = QuantConfig(args.bits, args.group_size, args.schedule, args.epsilon)
     policy = _load_policy(args.policy, args.no_policy)
     out = args.out or os.path.splitext(args.container)[0] + ".benq"
     with read_container(args.container, config.block_elems) as (specs, tensors):
@@ -217,49 +201,37 @@ def cmd_quantize(args) -> int:
     print(f"quantize pass: {waiting.s - reading.s:.2f}s "
           f"({len(quantized)} quantized / {len(layout) - len(quantized)} preserved, "
           f"fraction {fraction:.4f})", file=sys.stderr)
-    _emit_manifest(args, "quantize",
-                   {**config.to_dict(), "policy_digest": policy.digest()},
-                   {"read": t1 - t0 + reading.s, "quantize": waiting.s - reading.s,
-                    "write": t2 - t1 - waiting.s, "total": t2 - t0}, out)
-    return 0
+    return ({**config.to_dict(), "policy_digest": policy.digest()},
+            {"read": t1 - t0 + reading.s, "quantize": waiting.s - reading.s,
+             "write": t2 - t1 - waiting.s}, out)
 
 
 def _reconstruction(spec: TensorSpec, block):
     return dequantize(block) if isinstance(block, QuantizedTensor) else block
 
 
-def cmd_dequantize(args) -> int:
-    t0 = time.perf_counter()
+def cmd_dequantize(args):
     out = args.out or os.path.splitext(args.model)[0] + ".dequant.safetensors"
     with read_benq(args.model) as (config, _, specs, entries):
         write_container(out, specs, (blocks for _, blocks in
                                      _map_blocks(_reconstruction, entries, args.threads)))
-    _emit_manifest(args, "dequantize", config.to_dict(),
-                   {"total": time.perf_counter() - t0}, out)
-    return 0
+    return config.to_dict(), {}, out
 
 
-def cmd_compare(args) -> int:
-    t0 = time.perf_counter()
-    schedules = [Schedule.parse(s.strip()) for s in args.schedules.split(",") if s.strip()]
+def cmd_compare(args):
+    schedules = [s.strip() for s in args.schedules.split(",") if s.strip()]
     if not schedules:
         raise ConfigError("--schedules needs at least one schedule")
-    configs = [QuantConfig(bits=args.bits, group_size=args.group_size,
-                           schedule=s, epsilon=args.epsilon) for s in schedules]
+    configs = [QuantConfig(args.bits, args.group_size, s, args.epsilon) for s in schedules]
     with read_container(args.container, configs[0].block_elems) as (_, tensors):
         rows = [rep.to_dict() for reports in compare_tensors(tensors, configs, args.threads)
                 for rep in reports]
-    text = json.dumps({"source": os.path.basename(args.container), "rows": rows},
-                      indent=2) + "\n"
-    _write_text(args.out, text)
-    if args.csv:
-        cols = ["name", "schedule", "bits", "group_size", "mse", "max_abs_err", "rel_fro_err"]
-        _write_text(args.csv, _csv(cols, ([row[c] for c in cols] for row in rows)))
-    _emit_manifest(args, "compare",
-                   {"bits": args.bits, "group_size": args.group_size,
-                    "schedules": [s.value for s in schedules], "epsilon": args.epsilon},
-                   {"total": time.perf_counter() - t0}, args.out)
-    return 0
+    cols = ["name", "schedule", "bits", "group_size", "mse", "max_abs_err", "rel_fro_err"]
+    _write_report(args, {"source": os.path.basename(args.container), "rows": rows},
+                  cols, ([row[c] for c in cols] for row in rows))
+    return ({"bits": args.bits, "group_size": args.group_size,
+             "schedules": [c.schedule.value for c in configs], "epsilon": args.epsilon},
+            {}, args.out)
 
 
 def _finite_blocks(name: str, spec: synth.SynthSpec, blocks):
@@ -271,26 +243,22 @@ def _finite_blocks(name: str, spec: synth.SynthSpec, blocks):
         yield block
 
 
-def cmd_synth(args) -> int:
-    t0 = time.perf_counter()
-    parsed = {}
+def cmd_synth(args):
+    parsed = {}  # name: (spec text, spec)
     for item in args.tensor:
         name, _, spec_text = item.partition("=")
         if not name or not spec_text:
             raise ConfigError(f"--tensor expects NAME=DIST(...), got {item!r}")
         if name in parsed:
             raise ConfigError(f"duplicate tensor name {name!r}")
-        parsed[name] = synth.parse_spec(spec_text)
-    specs = [TensorSpec(name, (spec.n,), "F32") for name, spec in parsed.items()]
+        parsed[name] = spec_text, synth.parse_spec(spec_text)
+    specs = [TensorSpec(name, (spec.n,), "F32") for name, (_, spec) in parsed.items()]
     # each tensor is generated a chunk at a time, as the writer reaches it
     write_container(args.out, specs,
                     (_finite_blocks(name, spec,
                                     synth.synth_blocks(spec, rng.derive_seed(args.seed, name)))
-                     for name, spec in parsed.items()))
-    _emit_manifest(args, "synth",
-                   {"tensors": {i.partition('=')[0]: i.partition('=')[2] for i in args.tensor}},
-                   {"total": time.perf_counter() - t0}, args.out)
-    return 0
+                     for name, (_, spec) in parsed.items()))
+    return {"tensors": {name: text for name, (text, _) in parsed.items()}}, {}, args.out
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -360,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    args._argv = list(argv) if argv is not None else sys.argv[1:]
+    argv = list(argv) if argv is not None else sys.argv[1:]
     _keep_scratch_mapped()
     stopped = threading.Event()
     # the input files are hashed on this one thread while the command runs
@@ -369,8 +337,14 @@ def main(argv: list[str] | None = None) -> int:
             if getattr(args, "threads", 1) is None:
                 args.threads = _pool._default_threads()
             paths = [p for p in (getattr(args, a, None) for a in _INPUT_ARGS) if p]
-            args._digests = digest_thread.submit(lambda: {p: _sha256(p, stopped) for p in paths})
-            return args.func(args)
+            digests = digest_thread.submit(lambda: {p: _sha256(p, stopped) for p in paths})
+            t0 = time.perf_counter()
+            made = args.func(args)  # (manifest config, stage timings, output path), or None
+            if made is not None:
+                config, timings, out = made
+                _emit_manifest(args, argv, digests, config,
+                               {**timings, "total": time.perf_counter() - t0}, out)
+            return 0
         except (BenqError, OSError) as e:
             print(f"error: {e}", file=sys.stderr)
             return 1

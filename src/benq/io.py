@@ -73,9 +73,11 @@ scales.  A writer (`write_container`, `write_benq`) takes the specs and,
 per tensor, an iterator of its blocks; it builds the header from the specs
 alone and then writes each block's bytes as it arrives, so only the blocks
 in flight are ever in memory; at 4 bits or less an odd-length block's last
-index waits for the next block to share its byte.  All writes go through a
-temp file and atomic rename, so a run that fails midway leaves no partial
-output.
+index waits for the next block to share its byte.  A writer first refuses
+(DataError) every spec its reader would reject: a name not a string, taken
+or, in safetensors, `__metadata__`, a shape not of non-negative ints, a
+dtype not supported.  All writes go through a temp file and atomic rename,
+so a run that fails midway leaves no partial output.
 """
 
 from __future__ import annotations
@@ -234,6 +236,21 @@ _PRESERVED_ENTRY = {"name": STR, "shape": _SHAPE, "quantized": BOOL,
                     "dtype": _DTYPE, "data": _SPAN}
 
 
+_SPEC = {"name": STR, "shape": _SHAPE, "dtype": one_of(*SUPPORTED_DTYPES, None)}
+
+
+def _check_specs(specs: Sequence[TensorSpec], reserved: tuple[str, ...] = ()) -> None:
+    """A DataError, before any file exists, at the first spec its reader would reject."""
+    seen = set(reserved)
+    for s in specs:
+        checked({"name": s.name, "shape": list(s.shape), "dtype": s.dtype}, _SPEC,
+                f"tensor {s.name!r}", DataError)
+        if s.name in seen:
+            raise DataError(f"{'reserved' if s.name in reserved else 'duplicate'} "
+                            f"tensor name {s.name!r}")
+        seen.add(s.name)
+
+
 def _atomic_write(path: str, writer) -> None:
     """Run writer(file) against a temp file, then rename over path."""
     directory = os.path.dirname(os.path.abspath(path))
@@ -347,6 +364,7 @@ def write_container(path: str, specs: Sequence[TensorSpec], arrays: Iterable) ->
     of its flat blocks, and each block is written as it arrives.  Atomic and
     deterministic.
     """
+    _check_specs(specs, reserved=("__metadata__",))
     entries = {}
     offset = 0
     for s in specs:
@@ -471,7 +489,7 @@ def _packed(spec: TensorSpec, blocks: Iterable, config: QuantConfig,
     for qt in blocks:
         if not isinstance(qt, QuantizedTensor):
             raise _mismatch(spec, f"expected a quantized tensor, got {type(qt).__name__}")
-        if qt.config.to_dict() != config.to_dict():
+        if qt.config != config:
             raise ConfigError(f"{spec.name}: quantized under {qt.config.to_dict()}, "
                               f"not the run's {config.to_dict()}")
         idx = np.concatenate([carry, qt.indices.ravel()]) if carry.size else qt.indices.ravel()
@@ -503,6 +521,7 @@ def write_benq(path: str, config: QuantConfig, policy: QuantPolicy,
     tensor's float16 scales once its indices are written, and the header is
     written last.  Atomic and deterministic.
     """
+    _check_specs(specs)
     directory, _ = _benq_directory(config, specs)
     reserved = len(_benq_header(config, policy, directory, "0" * 64))
 

@@ -11,10 +11,11 @@ all-zero group gets.  Reconstruction is level * scale.
 
 float16 and float32 blocks stay float32: a 2**20-entry uint8 key table,
 cached per level table (1 MiB), gives each quotient's index from the top
-20 bits of its float32 rounding.  Only the quotients within one float32 ulp
-of a decision threshold take the exact path, the float64 quotient's search
-against the exact midpoint thresholds.  Either way every index is the
-float64 quotient's.
+20 bits of its float32 rounding, which is the float32 rounding of the
+float64 quotient.  Only the quotients keyed into the bucket of a float32
+beside a decision threshold (the nearest at or below it, the nearest at or
+above it) take the exact path, the float64 quotient's search against the
+exact midpoint thresholds.  Either way every index is the float64 quotient's.
 
 Normalizing by the float16 value actually stored (not the exact maximum)
 keeps quantization a projection: quantizing a reconstruction returns the
@@ -47,7 +48,7 @@ from .levels import DEFAULT_EPSILON, MAX_BITS, MIN_BITS, Schedule, level_table
 _F16_TINY = np.float16(2.0 ** -24)
 _FOLD_MAX_GROUP = 32     # _group_max folds columns up to this group size
 _KEY_BITS = 20           # a float32 quotient's key: sign, exponent, 11 mantissa bits
-_SPLIT = 255             # key table entry of a bucket that holds a threshold
+_SPLIT = 255             # key table entry of a bucket beside a threshold
 _GATHER_ELEMS = 1 << 15  # indices per np.take, which first copies them to intp
 
 
@@ -70,6 +71,8 @@ class QuantConfig:
                               f"got {self.bits!r}")
         if not NUMBER.test(self.epsilon):
             raise ConfigError(f"epsilon must be a number, got {self.epsilon!r}")
+        if self.schedule is not Schedule.LOG_UNIFORM:  # epsilon is the log schedule's alone
+            object.__setattr__(self, "epsilon", DEFAULT_EPSILON)
         self.levels  # validates the range of bits and, for log, epsilon
 
     @property
@@ -126,8 +129,9 @@ def _level_search(level_bytes: bytes) -> tuple[np.ndarray, np.ndarray]:
     """(thresholds, key table) of the float64 levels in `level_bytes`.
 
     A bucket is every float32 sharing one top-_KEY_BITS key.  key_table[key]
-    is the index of every float64 within one float32 ulp of the bucket, or
-    _SPLIT when a threshold lies there (1 MiB of uint8 per level table).
+    is the index of every float64 whose float32 rounding lies in the bucket,
+    or _SPLIT when the bucket holds a float32 beside a threshold: the nearest
+    at or below it or at or above it (1 MiB of uint8 per level table).
     The table is built in value order, where negative keys run backwards, as
     uint8 runs between the thresholds' buckets.
     """
@@ -136,17 +140,18 @@ def _level_search(level_bytes: bytes) -> tuple[np.ndarray, np.ndarray]:
     below = np.where(near > t, np.nextafter(near, np.float32(-np.inf)), near)
     above = np.where(near < t, np.nextafter(near, np.float32(np.inf)), near)
 
-    def bucket(f: np.ndarray, step: int) -> np.ndarray:
-        # the value-order bucket of the float32 `step` ulps from f; +0 and -0
-        # are one value there, in +0's bucket (a float32 quotient -0 comes from
-        # a float64 quotient <= 0, as does every other quotient in -0's bucket)
+    def bucket(f: np.ndarray) -> np.ndarray:
+        # the value-order bucket of the float32 f; +0 and -0 are one value
+        # there, in +0's bucket (a float32 quotient -0 comes from a float64
+        # quotient <= 0, as does every other quotient in -0's bucket)
         bits = f.view(np.uint32).astype(np.int64)
-        o = np.where(bits >> 31, (1 << 31) - bits, bits) + step
+        o = np.where(bits >> 31, (1 << 31) - bits, bits)
         return half + np.where(o < 0, ~(-o >> shift), o >> shift)
 
     half, shift = 1 << (_KEY_BITS - 1), 32 - _KEY_BITS
-    # the buckets holding a float32 within one ulp of each threshold
-    first, last = bucket(above, -1), bucket(below, 1)
+    # the buckets of the float32s beside each threshold: a quotient keyed
+    # below `below` is below the threshold, one keyed above `above` above it
+    first, last = bucket(below), bucket(above)
     runs = np.diff(np.concatenate([[0], first + 1, [2 * half]]))
     by_value = np.repeat(np.arange(t.size + 1, dtype=np.ubyte), runs)
     by_value[first] = by_value[last] = _SPLIT
@@ -248,11 +253,12 @@ def _nearest_levels(q: np.ndarray, w: np.ndarray, divisors: np.ndarray, level_ta
     q = w / divisors (one divisor per group) in the matching level table.
 
     A quotient takes its index from the key table, keyed by its float32
-    rounding (q itself in a float32 block) through intp keys _GATHER_ELEMS
-    at a time.  Only the elements of split buckets are settled by
-    nearest_level_indices of the float64 quotient, which lies within one
-    float32 ulp of the keyed value (half an ulp in a float64 block); so
-    every index is the float64 search's.
+    rounding through intp keys _GATHER_ELEMS at a time (in a float32 block
+    q itself, the correctly rounded w / divisor, so also the float32
+    rounding of the float64 quotient).  A quotient keyed outside the split
+    buckets lies on its bucket's side of every threshold, so only split
+    elements are settled by nearest_level_indices of the float64 quotient,
+    and every index is the float64 search's.
     """
     tables = [_level_search(lv.tobytes())[1] for lv in level_tables]
     with np.errstate(over="ignore"):  # a quotient past float32 range keys as inf

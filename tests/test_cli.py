@@ -127,6 +127,15 @@ class TestSynth:
         assert code == 1
         assert "duplicate" in err
 
+    def test_metadata_name_rejected_before_any_file(self, capsys, tmp_path):
+        # the safetensors reader skips a tensor named __metadata__, so its file
+        # would fail the tiling check when read
+        code, _, err = run(capsys, "synth", "--tensor", "__metadata__=constant(1,2)",
+                           "--out", str(tmp_path / "m.st"))
+        assert code == 1
+        assert err == "error: reserved tensor name '__metadata__'\n"
+        assert os.listdir(tmp_path) == []
+
     def test_every_spec_is_checked_before_the_write(self, capsys, tmp_path, monkeypatch):
         import benq.cli as cli_mod
         writes = []
@@ -343,6 +352,47 @@ class TestManifest:
             with pytest.raises(SystemExit) as exc:
                 main(argv + ["--seed", "1"])
             assert exc.value.code == 2
+
+
+class TestManifestLayout:
+    """The manifest `main` writes for every command but levels."""
+
+    CONFIG_KEYS = {
+        "analyze": ["policy_digest"],
+        "quantize": ["bits", "group_size", "schedule", "epsilon", "policy_digest"],
+        "dequantize": ["bits", "group_size", "schedule", "epsilon"],
+        "compare": ["bits", "group_size", "schedules", "epsilon"],
+        "synth": ["tensors"],
+    }
+
+    @pytest.mark.parametrize("command", list(CONFIG_KEYS))
+    def test_keys_in_order(self, capsys, tmp_path, command):
+        p = make_model(capsys, tmp_path)
+        b = tmp_path / "m.benq"
+        assert main(["quantize", str(p), "--out", str(b)]) == 0
+        out = str(tmp_path / "out")
+        argv = {"analyze": ["analyze", str(p)], "quantize": ["quantize", str(p)],
+                "dequantize": ["dequantize", str(b)], "compare": ["compare", str(p)],
+                "synth": ["synth", "--tensor", "w=gaussian(1,8)"]}[command] + ["--out", out]
+        assert main(argv) == 0
+        capsys.readouterr()
+        man = json.loads((tmp_path / "out.manifest.json").read_text())
+        assert list(man) == ["command", "argv", "tool_version", "seed", "config", "inputs",
+                             "timings"]
+        assert man["command"] == command
+        assert man["argv"] == argv
+        assert list(man["config"]) == self.CONFIG_KEYS[command]
+        stages = ["read", "quantize", "write"] if command == "quantize" else []
+        assert list(man["timings"]) == stages + ["total"]
+        assert all(type(v) is float and v >= 0 for v in man["timings"].values())
+
+    def test_levels_writes_no_manifest(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "levels", "--schedule", "rtn", "--bits", "2")
+        assert code == 0
+        assert json.loads(out) == {"schedule": "rtn", "bits": 2, "levels": [-2, -1, 0, 1]}
+        assert err == ""
+        assert os.listdir(tmp_path) == []
 
 
 class TestExitCodes:

@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 
 from benq import rng
 from benq.cli import main
-from benq.errors import ConfigError, FormatError
+from benq.errors import ConfigError, DataError, FormatError
 from benq.io import (BENQ_MAGIC, BENQ_VERSION, TensorSpec, _benq_header, _demote, _promote,
-                     pack_indices, packed_size, read_benq, unpack_indices, write_benq)
+                     pack_indices, packed_size, read_benq, unpack_indices, write_benq,
+                     write_container)
 from benq.levels import Schedule
 from benq.quantizer import (_FAMILIES, DEFAULT_POLICY, QUANTIZE_ALL, QuantConfig,
                             QuantizedTensor, QuantPolicy, dequantize)
@@ -747,6 +748,37 @@ class TestAtomicity:
 
         with pytest.raises(RuntimeError, match="midway"):
             io_mod._atomic_write(str(tmp_path / "out.bin"), broken_writer)
+        assert os.listdir(tmp_path) == []
+
+
+# specs whose file the matching reader would reject
+REFUSED = {
+    "duplicate-name": [TensorSpec("a", (2,), "F32"), TensorSpec("a", (2,), "F32")],
+    "int-name": [TensorSpec(3, (2,), "F32")],
+    "int64-shape": [TensorSpec("a", (np.int64(2),), "F32")],
+    "negative-shape": [TensorSpec("a", (-2,), "F32")],
+}
+REFUSED_BENQ = {**REFUSED, "f64": [TensorSpec("a", (2,), "F64")],
+                "i8": [TensorSpec("a", (2,), "I8")]}
+REFUSED_SAFETENSORS = {**REFUSED, "metadata-name": [TensorSpec("__metadata__", (2,), "F32")]}
+
+
+def blocks_of(specs):
+    return (iter([np.ones(2, dtype=np.float32)]) for _ in specs)
+
+
+class TestWritersRefuseWhatTheirReadersReject:
+    @pytest.mark.parametrize("specs", REFUSED_SAFETENSORS.values(), ids=REFUSED_SAFETENSORS)
+    def test_safetensors(self, tmp_path, specs):
+        with pytest.raises(DataError):
+            write_container(str(tmp_path / "m.st"), specs, blocks_of(specs))
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("specs", REFUSED_BENQ.values(), ids=REFUSED_BENQ)
+    def test_benq(self, tmp_path, specs):
+        with pytest.raises(DataError):
+            write_benq(str(tmp_path / "m.benq"), QuantConfig(), QUANTIZE_ALL, specs,
+                       blocks_of(specs))
         assert os.listdir(tmp_path) == []
 
 

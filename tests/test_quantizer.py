@@ -126,6 +126,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             QuantConfig(**kwargs)
 
+    @pytest.mark.parametrize("epsilon", [0.5, 1e-3])
+    @pytest.mark.parametrize("schedule", [Schedule.LINEAR, Schedule.RTN], ids=lambda s: s.value)
+    def test_epsilon_off_the_log_schedule_round_trips(self, schedule, epsilon):
+        # only the log schedule writes its epsilon, so the others keep the default
+        cfg = QuantConfig(schedule=schedule, epsilon=epsilon)
+        assert QuantConfig.from_dict(cfg.to_dict()) == cfg
+        assert cfg == QuantConfig(schedule=schedule)
+
     def test_dict_round_trip(self):
         for cfg in ALL_CONFIGS:
             assert QuantConfig.from_dict(cfg.to_dict()) == cfg
@@ -234,15 +242,34 @@ def float32_buckets():
 
 
 def split_keys(levels):
-    """Keys of the buckets holding a float64 within one float32 ulp of a threshold."""
+    """Keys of the buckets that hold a float32 beside a threshold, the nearest
+    at or below it or at or above it: the buckets whose float32s, widened by
+    one float32 ulp each way, hold a threshold strictly inside."""
     t = _level_search(levels.tobytes())[0]
     keys, first, last = float32_buckets()
-    with np.errstate(over="ignore"):  # the buckets below +-inf widen to it
-        low = np.nextafter(np.minimum(first, last).astype(np.float32), np.float32(-np.inf))
-        high = np.nextafter(np.maximum(first, last).astype(np.float32), np.float32(np.inf))
-    held = (np.searchsorted(t, high.astype(np.float64), side="right")
-            - np.searchsorted(t, low.astype(np.float64), side="left"))
+    lo, hi = np.minimum(first, last), np.maximum(first, last)
+    # the kernel splits -0 as +0 (a float32 quotient -0 comes from a float64
+    # quotient <= 0), so the bucket keyed by -0 ends, toward zero, below -0
+    hi[(hi == 0) & np.signbit(hi)] = -(2.0 ** -149)
+    with np.errstate(over="ignore"):  # the buckets beside +-inf widen to it
+        low = np.nextafter(lo.astype(np.float32), np.float32(-np.inf))
+        high = np.nextafter(hi.astype(np.float32), np.float32(np.inf))
+    held = (np.searchsorted(t, high.astype(np.float64), side="left")
+            - np.searchsorted(t, low.astype(np.float64), side="right"))
     return keys[held > 0]
+
+
+def preimage_ends(first, last):
+    """(low, high): the float64s nearest to and furthest from zero whose float32
+    rounding (ties to even) lies between the float32s `first` and `last` of one
+    sign, `first` of an even and `last` of an odd last mantissa bit."""
+    a, b = np.abs(first).astype(np.float32), np.abs(last).astype(np.float32)
+    down = np.float32(0)
+    # the tie below an even `first` rounds to it, the tie above an odd `last` away
+    low = np.where(a == 0, 0.0, (a.astype(np.float64) + np.nextafter(a, down)) / 2)
+    b64 = b.astype(np.float64)
+    high = np.nextafter(b64 + (b64 - np.nextafter(b, down)) / 2, 0.0)
+    return np.copysign(low, first), np.copysign(high, first)
 
 
 class TestBucketKernel:
@@ -293,6 +320,26 @@ class TestBucketKernel:
             assert np.array_equal(key_table[keys[whole]],
                                   nearest_level_indices(first[whole], levels)), bits
             assert split.size <= 2 * levels.size, bits
+
+    @pytest.mark.parametrize("schedule,epsilon", KERNEL_TABLES,
+                             ids=lambda v: getattr(v, "value", repr(v)))
+    def test_every_other_bucket_is_exact_over_its_preimage(self, schedule, epsilon):
+        # a bucket not split reads one index for every float64 whose float32
+        # rounding it holds: checked at both ends of that pre-image and one
+        # float64 ulp inward from each
+        keys, first, last = float32_buckets()
+        low, high = preimage_ends(first, last)
+        ends = [low, np.nextafter(low, np.copysign(np.inf, first)), high,
+                np.nextafter(high, 0.0)]
+        for x in ends:
+            assert np.array_equal(x.astype(np.float32).view(np.uint32) >> 12, keys)
+        for bits in range(2, 9):
+            levels = level_table(schedule, bits, epsilon)
+            key_table = _level_search(levels.tobytes())[1]
+            whole = ~np.isin(keys, split_keys(levels))
+            for x in ends:
+                assert np.array_equal(key_table[keys[whole]],
+                                      nearest_level_indices(x[whole], levels)), bits
 
     def test_crowded_thresholds_share_split_buckets(self):
         levels = level_table(Schedule.LOG_UNIFORM, 8, 0.999999)
