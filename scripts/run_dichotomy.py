@@ -25,19 +25,19 @@ def main():
         report = model_report(tensors, DEFAULT_POLICY, source=args.container,
                               threads=args.threads)
 
-    print(f"{args.container}: {len(report.per_tensor)} tensors\n")
+    print(f"{args.container}: {len(report['per_tensor'])} tensors\n")
     print(f"{'family':<18} {'tensors':>7} {'mean MAD':>10} {'median MAD':>11}")
-    for fam in report.per_family:
-        print(f"{fam.family.value:<18} {fam.n_tensors:>7} "
-              f"{fam.mean_mad:>10.5f} {fam.median_mad:>11.5f}")
+    for fam in report["per_family"]:
+        print(f"{fam['family']:<18} {fam['n_tensors']:>7} "
+              f"{fam['mean_mad']:>10.5f} {fam['median_mad']:>11.5f}")
 
-    scored = [r for r in report.per_tensor if r.mad is not None]
+    scored = [r for r in report["per_tensor"] if r["mad"] is not None]
     print("\nleast compliant:")
     for r in scored[:args.top]:
-        print(f"  {r.mad:.5f}  {r.name}")
+        print(f"  {r['mad']:.5f}  {r['name']}")
     print("most compliant:")
     for r in scored[-args.top:]:
-        print(f"  {r.mad:.5f}  {r.name}")
+        print(f"  {r['mad']:.5f}  {r['name']}")
 
 
 if __name__ == "__main__":

@@ -37,9 +37,9 @@ def print_grid(tensors, bits_list, group_list):
             for g in group_list:
                 cfgs = [QuantConfig(bits=bits, group_size=g, schedule=s)
                         for s in SCHEDULES]
-                reps = compare_schedules(data, cfgs, name)
-                best = min(reps, key=lambda r: r.mse).schedule
-                cells = "".join(f"{r.mse:>14.4e}" for r in reps)
+                rows = compare_schedules(data, cfgs, name)
+                best = min(rows, key=lambda r: r["mse"])["schedule"]
+                cells = "".join(f"{r['mse']:>14.4e}" for r in rows)
                 print(f"{name[:14]:<14} {bits:>4} {g:>4}  {cells}  {best}")
 
 

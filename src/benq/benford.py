@@ -9,7 +9,10 @@ Benford probabilities is the compliance score used throughout:
     mad = (1/9) * sum_d |p_d - P(d)|
 
 Zeros carry no leading digit and are skipped (counted separately); NaN or
-Inf anywhere in a tensor is a data error.
+Inf anywhere in a tensor is a data error.  `model_report` returns the JSON
+object of `benq analyze`: source, per_tensor rows (name, family, numel, counts,
+zeros_skipped, mad, signed_deviations) and per_family rows (family,
+n_tensors, mean_mad, median_mad).
 
 Digits are read from the float's bits and are exact for every finite
 float32 and float64.  float32 and float64 tensors are read in their own
@@ -155,7 +158,7 @@ class DigitHistogram:
     zeros_skipped: int = 0
 
     def __post_init__(self) -> None:
-        c = np.asarray(self.counts, dtype=np.int64)
+        c = np.array(self.counts, dtype=np.int64)  # a copy: the caller's array stays writable
         if c.shape != (9,) or np.any(c < 0):
             raise DataError("digit histogram needs 9 non-negative counts")
         object.__setattr__(self, "counts", c)
@@ -237,100 +240,42 @@ def classify_family(name: str, policy: "QuantPolicy | None" = None) -> Family:
     return Family.OTHER
 
 
-@dataclass(frozen=True)
-class DigitReport:
-    """Digit statistics for a single named tensor."""
-
-    name: str
-    family: Family
-    numel: int
-    histogram: DigitHistogram
-    mad: float | None
-
-    def to_dict(self) -> dict:
-        out = {
-            "name": self.name,
-            "family": self.family.value,
-            "numel": self.numel,
-            "counts": [int(c) for c in self.histogram.counts],
-            "zeros_skipped": self.histogram.zeros_skipped,
-            "mad": self.mad,
-        }
-        if self.mad is None:
-            out["signed_deviations"] = None
-        else:
-            out["signed_deviations"] = [float(v) for v in signed_deviations(self.histogram)]
-        return out
-
-
-@dataclass(frozen=True)
-class FamilySummary:
-    family: Family
-    n_tensors: int
-    mean_mad: float
-    median_mad: float
-
-    def to_dict(self) -> dict:
-        return {
-            "family": self.family.value,
-            "n_tensors": self.n_tensors,
-            "mean_mad": self.mean_mad,
-            "median_mad": self.median_mad,
-        }
-
-
-@dataclass(frozen=True)
-class ModelReport:
-    source: str
-    per_tensor: tuple[DigitReport, ...]
-    per_family: tuple[FamilySummary, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "source": self.source,
-            "per_tensor": [r.to_dict() for r in self.per_tensor],
-            "per_family": [s.to_dict() for s in self.per_family],
-        }
-
-
-def _digit_report(name: str, hist: DigitHistogram, policy: "QuantPolicy | None") -> DigitReport:
-    """The report of a histogram over every element: each is a zero or has a digit."""
-    mad = mad_score(hist) if hist.total > 0 else None
-    return DigitReport(name, classify_family(name, policy), hist.total + hist.zeros_skipped,
-                       hist, mad)
-
-
 def model_report(tensors: Iterable[tuple[TensorSpec, Iterable]],
                  policy: "QuantPolicy | None" = None, *, source: str = "",
-                 threads: int = 1) -> ModelReport:
-    """Per-tensor and per-family digit statistics for a streamed tensor set.
+                 threads: int = 1) -> dict:
+    """The digit report {"source", "per_tensor", "per_family"} of a streamed tensor set.
 
     `tensors` yields (spec, blocks) pairs.  Every block of every tensor is
     counted as it arrives, through one bounded map with at most
     `threads + 2` blocks in flight (one when `threads` is 1), and a
-    tensor's counts are added up.  Tensors are ordered by descending MAD
-    (tensors without one last); family summaries aggregate the tensors
-    with a MAD in declaration order.
+    tensor's counts are added up.  A tensor's row holds "name", "family" (a
+    Family value), "numel" (zeros and digits), "counts" of digits 1..9,
+    "zeros_skipped", "mad" and "signed_deviations" (None without a digit),
+    by descending MAD, tensors without one last.  A family's row holds
+    "family", "n_tensors", "mean_mad" and "median_mad" over its tensors with
+    a MAD, families in declaration order.
     """
-    def count(spec: TensorSpec, block: np.ndarray) -> DigitHistogram:
-        return digit_histogram(block)
-
-    reports = []
-    for spec, hists in _map_blocks(count, tensors, threads):
+    rows = []
+    for spec, hists in _map_blocks(lambda spec, block: digit_histogram(block), tensors, threads):
         counts, zeros = np.zeros(9, dtype=np.int64), 0
         for h in hists:
             counts += h.counts
             zeros += h.zeros_skipped
-        reports.append(_digit_report(spec.name, DigitHistogram(counts, zeros), policy))
-    reports.sort(key=lambda r: (r.mad is None, -(r.mad or 0.0), r.name))
+        hist = DigitHistogram(counts, zeros)
+        mad = mad_score(hist) if hist.total > 0 else None
+        deviations = None if mad is None else signed_deviations(hist).tolist()
+        rows.append({"name": spec.name, "family": classify_family(spec.name, policy).value,
+                     "numel": hist.total + zeros, "counts": counts.tolist(),
+                     "zeros_skipped": zeros, "mad": mad, "signed_deviations": deviations})
+    rows.sort(key=lambda r: (r["mad"] is None, -(r["mad"] or 0.0), r["name"]))
 
     summaries = []
     for family in Family:
-        mads = [r.mad for r in reports if r.family is family and r.mad is not None]
-        if not mads:
-            continue
-        # the median as statistics.median takes it; np.median would import numpy.ma
-        ranked, mid = sorted(mads), len(mads) // 2
-        median = ranked[mid] if len(mads) % 2 else (ranked[mid - 1] + ranked[mid]) / 2
-        summaries.append(FamilySummary(family, len(mads), float(np.mean(mads)), median))
-    return ModelReport(source, tuple(reports), tuple(summaries))
+        mads = [r["mad"] for r in rows if r["family"] == family.value and r["mad"] is not None]
+        if mads:
+            # the median as statistics.median takes it; np.median would import numpy.ma
+            ranked, mid = sorted(mads), len(mads) // 2
+            median = ranked[mid] if len(mads) % 2 else (ranked[mid - 1] + ranked[mid]) / 2
+            summaries.append({"family": family.value, "n_tensors": len(mads),
+                              "mean_mad": float(np.mean(mads)), "median_mad": median})
+    return {"source": source, "per_tensor": rows, "per_family": summaries}

@@ -25,13 +25,15 @@ import sys
 import threading
 import time
 from concurrent.futures import CancelledError, ThreadPoolExecutor
+from io import StringIO
 
 import numpy as np
 
 from . import __version__, _pool, benford, rng, synth
 from ._pool import _map_blocks
 from .errors import BenqError, ConfigError, DataError
-from .io import TensorSpec, parse_json, read_benq, read_container, write_benq, write_container
+from .io import (TensorSpec, _atomic_write, parse_json, read_benq, read_container, write_benq,
+                 write_container)
 from .levels import DEFAULT_EPSILON, Schedule, level_table
 # compare_schedules is not called here: compare streams every tensor through
 # compare_tensors.  perfbench's tracer still wraps the name on this module.
@@ -134,26 +136,30 @@ def _emit_manifest(args, argv: list[str], digests, config: dict, timings: dict,
     }
     blob = json.dumps(manifest, indent=2)
     if out_path:
-        with open(out_path + ".manifest.json", "w", encoding="utf-8") as f:
-            f.write(blob + "\n")
+        _write_text(out_path + ".manifest.json", blob + "\n")
     else:
         print(blob, file=sys.stderr)
 
 
+def _write_text(path: str, text: str) -> None:
+    """Replace the file at `path` with `text` in UTF-8, atomically."""
+    _atomic_write(path, lambda f: f.write(text.encode("utf-8")))
+
+
 def _write_report(args, report: dict, header: list[str], rows) -> None:
-    """The report JSON to --out or stdout, then with --csv the table: `header`,
-    then `rows`, a float as its repr and None as ""."""
+    """With --csv the table: `header`, then `rows`, a float as its repr and
+    None as ""; then the report JSON to --out or stdout."""
+    if args.csv:
+        table = StringIO()
+        w = csv.writer(table, lineterminator="\n")
+        w.writerow(header)
+        w.writerows([repr(v) if isinstance(v, float) else v for v in row] for row in rows)
+        _write_text(args.csv, table.getvalue())
     text = json.dumps(report, indent=2) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(text)
+        _write_text(args.out, text)
     else:
         sys.stdout.write(text)
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as f:
-            w = csv.writer(f, lineterminator="\n")
-            w.writerow(header)
-            w.writerows([repr(v) if isinstance(v, float) else v for v in row] for row in rows)
 
 
 def cmd_levels(args) -> None:
@@ -169,11 +175,9 @@ def cmd_analyze(args):
     with read_container(args.container) as (_, tensors):
         report = benford.model_report(tensors, policy, source=os.path.basename(args.container),
                                       threads=args.threads)
-    _write_report(args, report.to_dict(),
-                  ["name", "family", "numel", "zeros_skipped", "mad"]
-                  + [f"count_{d}" for d in range(1, 10)],
-                  ([r.name, r.family.value, r.numel, r.histogram.zeros_skipped, r.mad]
-                   + [int(c) for c in r.histogram.counts] for r in report.per_tensor))
+    cols = ["name", "family", "numel", "zeros_skipped", "mad"]
+    _write_report(args, report, cols + [f"count_{d}" for d in range(1, 10)],
+                  ([r[c] for c in cols] + r["counts"] for r in report["per_tensor"]))
     return {"policy_digest": policy.digest()}, {}, args.out
 
 
@@ -224,8 +228,8 @@ def cmd_compare(args):
         raise ConfigError("--schedules needs at least one schedule")
     configs = [QuantConfig(args.bits, args.group_size, s, args.epsilon) for s in schedules]
     with read_container(args.container, configs[0].block_elems) as (_, tensors):
-        rows = [rep.to_dict() for reports in compare_tensors(tensors, configs, args.threads)
-                for rep in reports]
+        rows = [row for per_tensor in compare_tensors(tensors, configs, args.threads)
+                for row in per_tensor]
     cols = ["name", "schedule", "bits", "group_size", "mse", "max_abs_err", "rel_fro_err"]
     _write_report(args, {"source": os.path.basename(args.container), "rows": rows},
                   cols, ([row[c] for c in cols] for row in rows))

@@ -254,7 +254,10 @@ def _check_specs(specs: Sequence[TensorSpec], reserved: tuple[str, ...] = ()) ->
 def _atomic_write(path: str, writer) -> None:
     """Run writer(file) against a temp file, then rename over path."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(prefix=".benq-tmp-", dir=directory)
+    try:
+        fd, tmp = tempfile.mkstemp(prefix=".benq-tmp-", dir=directory)
+    except OSError as e:  # name the target, not the temp file
+        raise OSError(e.errno, e.strerror, path) from None
     try:
         with os.fdopen(fd, "wb") as f:
             writer(f)

@@ -9,13 +9,13 @@ schedules of one top level (log and linear) also share the scales, the
 float32 quotient and its key-table keys.  Each schedule then quantizes,
 reconstructs and measures the block through the kernel steps
 `quantize_tensor` and `dequantize` are made of.  `compare_schedules` is the
-same walk over one in-memory tensor.
+same walk over one in-memory tensor.  A compare row (one tensor, one config)
+holds name, schedule, bits, group_size, mse, max_abs_err and rel_fro_err.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -26,26 +26,6 @@ from .errors import ConfigError, DataError
 # steps they are made of.  perfbench's tracer still wraps both names on this module.
 from .quantizer import (QuantConfig, _promote_block, _quantize_groups, _reconstruct,
                         _whole_groups, dequantize, quantize_tensor)
-
-
-@dataclass(frozen=True)
-class DistortionReport:
-    """Error summary for one (tensor, config) pair."""
-
-    name: str
-    schedule: str
-    bits: int
-    group_size: int
-    mse: float
-    max_abs_err: float
-    rel_fro_err: float
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name, "schedule": self.schedule, "bits": self.bits,
-            "group_size": self.group_size, "mse": self.mse,
-            "max_abs_err": self.max_abs_err, "rel_fro_err": self.rel_fro_err,
-        }
 
 
 def _err_sums(original: np.ndarray, reconstructed: np.ndarray,
@@ -65,24 +45,23 @@ def _err_sums(original: np.ndarray, reconstructed: np.ndarray,
 
 
 def _report(name: str, config: QuantConfig | None, numel: int,
-            sum_sq_err: float, sum_sq: float, max_abs: float) -> DistortionReport:
+            sum_sq_err: float, sum_sq: float, max_abs: float) -> dict:
     norm_a, norm_e = math.sqrt(sum_sq), math.sqrt(sum_sq_err)
     if norm_a == 0.0:
         rel = 0.0 if norm_e == 0.0 else float("inf")
     else:
         rel = norm_e / norm_a
-    return DistortionReport(
-        name=name,
-        schedule=config.schedule.value if config else "",
-        bits=config.bits if config else 0,
-        group_size=config.group_size if config else 0,
-        mse=sum_sq_err / numel if numel else 0.0, max_abs_err=max_abs, rel_fro_err=rel,
-    )
+    return {"name": name, "schedule": config.schedule.value if config else "",
+            "bits": config.bits if config else 0,
+            "group_size": config.group_size if config else 0,
+            "mse": sum_sq_err / numel if numel else 0.0, "max_abs_err": max_abs,
+            "rel_fro_err": rel}
 
 
 def distortion(original: np.ndarray, reconstructed: np.ndarray, *,
-               name: str = "", config: QuantConfig | None = None) -> DistortionReport:
-    """Elementwise error statistics between a tensor and its reconstruction."""
+               name: str = "", config: QuantConfig | None = None) -> dict:
+    """Elementwise error statistics between a tensor and its reconstruction as
+    a compare row; without a config, schedule is "" and bits and group_size 0."""
     a = np.asarray(original, dtype=np.float64)
     b = np.asarray(reconstructed, dtype=np.float64)
     if a.shape != b.shape:
@@ -101,19 +80,20 @@ def _group_size(configs: Sequence[QuantConfig]) -> int:
 
 def compare_tensors(tensors: Iterable[tuple[TensorSpec, Iterable]],
                     configs: Sequence[QuantConfig],
-                    threads: int = 1) -> Iterator[list[DistortionReport]]:
+                    threads: int = 1) -> Iterator[list[dict]]:
     """Quantize and reconstruct each streamed tensor under each config, in given order.
 
     `tensors` yields (spec, blocks) pairs whose blocks but the last hold
     whole groups, as quantize_tensor's blocks do; the configs share one
     group size (ConfigError if they are empty or do not).  Lazily yields
-    each tensor's reports.  A block is grouped, checked and reduced to
-    group maxima and Σw² once.  The configs of each top level then take
+    each tensor's rows, one per config: "name", "schedule", "bits",
+    "group_size", "mse", "max_abs_err" and "rel_fro_err".  A block is
+    grouped, checked and reduced to group maxima and Σw² once.  The configs of each top level then take
     their scales, one quotient and their nearest levels; once every config
     has its indices, each rebuilds the float32 reconstruction and keeps
     Σerr² and max|err|.  One float64 scratch buffer holds the quotients, the
     reconstructions and the errors in turn.  Only these sums leave a block,
-    and a tensor's are added in block order, so the reports do not depend on
+    and a tensor's are added in block order, so the rows do not depend on
     `threads`.
     """
     G = _group_size(configs)
@@ -146,7 +126,7 @@ def compare_tensors(tensors: Iterable[tuple[TensorSpec, Iterable]],
 
 
 def compare_schedules(data: np.ndarray, configs: Sequence[QuantConfig],
-                      name: str = "", threads: int = 1) -> list[DistortionReport]:
+                      name: str = "", threads: int = 1) -> list[dict]:
     """compare_tensors of one in-memory tensor, in the group-aligned blocks of
     quantize_tensor; a tensor of one block gives exactly `distortion` of its
     reconstruction."""
@@ -154,5 +134,5 @@ def compare_schedules(data: np.ndarray, configs: Sequence[QuantConfig],
     step = configs[0].block_elems
     flat = np.asarray(data).ravel()
     blocks = (flat[i:i + step] for i in range(0, flat.size, step))
-    (reports,) = compare_tensors([(TensorSpec(name, flat.shape, None), blocks)], configs, threads)
-    return reports
+    (rows,) = compare_tensors([(TensorSpec(name, flat.shape, None), blocks)], configs, threads)
+    return rows

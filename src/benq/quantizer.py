@@ -187,13 +187,20 @@ def _block_groups(group_size: int) -> int:
     return max(1, _BLOCK_ELEMS // group_size)
 
 
+def _group_len(group_size: int, n: int) -> int:
+    """The group length of a block of n elements: a block shorter than a group
+    is that one short group, so no buffer is sized to a group it does not fill."""
+    return max(1, min(group_size, n))
+
+
 def _grouped(flat: np.ndarray, group_size: int) -> np.ndarray:
-    """A flat block as a zero-padded (n_groups, group_size) array of its read dtype.
+    """A flat block as a zero-padded (n_groups, group length) array of its read dtype.
 
     float16 and float32 blocks are read as float32, anything else as float64
     (benford's rule); a block of whole groups already in that dtype is not copied.
     """
     n = flat.size
+    group_size = _group_len(group_size, n)
     dtype = _read_dtype(flat.dtype)
     if n % group_size == 0 and flat.dtype == dtype:
         return flat.reshape(-1, group_size)
@@ -285,6 +292,7 @@ def _reconstruct(idx: np.ndarray, scales: np.ndarray, levels: np.ndarray, group_
     short.  The product is formed in the float64 scratch `buf` and rounded
     into `out`, which is allocated when not given.
     """
+    group_size = _group_len(group_size, idx.size)
     rec = buf[:scales.size * group_size]
     # mode="clip" writes straight into rec (the default mode buffers it); the
     # sub-blocks bound the intp copy of the indices np.take makes
@@ -340,7 +348,7 @@ def quantize_tensor(data: np.ndarray, config: QuantConfig, name: str = "") -> Qu
     levels = config.levels
     context = f"tensor {name or '<unnamed>'}"
     n_groups = -(-flat.size // G)
-    out = np.empty(n_groups * G, dtype=np.ubyte)
+    out = np.empty(n_groups * _group_len(G, flat.size), dtype=np.ubyte)
     scales = np.empty(n_groups, dtype=np.float16)
 
     step = config.block_elems
@@ -362,7 +370,7 @@ def dequantize(qt: QuantizedTensor) -> np.ndarray:
     G = qt.config.group_size
     step = _block_groups(G)
     out = np.empty(qt.numel, dtype=np.float32)
-    buf = np.empty(min(step, qt.n_groups) * G, dtype=np.float64)
+    buf = np.empty(min(step, qt.n_groups) * _group_len(G, qt.numel), dtype=np.float64)
     for g in range(0, qt.n_groups, step):
         span = slice(g * G, (g + step) * G)
         _reconstruct(qt.indices[span], qt.scales[g:g + step], levels, G, buf, out[span])

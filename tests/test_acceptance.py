@@ -187,7 +187,7 @@ def test_round_to_nearest_baseline():
 def _schedule_mses(data):
     cfgs = [QuantConfig(bits=4, group_size=8, schedule=s)
             for s in (Schedule.LOG_UNIFORM, Schedule.LINEAR, Schedule.RTN)]
-    return {r.schedule: r.mse for r in compare_schedules(data, cfgs)}
+    return {r["schedule"]: r["mse"] for r in compare_schedules(data, cfgs)}
 
 
 BROAD = synth_tensor("loguniform(5,100000)", seed=0)
@@ -279,12 +279,12 @@ def test_real_checkpoint_family_dichotomy():
     with read_container(os.environ["BENQ_CHECKPOINT"]) as (_, tensors):
         report = model_report(tensors, DEFAULT_POLICY, source="checkpoint")
     by_family = {}
-    for r in report.per_tensor:
-        if r.mad is not None:
-            by_family.setdefault(r.family, []).append(r.mad)
-    norm = by_family.get(Family.NORM, [])
-    linear = by_family.get(Family.ATTENTION_LINEAR, []) \
-        + by_family.get(Family.MLP_LINEAR, [])
+    for r in report["per_tensor"]:
+        if r["mad"] is not None:
+            by_family.setdefault(r["family"], []).append(r["mad"])
+    norm = by_family.get(Family.NORM.value, [])
+    linear = by_family.get(Family.ATTENTION_LINEAR.value, []) \
+        + by_family.get(Family.MLP_LINEAR.value, [])
     assert norm and linear, "checkpoint lacks norm or linear tensors"
     assert np.mean(norm) > np.mean(linear)
 

@@ -218,6 +218,12 @@ class TestHistogram:
         with pytest.raises(DataError):
             DigitHistogram(np.array([-1] + [0] * 8))
 
+    def test_caller_counts_stay_writable(self):
+        c = np.zeros(9, np.int64)
+        h = DigitHistogram(c)
+        c += 1
+        assert h.total == 0 and not h.counts.flags.writeable
+
     @given(st.lists(st.tuples(st.integers(1, 9), st.integers(1, 9999), st.integers(-15, 15)),
                     min_size=1, max_size=50),
            st.integers(-6, 6))
@@ -311,29 +317,33 @@ class TestModelReport:
 
     def test_ordering_and_families(self):
         rep = model_report(self._toy(), source="toy")
-        names = [r.name for r in rep.per_tensor]
+        names = [r["name"] for r in rep["per_tensor"]]
         assert names[0] == "layers.0.input_layernorm.weight"  # largest mad first
         assert names[-1] == "dead.weight"                     # no MAD, last
-        assert rep.per_tensor[-1].mad is None
-        assert rep.source == "toy"
+        assert rep["per_tensor"][-1]["mad"] is None
+        assert rep["per_tensor"][-1]["signed_deviations"] is None
+        assert rep["source"] == "toy"
 
     def test_family_summaries(self):
         rep = model_report(self._toy())
-        by_family = {s.family: s for s in rep.per_family}
-        assert by_family[Family.NORM].mean_mad > 10 * by_family[Family.MLP_LINEAR].mean_mad
-        assert Family.OTHER not in by_family  # the only OTHER tensor has no MAD
+        by_family = {s["family"]: s for s in rep["per_family"]}
+        assert by_family[Family.NORM.value]["mean_mad"] \
+            > 10 * by_family[Family.MLP_LINEAR.value]["mean_mad"]
+        assert Family.OTHER.value not in by_family  # the only OTHER tensor has no MAD
 
     def test_threads_do_not_change_result(self):
-        a = model_report(self._toy(), threads=1).to_dict()
-        b = model_report(self._toy(), threads=4).to_dict()
+        a = model_report(self._toy(), threads=1)
+        b = model_report(self._toy(), threads=4)
         assert a == b
 
-    def test_to_dict_schema(self):
-        d = model_report(self._toy(), source="s").to_dict()
-        assert set(d) == {"source", "per_tensor", "per_family"}
-        row = d["per_tensor"][0]
-        assert {"name", "family", "numel", "counts", "zeros_skipped",
-                "mad", "signed_deviations"} <= set(row)
+    def test_report_keys(self):
+        d = model_report(self._toy(), source="s")
+        assert list(d) == ["source", "per_tensor", "per_family"]
+        for row in d["per_tensor"]:
+            assert list(row) == ["name", "family", "numel", "counts", "zeros_skipped",
+                                 "mad", "signed_deviations"]
+        for row in d["per_family"]:
+            assert list(row) == ["family", "n_tensors", "mean_mad", "median_mad"]
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_report_counts_every_element(self, monkeypatch, dtype):
@@ -341,11 +351,11 @@ class TestModelReport:
         monkeypatch.setattr(benford, "_BLOCK_ELEMS", 1000)
         data = (10.0 ** (-6 * rng.uniform01(5, 0, 5003))).astype(dtype)
         data[::7] = 0.0
-        (rep,) = model_report(stream(tensor_set({"big": data.reshape(-1, 1)}))).per_tensor
+        (rep,) = model_report(stream(tensor_set({"big": data.reshape(-1, 1)})))["per_tensor"]
         want = digit_histogram(data)
         oracle = np.bincount([decimal_digit(float(x)) for x in data if x], minlength=10)[1:]
-        assert np.array_equal(rep.histogram.counts, want.counts)
-        assert np.array_equal(rep.histogram.counts, oracle)
-        assert rep.histogram.zeros_skipped == want.zeros_skipped == 715
-        assert rep.histogram.total + rep.histogram.zeros_skipped == rep.numel == 5003
-        assert "subsample_seed" not in rep.to_dict()
+        assert rep["counts"] == want.counts.tolist()
+        assert rep["counts"] == oracle.tolist()
+        assert rep["zeros_skipped"] == want.zeros_skipped == 715
+        assert sum(rep["counts"]) + rep["zeros_skipped"] == rep["numel"] == 5003
+        assert "subsample_seed" not in rep

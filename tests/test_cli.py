@@ -186,6 +186,25 @@ class TestAnalyze:
             assert mad == r["mad"]
         assert (tmp_path / "report.json.manifest.json").exists()
 
+    def test_failed_csv_keeps_the_old_report(self, capsys, tmp_path):
+        p = make_model(capsys, tmp_path)
+        rep_path = tmp_path / "report.json"
+        rep_path.write_text("old report\n")
+        missing = tmp_path / "nodir" / "r.csv"
+        code, _, err = run(capsys, "analyze", str(p), "--out", str(rep_path), "--csv", str(missing))
+        assert code == 1 and err.startswith("error: ") and f"'{missing}'" in err
+        assert rep_path.read_bytes() == b"old report\n"
+        assert not list(tmp_path.rglob(".benq-tmp-*"))
+
+    @pytest.mark.parametrize("command", ["analyze", "compare"])
+    def test_stdout_is_the_out_file(self, capsys, tmp_path, command):
+        p = make_model(capsys, tmp_path)
+        out_path = tmp_path / "report.json"
+        code, out, _ = run(capsys, command, str(p), "--threads", "1")
+        assert code == 0
+        assert run(capsys, command, str(p), "--threads", "1", "--out", str(out_path))[:2] == (0, "")
+        assert out_path.read_bytes() == out.encode()
+
 
 class TestQuantizePipeline:
     def test_policy_split_and_round_trip(self, capsys, tmp_path):
@@ -252,6 +271,19 @@ class TestQuantizePipeline:
         capsys.readouterr()
         assert (tmp_path / "model.dequant.safetensors").exists()
 
+    def test_group_larger_than_the_tensor(self, capsys, tmp_path):
+        # a group of 2**40 over 10 elements is one 10-element group
+        p = tmp_path / "w.safetensors"
+        assert run(capsys, "synth", "--tensor", "w=gaussian(1,10)", "--out", str(p))[0] == 0
+        restored = []
+        for G in (10, 2 ** 40):
+            q, d = tmp_path / f"{G}.benq", tmp_path / f"{G}.safetensors"
+            assert run(capsys, "quantize", str(p), "--no-policy", "--group-size", str(G),
+                       "--out", str(q))[0] == 0
+            assert run(capsys, "dequantize", str(q), "--out", str(d))[0] == 0
+            restored.append(d.read_bytes())
+        assert restored[0] == restored[1]
+
 
 class TestCompare:
     def test_rows_and_csv_round_trip(self, capsys, tmp_path):
@@ -264,8 +296,11 @@ class TestCompare:
         assert len(obj["rows"]) == 3 * 3  # three tensors, three schedules
         assert [r["schedule"] for r in obj["rows"][:3]] == \
             ["log", "linear", "rtn"]
+        cols = ["name", "schedule", "bits", "group_size", "mse", "max_abs_err", "rel_fro_err"]
+        assert all(list(r) == cols for r in obj["rows"])
         rows = list(csv.DictReader(stdio.StringIO(csv_path.read_text())))
         assert len(rows) == len(obj["rows"])
+        assert all(list(r) == cols for r in rows)
         # repr round-trips floats exactly
         for csv_row, json_row in zip(rows, obj["rows"]):
             assert float(csv_row["mse"]) == json_row["mse"]

@@ -1,3 +1,4 @@
+import tracemalloc
 from bisect import bisect_left
 from fractions import Fraction
 
@@ -571,6 +572,27 @@ class TestQuantizeTensor:
         scalar = quantize_tensor(np.array(0.5), cfg)
         assert scalar.shape == () and scalar.numel == 1
         assert dequantize(scalar).shape == ()
+
+    def test_group_larger_than_the_tensor_is_the_tensor(self):
+        # nothing is sized to a group of 2**40: the 10 elements are one group
+        w = np.linspace(-1.0, 1.0, 10, dtype=np.float32)
+        for schedule in Schedule:
+            small, big = (QuantConfig(group_size=G, schedule=schedule) for G in (w.size, 2 ** 40))
+            want = quantize_tensor(w, small, "w")  # also builds the cached level tables
+            (want_row,) = compare_schedules(w, [small], "w")
+            tracemalloc.start()
+            try:
+                got = quantize_tensor(w, big, "w")
+                rec = dequantize(got)
+                (row,) = compare_schedules(w, [big], "w")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 16, schedule
+            assert np.array_equal(got.indices, want.indices)
+            assert np.array_equal(got.scales, want.scales)
+            assert np.array_equal(rec, dequantize(want))
+            assert row == {**want_row, "group_size": 2 ** 40}
 
     def test_non_finite_rejected(self):
         with pytest.raises(DataError):
