@@ -13,7 +13,8 @@ once and interleave.  A mapped function must never itself map on the pool
 it runs on: its task would wait for tasks queued behind it on the same
 workers, and with every worker waiting so, the pool deadlocks.
 `_default_threads` is the one rule for a thread count not given:
-BENQ_THREADS, else every core.
+BENQ_THREADS, else every core.  `concurrent.futures` is imported at the
+first map on more than one thread, so a run on one thread never loads it.
 """
 
 from __future__ import annotations
@@ -22,10 +23,12 @@ import functools
 import os
 import threading
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor, wait
-from typing import Any, Callable, Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple
 
 from .errors import ConfigError
+
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
 
 _BLOCK_ELEMS = 1 << 18  # elements per block: analyze's, and about a block of groups elsewhere
 # items queued beyond one per worker thread, so the workers stay busy while the
@@ -73,6 +76,8 @@ _POOLS_LOCK = threading.Lock()
 
 def _workers(threads: int) -> ThreadPoolExecutor:
     """The process's pool of `threads` worker threads, made at its first use."""
+    from concurrent.futures import ThreadPoolExecutor
+
     with _POOLS_LOCK:
         pool = _POOLS.get(threads)
         if pool is None:
@@ -98,6 +103,8 @@ def _map(fn: Callable, items: Iterable, threads: int) -> Iterator:
 
 
 def _bounded_map(fn: Callable, items: Iterable, threads: int) -> Iterator:
+    from concurrent.futures import wait
+
     pending: deque = deque()
     try:
         # map() hands each item to submit without a name bound to it here, so a

@@ -10,13 +10,19 @@ runs.  Only `synth` draws random numbers, so only it
 takes `--seed`; every other manifest records a null seed.  `analyze`
 counts the leading digit of every element of every tensor.  Exit codes:
 0 success, 1 operational error, 2 usage error.
+
+The `benq` command (`_console`) flushes stdout and stderr once `main` has
+returned and ends the process with `os._exit`, without tearing the
+interpreter down; a failed flush exits 1.  `main` called from Python
+returns its code and leaves the interpreter as it was.  Each subcommand
+imports only what it uses beyond the common modules: `synth` and `rng`
+only in `synth`, `csv` only under `--csv`.
 """
 
 from __future__ import annotations
 
 import argparse
 import ctypes
-import csv
 import hashlib
 import json
 import math
@@ -24,12 +30,12 @@ import os
 import sys
 import threading
 import time
-from concurrent.futures import CancelledError, ThreadPoolExecutor
 from io import StringIO
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import __version__, _pool, benford, rng, synth
+from . import __version__, _pool, benford
 from ._pool import _map_blocks
 from .errors import BenqError, ConfigError, DataError
 from .io import (TensorSpec, _atomic_write, parse_json, read_benq, read_container, write_benq,
@@ -40,6 +46,9 @@ from .levels import DEFAULT_EPSILON, Schedule, level_table
 from .metrics import compare_schedules, compare_tensors
 from .quantizer import (DEFAULT_POLICY, QUANTIZE_ALL, QuantConfig, QuantPolicy, QuantizedTensor,
                         apply_policy, dequantize)
+
+if TYPE_CHECKING:
+    from .synth import SynthSpec
 
 
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc mallopt parameters
@@ -95,17 +104,52 @@ class _Clock:
             yield item
 
 
-def _sha256(path: str, stopped: threading.Event) -> str:
-    """The hex sha256 of a file; CancelledError at the next chunk once `stopped` is set."""
+def _sha256(path: str, stopped: threading.Event) -> str | None:
+    """The hex sha256 of a file; None at the next chunk once `stopped` is set."""
     h = hashlib.sha256()
     buf = bytearray(_DIGEST_CHUNK)
     view = memoryview(buf)
     with open(path, "rb") as f:
         while n := f.readinto(buf):
             if stopped.is_set():
-                raise CancelledError
+                return None
             h.update(view[:n])
     return h.hexdigest()
+
+
+class _InputDigests:
+    """The sha256 of each input file, hashed on a thread of its own.
+
+    Entering starts the thread; leaving stops it at its next chunk, if it is
+    still hashing, and joins it, so it never outlives the with-block.
+    """
+
+    def __init__(self, paths: list[str]):
+        self._stopped = threading.Event()
+        self._digests: dict[str, str | None] = {}
+        self._error: Exception | None = None
+        self._thread = threading.Thread(target=self._run, args=(paths,), name="benq-digest")
+
+    def _run(self, paths: list[str]) -> None:
+        try:
+            self._digests = {p: _sha256(p, self._stopped) for p in paths}
+        except Exception as e:  # raised again by result(), on the thread that reads it
+            self._error = e
+
+    def __enter__(self) -> _InputDigests:
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._stopped.set()
+        self._thread.join()
+
+    def result(self) -> dict[str, str | None]:
+        """{path: hex sha256} of every input, once hashed; the digest's error if it failed."""
+        self._thread.join()
+        if self._error is not None:
+            raise self._error
+        return self._digests
 
 
 def _load_policy(path: str | None, no_policy: bool) -> QuantPolicy:
@@ -122,9 +166,9 @@ def _load_policy(path: str | None, no_policy: bool) -> QuantPolicy:
         raise ConfigError(f"{path}: {e}") from None
 
 
-def _emit_manifest(args, argv: list[str], digests, config: dict, timings: dict,
+def _emit_manifest(args, argv: list[str], digests: _InputDigests, config: dict, timings: dict,
                    out_path: str | None) -> None:
-    """Write the run's manifest; it waits for the input `digests`, a future."""
+    """Write the run's manifest; it waits for the input `digests`."""
     manifest = {
         "command": args.command,
         "argv": argv,
@@ -150,6 +194,8 @@ def _write_report(args, report: dict, header: list[str], rows) -> None:
     """With --csv the table: `header`, then `rows`, a float as its repr and
     None as ""; then the report JSON to --out or stdout."""
     if args.csv:
+        import csv
+
         table = StringIO()
         w = csv.writer(table, lineterminator="\n")
         w.writerow(header)
@@ -238,7 +284,7 @@ def cmd_compare(args):
             {}, args.out)
 
 
-def _finite_blocks(name: str, spec: synth.SynthSpec, blocks):
+def _finite_blocks(name: str, spec: SynthSpec, blocks):
     """The float32 blocks of a synthetic tensor; DataError at one that holds +/-inf."""
     for block in blocks:
         if not np.isfinite(block).all():
@@ -248,6 +294,8 @@ def _finite_blocks(name: str, spec: synth.SynthSpec, blocks):
 
 
 def cmd_synth(args):
+    from . import rng, synth
+
     parsed = {}  # name: (spec text, spec)
     for item in args.tensor:
         name, _, spec_text = item.partition("=")
@@ -334,14 +382,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     argv = list(argv) if argv is not None else sys.argv[1:]
     _keep_scratch_mapped()
-    stopped = threading.Event()
-    # the input files are hashed on this one thread while the command runs
-    with ThreadPoolExecutor(max_workers=1) as digest_thread:
+    paths = [p for p in (getattr(args, a, None) for a in _INPUT_ARGS) if p]
+    # the input files are hashed on one thread while the command runs; after a
+    # failure the digest stops at its next chunk
+    with _InputDigests(paths) as digests:
         try:
             if getattr(args, "threads", 1) is None:
                 args.threads = _pool._default_threads()
-            paths = [p for p in (getattr(args, a, None) for a in _INPUT_ARGS) if p]
-            digests = digest_thread.submit(lambda: {p: _sha256(p, stopped) for p in paths})
             t0 = time.perf_counter()
             made = args.func(args)  # (manifest config, stage timings, output path), or None
             if made is not None:
@@ -352,9 +399,34 @@ def main(argv: list[str] | None = None) -> int:
         except (BenqError, OSError) as e:
             print(f"error: {e}", file=sys.stderr)
             return 1
-        finally:
-            stopped.set()  # after a failure, the digest stops at its next chunk
+
+
+def _console() -> None:
+    """The `benq` command: `main`, then a flush of stdout and stderr and `os._exit`.
+
+    By then `main` has closed every output file, joined the digest thread and
+    waited for every pool task, so skipping the interpreter's teardown
+    (atexit handlers, the idle pool workers' join, freeing every module)
+    loses nothing.  argparse's exit (help, --version, a usage error) takes
+    the same path with its own code; any other exception leaves normally,
+    with its traceback.  A flush that fails, say into a closed pipe, exits 1.
+    """
+    try:
+        rc = main()
+    except SystemExit as e:
+        rc = e.code
+    try:
+        sys.stdout.flush()
+    except OSError as e:  # the reader may have missed some of the output
+        if rc == 0:
+            print(f"error: stdout: {e}", file=sys.stderr)
+        rc = rc or 1
+    try:
+        sys.stderr.flush()
+    except OSError:
+        rc = rc or 1
+    os._exit(rc)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    _console()

@@ -1,7 +1,9 @@
-"""In-process exercises of the benq command line."""
+"""In-process exercises of the benq command line, and its exits as a process."""
 
+import ast
 import csv
 import hashlib
+import importlib
 import io as stdio
 import json
 import os
@@ -12,14 +14,16 @@ import threading
 import numpy as np
 import pytest
 
-from benq.cli import main
+from benq import __version__
+from benq.cli import build_parser, main
 from benq.io import BENQ_MAGIC, TensorSpec, write_container
 from benq.quantizer import _BLOCK_ELEMS, QuantConfig, QuantizedTensor, dequantize
 from benq.rng import derive_seed
 from benq.synth import _CHUNK, parse_spec, synth_tensor
 from conftest import content_digest, load_benq, load_container
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
 
 
 def run(capsys, *argv):
@@ -586,13 +590,169 @@ class TestDigestThread:
         assert (tmp_path / "a.json").exists() and not (tmp_path / "a.json.manifest.json").exists()
         assert threading.active_count() == before
 
+    def test_failure_mid_file_stops_the_digest(self, capsys, tmp_path, monkeypatch):
+        import benq.cli as cli_mod
 
-def run_process(*argv):
-    """benq in a process of its own, so that a traceback would reach stderr."""
+        class Gate:
+            """A stop event that holds the digest at its first chunk until the run has failed."""
+
+            def __init__(self, stopped):
+                self.stopped, self.checks = stopped, 0
+
+            def is_set(self):
+                self.checks += 1
+                return self.stopped.wait(timeout=60)
+
+        real, digests = cli_mod._sha256, []  # per input: (its gate, what _sha256 returned)
+
+        def held(path, stopped):
+            gate = Gate(stopped)
+            digests.append((gate, real(path, gate)))
+            return digests[-1][1]
+
+        p = truncated_model(capsys, tmp_path)
+        monkeypatch.setattr(cli_mod, "_sha256", held)
+        monkeypatch.setattr(cli_mod, "_DIGEST_CHUNK", 256)
+        assert p.stat().st_size > 8 * 256
+        before = threading.active_count()
+        code, _, err = run(capsys, "analyze", str(p), "--threads", "2",
+                           "--out", str(tmp_path / "out"))
+        assert code == 1
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), err
+        assert "Exception in thread" not in err
+        assert threading.active_count() == before
+        [(gate, digest)] = digests
+        assert gate.checks == 1 and digest is None  # stopped after its first chunk
+
+
+def _env() -> dict:
     path = filter(None, [SRC, os.environ.get("PYTHONPATH")])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    return subprocess.run([sys.executable, "-m", "benq.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=120)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+
+
+def run_process(*argv, stdout=subprocess.PIPE):
+    """benq in a process of its own, so that a traceback would reach stderr."""
+    return subprocess.run([sys.executable, "-m", "benq.cli", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, env=_env(), timeout=120)
+
+
+def run_python(code: str):
+    """`python -c code` in a process of its own, with benq's source on the path."""
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_env(), timeout=120)
+
+
+def run_into_closed_pipe(*argv):
+    """benq in a process of its own whose stdout is a pipe with no reader."""
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        return run_process(*argv, stdout=w)
+    finally:
+        os.close(w)
+
+
+def many_tensor_model(capsys, tmp_path):
+    """A checkpoint of 300 small tensors, whose analyze report is over 64 KiB."""
+    path = tmp_path / "many.safetensors"
+    tensors = [f"--tensor=layers.{i}.mlp.up_proj.weight=loguniform(4,64)" for i in range(300)]
+    assert run(capsys, "synth", *tensors, "--out", str(path))[0] == 0
+    return path
+
+
+@pytest.fixture(params=["buffered", "unbuffered"])
+def stdout_buffering(request, monkeypatch):
+    """Run each child with its stdout block-buffered, then unbuffered."""
+    if request.param == "buffered":
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+    return request.param
+
+
+class TestConsoleExit:
+    """The `benq` command flushes and leaves with os._exit; what it prints still arrives."""
+
+    # a small report stays in stdout's buffer until the final flush; most of
+    # a large one is written through at once
+    @pytest.mark.parametrize("build", [make_model, many_tensor_model], ids=["small", "large"])
+    def test_report_to_a_pipe_is_the_out_file(self, capsys, tmp_path, build, stdout_buffering):
+        p = build(capsys, tmp_path)
+        piped = run_process("analyze", str(p), "--threads", "2")
+        assert piped.returncode == 0, piped.stderr
+        assert run(capsys, "analyze", str(p), "--out", str(tmp_path / "r.json"))[0] == 0
+        assert piped.stdout == (tmp_path / "r.json").read_text()
+        manifest = json.loads(piped.stderr)
+        assert manifest["command"] == "analyze" and list(manifest["inputs"]) == [str(p)]
+
+    def test_version_and_help_print_in_full(self, monkeypatch, stdout_buffering):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its help to the terminal width
+        done = run_process("--version")
+        assert (done.returncode, done.stdout, done.stderr) == (0, f"benq {__version__}\n", "")
+        done = run_process("--help")
+        assert (done.returncode, done.stdout, done.stderr) == (0, build_parser().format_help(), "")
+
+    def test_usage_error_exits_two(self):
+        done = run_process("frobnicate")
+        assert done.returncode == 2
+        assert done.stdout == "" and done.stderr.startswith("usage: benq")
+
+    def test_failing_run_exits_one_with_one_error_line(self, tmp_path):
+        done = run_process("analyze", str(tmp_path / "nope"))
+        assert done.returncode == 1
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), done.stderr
+
+    # compare's small report fits stdout's buffer, so only the final flush
+    # fails; analyze's report of 300 tensors fails inside the write
+    @pytest.mark.parametrize("command, build", [("compare", make_model),
+                                                ("analyze", many_tensor_model)],
+                             ids=["compare-small", "analyze-large"])
+    def test_closed_stdout_exits_one(self, capsys, tmp_path, command, build, stdout_buffering):
+        done = run_into_closed_pipe(command, str(build(capsys, tmp_path)))
+        assert done.returncode == 1, done.stderr
+        errors = [line for line in done.stderr.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "Broken pipe" in errors[0], done.stderr
+        assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr
+
+
+LAZY_MODULES = ("concurrent.futures", "csv", "benq.synth", "benq.rng")
+
+
+class TestImportFootprint:
+    """A command loads only what it uses: these modules cost launch time otherwise."""
+
+    def test_import_loads_none_of_the_lazy_modules(self):
+        done = run_python("import sys, benq.cli; "
+                          f"print([m for m in {LAZY_MODULES!r} if m in sys.modules])")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_only_a_threaded_run_loads_the_executor(self, capsys, tmp_path, threads):
+        p = make_model(capsys, tmp_path)
+        argv = ["analyze", str(p), "--threads", str(threads), "--out", str(tmp_path / "r.json")]
+        done = run_python(f"import sys; from benq.cli import main; rc = main({argv!r}); "
+                          "print(rc, 'concurrent.futures' in sys.modules)")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == f"0 {threads > 1}\n"
+
+
+def test_console_is_the_one_entry_point():
+    tomllib = pytest.importorskip("tomllib")
+    import benq.cli as cli_mod
+
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as f:
+        module, _, attr = tomllib.load(f)["project"]["scripts"]["benq"].partition(":")
+    script = getattr(importlib.import_module(module), attr)
+    with open(cli_mod.__file__, encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    [guard] = [node for node in tree.body if isinstance(node, ast.If)
+               and ast.unparse(node.test) == "__name__ == '__main__'"]
+    [statement] = guard.body
+    assert isinstance(statement.value, ast.Call) and not statement.value.args
+    assert getattr(cli_mod, statement.value.func.id) is script is cli_mod._console
 
 
 DEEP = b"[" * 200_000 + b"]" * 200_000
