@@ -28,7 +28,11 @@ _BLOCK_ELEMS elements of an in-memory one.  Each value is keyed on its top
 for all its values.  Only the values of split keys (a boundary strictly inside,
 about 2% of a smooth float32 tensor; key 0, which holds zero and the
 smallest subnormals, is always split) are looked up with `searchsorted`.
-Keys with an all-ones exponent hold NaN and Inf.
+Keys with an all-ones exponent hold NaN and Inf.  A tensor stored as F16
+or BF16 can be counted from its stored 16-bit patterns instead: each
+pattern is one value, so a bincount over the 2**16 patterns and a table
+of each pattern's digit give exact counts with no split keys and no
+widening to float32.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ if TYPE_CHECKING:
 
 _KEY_BITS = 16            # a key is a float's sign, exponent and leading mantissa bits
 _SPLIT, _NON_FINITE = 10, 11  # key classes beside the digits 1..9
+_STORED_16 = ("F16", "BF16")  # stored formats whose bit patterns digit_histogram counts
 
 
 @dataclass(frozen=True)
@@ -139,15 +144,45 @@ def _digit_counts(flat: np.ndarray) -> np.ndarray:
     # the shift runs in the unsigned type; keys < 2**16 fit any index type
     keys = np.right_shift(bits, 8 * uint.itemsize - _KEY_BITS,
                           out=np.empty(bits.size, dtype=np.intp), casting="unsafe")
-    key_counts = np.bincount(keys, minlength=1 << _KEY_BITS)
-    # float64 adds counts exactly below 2**53
-    per_class = np.bincount(t.run_class, weights=np.add.reduceat(key_counts, t.run_starts),
-                            minlength=_NON_FINITE + 1)
-    if per_class[_NON_FINITE]:
-        raise DataError("leading digit is undefined for NaN or Inf values")
+    per_class = _class_counts(np.bincount(keys, minlength=1 << _KEY_BITS),
+                              t.run_starts, t.run_class)
     counts = np.bincount(t.digits(bits[t.split[keys]]), minlength=10)  # values of split keys
     counts[1:] += per_class[1:10].astype(np.int64)
     return counts
+
+
+def _class_counts(key_counts: np.ndarray, run_starts: np.ndarray,
+                  run_class: np.ndarray) -> np.ndarray:
+    """Counts per class of keys counted per key, where the keys' classes run
+    as `run_starts` and `run_class`; DataError if a key of NaN or Inf is counted."""
+    # float64 adds counts exactly below 2**53
+    per_class = np.bincount(run_class, weights=np.add.reduceat(key_counts, run_starts),
+                            minlength=_NON_FINITE + 1)
+    if per_class[_NON_FINITE]:
+        raise DataError("leading digit is undefined for NaN or Inf values")
+    return per_class
+
+
+@functools.lru_cache(maxsize=None)
+def _pattern_runs(stored: str) -> tuple[np.ndarray, np.ndarray]:
+    """(run starts, run classes) over the 2**16 bit patterns of the format
+    `stored`, F16 or BF16, in order: a pattern's class is the digit of its
+    value widened to float32 (exact), 0 for zero, or _NON_FINITE."""
+    from .io import _promote  # io imports this module through quantizer
+
+    values = _promote(np.arange(1 << 16, dtype=np.uint16), stored, (1 << 16,))
+    digits = _digit_tables(np.float32).digits(values.view(np.uint32))
+    pattern_class = np.where(np.isfinite(values), digits, _NON_FINITE).astype(np.int16)
+    run_starts = np.flatnonzero(np.diff(pattern_class, prepend=-1))
+    return run_starts, pattern_class[run_starts]
+
+
+def _pattern_counts(stored: str, patterns: np.ndarray) -> np.ndarray:
+    """Counts of zeros (slot 0) and of digits 1..9 over one flat block of the
+    uint16 bit patterns of the format `stored`."""
+    run_starts, run_class = _pattern_runs(stored)
+    per_class = _class_counts(np.bincount(patterns, minlength=1 << 16), run_starts, run_class)
+    return per_class[:10].astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -174,14 +209,27 @@ class DigitHistogram:
         return self.counts / self.total
 
 
-def digit_histogram(values: np.ndarray) -> DigitHistogram:
+def digit_histogram(values: np.ndarray, stored: str | None = None) -> DigitHistogram:
     """Histogram of leading digits over a tensor (zeros skipped, not counted),
-    counted in blocks of _BLOCK_ELEMS elements."""
+    counted in blocks of _BLOCK_ELEMS elements.  With `stored` "F16" or
+    "BF16", `values` are the uint16 bit patterns of a tensor stored so."""
     flat = np.asarray(values).ravel()
+    count = _digit_counts
+    if stored is not None:
+        if stored not in _STORED_16 or flat.dtype != np.uint16:
+            raise DataError(f"stored bit patterns must be uint16 of F16 or BF16, "
+                            f"got {flat.dtype} of {stored}")
+        count = functools.partial(_pattern_counts, stored)
     counts = np.zeros(10, dtype=np.int64)
     for i in range(0, flat.size, _BLOCK_ELEMS):
-        counts += _digit_counts(flat[i:i + _BLOCK_ELEMS])
+        counts += count(flat[i:i + _BLOCK_ELEMS])
     return DigitHistogram(counts[1:], int(counts[0]))
+
+
+def _block_histogram(spec: TensorSpec, block: np.ndarray) -> DigitHistogram:
+    """The histogram of one block; a uint16 block of an F16 or BF16 tensor holds its stored bits."""
+    stored = block.dtype == np.uint16 and spec.dtype in _STORED_16
+    return digit_histogram(block, spec.dtype if stored else None)
 
 
 def mad_from_probs(probs: np.ndarray) -> float:
@@ -245,8 +293,10 @@ def model_report(tensors: Iterable[tuple[TensorSpec, Iterable]],
                  threads: int = 1) -> dict:
     """The digit report {"source", "per_tensor", "per_family"} of a streamed tensor set.
 
-    `tensors` yields (spec, blocks) pairs.  Every block of every tensor is
-    counted as it arrives, through one bounded map with at most
+    `tensors` yields (spec, blocks) pairs; a block is an array of values,
+    or the uint16 stored bits of an F16 or BF16 tensor, as `read_container`
+    yields them with `stored16`.  Every block of every tensor is counted as
+    it arrives, through one bounded map with at most
     `threads + 2` blocks in flight (one when `threads` is 1), and a
     tensor's counts are added up.  A tensor's row holds "name", "family" (a
     Family value), "numel" (zeros and digits), "counts" of digits 1..9,
@@ -256,7 +306,7 @@ def model_report(tensors: Iterable[tuple[TensorSpec, Iterable]],
     a MAD, families in declaration order.
     """
     rows = []
-    for spec, hists in _map_blocks(lambda spec, block: digit_histogram(block), tensors, threads):
+    for spec, hists in _map_blocks(_block_histogram, tensors, threads):
         counts, zeros = np.zeros(9, dtype=np.int64), 0
         for h in hists:
             counts += h.counts

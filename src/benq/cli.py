@@ -206,6 +206,7 @@ def _write_report(args, report: dict, header: list[str], rows) -> None:
         _write_text(args.out, text)
     else:
         sys.stdout.write(text)
+        sys.stdout.flush()  # a closed pipe fails the run here, before its manifest
 
 
 def cmd_levels(args) -> None:
@@ -218,7 +219,7 @@ def cmd_levels(args) -> None:
 
 def cmd_analyze(args):
     policy = _load_policy(args.policy, no_policy=False)
-    with read_container(args.container) as (_, tensors):
+    with read_container(args.container, stored16=True) as (_, tensors):
         report = benford.model_report(tensors, policy, source=os.path.basename(args.container),
                                       threads=args.threads)
     cols = ["name", "family", "numel", "zeros_skipped", "mad"]

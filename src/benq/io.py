@@ -172,29 +172,32 @@ def _read_into(f: BinaryIO, offset: int, out: np.ndarray, what: str) -> None:
         view = view[n:]
 
 
-def _read_array(f: BinaryIO, offset: int, dtype: str, n: int, what: str) -> np.ndarray:
+def _read_array(f: BinaryIO, offset: int, dtype: str, n: int, what: str,
+                stored16: bool = False) -> np.ndarray:
     """The n float32 values stored as `dtype` at file `offset`.
 
     F32 bytes are read straight into the array; F16 and BF16 are read into
-    a staging array of n 16-bit elements and widened into place.
+    a staging array of n 16-bit elements and widened into place, or, with
+    `stored16`, returned as that uint16 array of stored bits.
     """
-    out = np.empty(n, dtype=np.float32)
     if dtype == "F32":
+        out = np.empty(n, dtype=np.float32)
         _read_into(f, offset, out, what)
         return out
     stage = np.empty(n, dtype=np.uint16)
     _read_into(f, offset, stage, what)
-    return _promote(stage, dtype, stage.shape, out=out)
+    return stage if stored16 else _promote(stage, dtype, stage.shape)
 
 
 def _read_blocks(f: BinaryIO, offset: int, spec: TensorSpec, block: int,
-                 what: str) -> Iterator[np.ndarray]:
+                 what: str, stored16: bool = False) -> Iterator[np.ndarray]:
     """The flat float32 blocks of `block` elements (the last may be short) of
-    the tensor `spec` stored at file `offset`, each read when it is reached."""
+    the tensor `spec` stored at file `offset`, each read when it is reached;
+    with `stored16`, an F16 or BF16 tensor's blocks are its uint16 stored bits."""
     numel = math.prod(spec.shape)
     for start in range(0, numel, block):
         yield _read_array(f, offset + start * _itemsize(spec.dtype), spec.dtype,
-                          min(block, numel - start), what)
+                          min(block, numel - start), what, stored16)
 
 
 def _as_bytes(arr: np.ndarray) -> np.ndarray:
@@ -315,14 +318,16 @@ def _blocks(spec: TensorSpec, blocks: Iterator) -> Iterator:
 
 
 @contextlib.contextmanager
-def read_container(path: str, block: int = _BLOCK_ELEMS
+def read_container(path: str, block: int = _BLOCK_ELEMS, stored16: bool = False
                    ) -> Iterator[tuple[list[TensorSpec], Iterator]]:
     """(specs, tensors) of a safetensors file, its tensors read as they are iterated.
 
     Every header entry is checked, and the tensors must tile the payload,
     before any tensor is read.  `tensors` yields (spec, blocks) in header
     order, where `blocks` lazily reads the tensor from the open file as flat
-    float32 arrays of `block` elements, the last one possibly short.
+    float32 arrays of `block` elements, the last one possibly short.  With
+    `stored16`, an F16 or BF16 tensor's blocks are the uint16 arrays of its
+    stored bits instead, which `benford.model_report` counts as they are.
     """
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
@@ -354,7 +359,8 @@ def read_container(path: str, block: int = _BLOCK_ELEMS
                  f"tensors end at payload byte {covered}, not at its end, {payload_size}")
         if not located:
             warnings.warn(f"{path}: container holds no tensors", stacklevel=3)
-        tensors = ((s, _read_blocks(f, 8 + hlen + start, s, block, f"tensor {s.name!r}"))
+        tensors = ((s, _read_blocks(f, 8 + hlen + start, s, block, f"tensor {s.name!r}",
+                                    stored16))
                    for s, start, _ in located)
         yield [s for s, _, _ in located], tensors
 

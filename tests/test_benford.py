@@ -10,6 +10,7 @@ from benq import benford, rng
 from benq.benford import (DigitHistogram, Family, classify_family, digit_histogram,
                           mad_from_probs, mad_score, model_report, signed_deviations)
 from benq.errors import DataError
+from benq.io import TensorSpec, _demote, _promote
 from benq.levels import BENFORD_PROBS
 from benq.quantizer import QuantPolicy
 from conftest import stream, tensor_set
@@ -165,6 +166,30 @@ class TestDigitKernel:
         h = digit_histogram(values)
         assert h.counts.tolist() == expected[1:].tolist()
         assert h.zeros_skipped == expected[0]
+
+    @pytest.mark.parametrize("stored", ["F16", "BF16"])
+    def test_every_stored_pattern_matches_decimal_oracle(self, stored):
+        patterns = np.arange(2 ** 16, dtype=np.uint32).astype(np.uint16)
+        values = _promote(patterns, stored, patterns.shape)
+        finite = np.isfinite(values)
+        expected = oracle_counts(values[finite])
+        # more than one block, the last one partly filled
+        reps = benford._BLOCK_ELEMS // int(finite.sum()) + 1
+        h = digit_histogram(np.tile(patterns[finite], reps), stored)
+        assert h.counts.tolist() == (reps * expected[1:]).tolist()
+        assert h.zeros_skipped == reps * expected[0]
+        for bad in patterns[~finite]:
+            block = np.append(patterns[finite], bad)
+            with pytest.raises(DataError, match="NaN or Inf"):
+                digit_histogram(block, stored)
+
+    @pytest.mark.parametrize("values, stored", [
+        (np.ones(3, dtype=np.float32), "BF16"), (np.ones(3, dtype=np.int16), "F16"),
+        (np.ones(3, dtype=np.uint16), "F32"), (np.ones(3, dtype=np.uint16), "bf16"),
+    ])
+    def test_stored_needs_uint16_of_a_16_bit_format(self, values, stored):
+        with pytest.raises(DataError, match="stored bit patterns"):
+            digit_histogram(values, stored)
 
     @pytest.mark.parametrize("values", [
         np.append(np.arange(-1000, 1001), [-(2 ** 63), 2 ** 63 - 1]),
@@ -344,6 +369,17 @@ class TestModelReport:
                                  "mad", "signed_deviations"]
         for row in d["per_family"]:
             assert list(row) == ["family", "n_tensors", "mean_mad", "median_mad"]
+
+    @pytest.mark.parametrize("stored", ["F16", "BF16"])
+    def test_stored_bits_count_as_their_values(self, stored):
+        data = (10.0 ** (-6 * rng.uniform01(6, 0, 5003))).astype(np.float32)
+        data[::7] = 0.0
+        bits = np.frombuffer(_demote(data, stored), dtype=np.uint16)
+        spec = TensorSpec("w", bits.shape, stored)
+        as_bits = model_report([(spec, iter([bits[:3000], bits[3000:]]))])
+        as_values = model_report([(spec, iter([_promote(bits, stored, bits.shape)]))])
+        assert as_bits == as_values
+        assert as_bits["per_tensor"][0]["zeros_skipped"] == 715
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_report_counts_every_element(self, monkeypatch, dtype):

@@ -10,11 +10,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from benq import rng
+from benq.benford import model_report
 from benq.cli import main
 from benq.errors import ConfigError, DataError, FormatError
 from benq.io import (BENQ_MAGIC, BENQ_VERSION, TensorSpec, _benq_header, _demote, _promote,
-                     pack_indices, packed_size, read_benq, unpack_indices, write_benq,
-                     write_container)
+                     pack_indices, packed_size, read_benq, read_container, unpack_indices,
+                     write_benq, write_container)
 from benq.levels import Schedule
 from benq.quantizer import (_FAMILIES, DEFAULT_POLICY, QUANTIZE_ALL, QuantConfig,
                             QuantizedTensor, QuantPolicy, dequantize)
@@ -29,6 +30,17 @@ def build_safetensors(path, entries, payload):
     header = json.dumps(entries, separators=(",", ":")).encode() \
         if isinstance(entries, dict) else entries
     path.write_bytes(len(header).to_bytes(8, "little") + header + payload)
+
+
+def build_stored(path, tensors):
+    """A safetensors file of {name: (dtype, float32 values)}, each tensor stored as its dtype."""
+    entries, payload = {}, b""
+    for name, (dtype, values) in tensors.items():
+        raw = _demote(values, dtype)
+        entries[name] = {"dtype": dtype, "shape": list(np.shape(values)),
+                         "data_offsets": [len(payload), len(payload) + len(raw)]}
+        payload += raw
+    build_safetensors(path, entries, payload)
 
 
 class TestSafetensors:
@@ -67,6 +79,41 @@ class TestSafetensors:
         expect = (bits.astype(np.uint32) << 16).view(np.float32).reshape(2, 2)
         assert spec.dtype == "BF16"
         assert np.array_equal(arr, expect)
+
+    def test_stored16_blocks_are_the_stored_bits(self, tmp_path):
+        tensors = {name: (spec.dtype, values) for name, (spec, values) in toy_model().items()}
+        p = tmp_path / "t.safetensors"
+        build_stored(p, tensors)
+        seen = set()
+        with read_container(str(p), 5, stored16=True) as (_, stored):
+            for spec, blocks in stored:
+                blocks = list(blocks)
+                assert all(b.size <= 5 for b in blocks)
+                dtype, values = tensors[spec.name]
+                assert spec.dtype == dtype
+                seen.add(dtype)
+                if dtype == "F32":
+                    assert all(b.dtype == np.float32 for b in blocks)
+                    assert np.array_equal(np.concatenate(blocks), values.ravel())
+                else:
+                    assert all(b.dtype == np.uint16 for b in blocks)
+                    assert np.concatenate(blocks).tobytes() == _demote(values, dtype)
+        assert seen == {"F32", "F16", "BF16"}
+
+    def test_analyze_counts_stored_bits_as_their_values(self, tmp_path, capsys):
+        def stored(dtype, spec):
+            return dtype, _promote(_demote(synth_tensor(spec, 3), dtype), dtype, (4000,))
+
+        p = tmp_path / "t.safetensors"
+        build_stored(p, {"layers.0.mlp.fc.weight": ("F32", synth_tensor("loguniform(6,4000)", 1)),
+                         "layers.0.attn.q_proj.weight": stored("F16", "loguniform(6,4000)"),
+                         "layers.0.norm.weight": stored("F16", "lognormal(0,0.05,4000)"),
+                         "layers.1.attn.q_proj.weight": stored("BF16", "loguniform(9,4000)"),
+                         "layers.1.norm.weight": stored("BF16", "gaussian(0.5,4000)")})
+        assert main(["analyze", str(p), "--out", str(tmp_path / "r.json")]) == 0
+        with read_container(str(p)) as (_, widened):
+            want = model_report(widened, DEFAULT_POLICY, source="t.safetensors")
+        assert json.loads((tmp_path / "r.json").read_text()) == want
 
     def test_metadata_entry_skipped(self, tmp_path):
         payload = np.ones(2, dtype=np.float32).tobytes()
