@@ -174,7 +174,9 @@ def _pattern_runs(stored: str) -> tuple[np.ndarray, np.ndarray]:
     digits = _digit_tables(np.float32).digits(values.view(np.uint32))
     pattern_class = np.where(np.isfinite(values), digits, _NON_FINITE).astype(np.int16)
     run_starts = np.flatnonzero(np.diff(pattern_class, prepend=-1))
-    return run_starts, pattern_class[run_starts]
+    run_class = pattern_class[run_starts]
+    run_starts.flags.writeable = run_class.flags.writeable = False
+    return run_starts, run_class
 
 
 def _pattern_counts(stored: str, patterns: np.ndarray) -> np.ndarray:
