@@ -21,7 +21,7 @@ def main():
                     help="how many extreme tensors to list")
     args = ap.parse_args()
 
-    with read_container(args.container) as (_, tensors):
+    with read_container(args.container, stored16=True) as (_, tensors):
         report = model_report(tensors, DEFAULT_POLICY, source=args.container,
                               threads=args.threads)
 

@@ -14,25 +14,23 @@ object of `benq analyze`: source, per_tensor rows (name, family, numel, counts,
 zeros_skipped, mad, signed_deviations) and per_family rows (family,
 n_tensors, mean_mad, median_mad).
 
-Digits are read from the float's bits and are exact for every finite
-float32 and float64.  float32 and float64 tensors are read in their own
-dtype, float16 as float32 (exact), anything else as float64.  For each of
-the two formats a table, built once per process in integer arithmetic,
-holds the bits of the smallest float >= d * 10**k for every digit d and
-decade k; positive floats order like their bits, so a magnitude's digit
-follows from the number of boundaries at or below its bits.  Digits are
-counted a block at a time: a streamed tensor's blocks, or blocks of
-_BLOCK_ELEMS elements of an in-memory one.  Each value is keyed on its top
-16 bits (sign, exponent and leading mantissa bits), and a bincount over the
-2**16 keys does most of the work: a key that holds no boundary has one digit
-for all its values.  Only the values of split keys (a boundary strictly inside,
-about 2% of a smooth float32 tensor; key 0, which holds zero and the
-smallest subnormals, is always split) are looked up with `searchsorted`.
-Keys with an all-ones exponent hold NaN and Inf.  A tensor stored as F16
-or BF16 can be counted from its stored 16-bit patterns instead: each
-pattern is one value, so a bincount over the 2**16 patterns and a table
-of each pattern's digit give exact counts with no split keys and no
-widening to float32.
+Digits are read from the float's bits and are exact for every finite value
+of the four formats counted: F16 and BF16 (a tensor's stored 16-bit
+patterns, and float16 arrays by their bits), float32, and float64 (anything
+else, converted).  Digits are counted a block at a time: a streamed
+tensor's blocks, or blocks of _BLOCK_ELEMS elements of an in-memory one.
+Each value is keyed on its top 16 bits (sign, exponent and leading mantissa
+bits; all of a 16-bit value), and a bincount over the 2**16 keys does most
+of the work: each format's table, built once per process, gives the digit
+of every key that holds one, so per-key counts add up by digit.  Only
+float32 and float64 have split keys, whose values have different digits:
+a boundary d * 10**k lies strictly inside (about 2% of a smooth float32
+tensor), or the key is 0, which holds zero and the smallest subnormals.
+Their values are looked up among the bits of the smallest float >= d * 10**k
+for every digit d and decade k, built in integer arithmetic: positive
+floats order like their bits, so a magnitude's digit follows from the
+number of boundaries at or below its bits.  An F16 or BF16 key is one
+value, whose digit is that of its exact float32 widening.
 """
 
 from __future__ import annotations
@@ -53,31 +51,48 @@ from .levels import BENFORD_PROBS
 if TYPE_CHECKING:
     from .quantizer import QuantPolicy
 
-_KEY_BITS = 16            # a key is a float's sign, exponent and leading mantissa bits
-_SPLIT, _NON_FINITE = 10, 11  # key classes beside the digits 1..9
+_KEY_BITS = 16            # a key is a value's top 16 bits
+_SPLIT, _NON_FINITE = 10, 11  # key classes beside 0 (zero) and the digits 1..9
 _STORED_16 = ("F16", "BF16")  # stored formats whose bit patterns digit_histogram counts
 
 
 @dataclass(frozen=True)
 class _DigitTables:
-    """Exact digit tables for one float format (float32 or float64), read-only.
+    """Exact digit tables for one float format (F16, BF16, F32 or F64), read-only.
 
-    The key classes (a key's digit, _SPLIT or _NON_FINITE) are stored as
-    runs of equal class over the keys in order, so that per-key counts add
-    up by class in one `reduceat`.
+    The key classes (0 for zero, a key's digit, _SPLIT or _NON_FINITE) are
+    stored as runs of equal class over the keys in order, so that per-key
+    counts add up by class in one `reduceat`.  A format without split keys
+    (F16 and BF16) has no boundaries either.
     """
 
-    boundaries: np.ndarray   # bits of the smallest float >= d * 10**k, ascending
-    digit_after: np.ndarray  # [i]: digit of a magnitude with i boundaries at or below it
-    split: np.ndarray        # per key: a boundary lies strictly inside it (and key 0)
     run_starts: np.ndarray   # first key of each run of equal class
     run_class: np.ndarray    # class of each run
-    magnitude_mask: np.unsignedinteger  # every bit but the sign bit
+    split: np.ndarray | None        # per key: its class is _SPLIT
+    boundaries: np.ndarray | None   # bits of the smallest float >= d * 10**k, ascending
+    digit_after: np.ndarray | None  # [i]: digit of a magnitude with i boundaries at or below it
 
     def digits(self, bits: np.ndarray) -> np.ndarray:
         """Leading digits of the values with these bits, 0 for zero, for any key."""
-        magnitude = bits & self.magnitude_mask
+        uint = self.boundaries.dtype
+        magnitude = bits & uint.type(np.iinfo(uint).max >> 1)  # every bit but the sign bit
         return self.digit_after[np.searchsorted(self.boundaries, magnitude, side="right")]
+
+    def counts(self, bits: np.ndarray) -> np.ndarray:
+        """Counts of zeros (slot 0) and of digits 1..9 over one flat block of
+        the format's bits; DataError if it holds NaN or Inf."""
+        # the shift runs in the unsigned type; keys < 2**16 fit any index type
+        keys = np.right_shift(bits, 8 * bits.itemsize - _KEY_BITS,
+                              out=np.empty(bits.size, dtype=np.intp), casting="unsafe")
+        per_run = np.add.reduceat(np.bincount(keys, minlength=1 << _KEY_BITS), self.run_starts)
+        # float64 adds counts exactly below 2**53
+        per_class = np.bincount(self.run_class, weights=per_run, minlength=_NON_FINITE + 1)
+        if per_class[_NON_FINITE]:
+            raise DataError("leading digit is undefined for NaN or Inf values")
+        counts = per_class[:10].astype(np.int64)
+        if self.split is not None:
+            counts += np.bincount(self.digits(bits[self.split[keys]]), minlength=10)
+        return counts
 
 
 def _ceil_to_float(num: int, den: int, info: np.finfo) -> float:
@@ -91,100 +106,56 @@ def _ceil_to_float(num: int, den: int, info: np.finfo) -> float:
 
 
 @functools.lru_cache(maxsize=None)
-def _digit_tables(dtype: type) -> _DigitTables:
-    """Tables over the decades from the smallest subnormal's to the largest
-    finite float's; boundaries past the largest finite float are left out.
+def _digit_tables(fmt: str) -> _DigitTables:
+    """The tables of the format `fmt`: F16, BF16, F32 or F64.
 
-    A normal key spans a ratio of at most 1 + 2**-7 (float32) or 1 + 2**-4
-    (float64), below 10/9, so it holds at most one boundary; subnormal keys
-    can hold several, which `searchsorted` resolves alike.
+    An F16 or BF16 key is one value: its class is the digit of the value
+    widened to float32 (exact), or _NON_FINITE.  float32 and float64
+    boundaries span the decades from the smallest subnormal's to the
+    largest finite float's; boundaries past the largest finite float are
+    left out.  A normal key spans a ratio of at most 1 + 2**-7 (float32) or
+    1 + 2**-4 (float64), below 10/9, so it holds at most one boundary;
+    subnormal keys can hold several, which `searchsorted` resolves alike.
     """
-    info = np.finfo(dtype)
-    uint = np.dtype(f"u{info.bits // 8}")
-    shift = info.bits - _KEY_BITS
-    top_num, top_den = float(info.max).as_integer_ratio()
-    values, digits = [], []
-    for k in range(math.floor(math.log10(float(info.smallest_subnormal))),
-                   math.floor(math.log10(float(info.max))) + 1):
-        for d in range(1, 10):
-            num, den = d * 10 ** max(k, 0), 10 ** max(-k, 0)
-            if num * top_den > top_num * den:
-                break
-            values.append(_ceil_to_float(num, den, info))
-            digits.append(d)
-    boundaries = np.array(values).astype(dtype).view(uint)
-    digit_after = np.array([0] + digits, dtype=np.uint8)
+    boundaries = digit_after = split = None
+    if fmt in _STORED_16:
+        patterns = np.arange(1 << _KEY_BITS, dtype=np.uint16)
+        wide = (patterns.astype(np.uint32) << 16 if fmt == "BF16"
+                else patterns.view(np.float16).astype(np.float32).view(np.uint32))
+        key_class = _digit_tables("F32").digits(wide)
+        key_class[~np.isfinite(wide.view(np.float32))] = _NON_FINITE
+    else:
+        dtype = np.dtype(f"f{int(fmt[1:]) // 8}")
+        info = np.finfo(dtype)
+        uint = np.dtype(f"u{dtype.itemsize}")
+        shift = info.bits - _KEY_BITS
+        top_num, top_den = float(info.max).as_integer_ratio()
+        values, digits = [], []
+        for k in range(math.floor(math.log10(float(info.smallest_subnormal))),
+                       math.floor(math.log10(float(info.max))) + 1):
+            for d in range(1, 10):
+                num, den = d * 10 ** max(k, 0), 10 ** max(-k, 0)
+                if num * top_den > top_num * den:
+                    break
+                values.append(_ceil_to_float(num, den, info))
+                digits.append(d)
+        boundaries = np.array(values).astype(dtype).view(uint)
+        digit_after = np.array([0] + digits, dtype=np.uint8)
 
-    first = np.arange(1 << (_KEY_BITS - 1), dtype=uint) << shift  # positive keys' first values
-    key_class = digit_after[np.searchsorted(boundaries, first, side="right")]
-    key = boundaries >> shift
-    key_class[key[boundaries != first[key]]] = _SPLIT
-    key_class[0] = _SPLIT  # zero and the smallest subnormals
-    key_class[int(np.array(np.inf, dtype=dtype).view(uint) >> shift):] = _NON_FINITE
-    key_class = np.tile(key_class, 2)  # the sign bit does not change the digit
-    run_starts = np.flatnonzero(np.diff(key_class, prepend=0))
-    tables = _DigitTables(boundaries, digit_after, key_class == _SPLIT,
-                          run_starts, key_class[run_starts], uint.type(np.iinfo(uint).max >> 1))
-    for a in (boundaries, digit_after, tables.split, run_starts, tables.run_class):
-        a.flags.writeable = False
+        first = np.arange(1 << (_KEY_BITS - 1), dtype=uint) << shift  # positive keys' first values
+        key_class = digit_after[np.searchsorted(boundaries, first, side="right")]
+        key = boundaries >> shift
+        key_class[key[boundaries != first[key]]] = _SPLIT
+        key_class[0] = _SPLIT  # zero and the smallest subnormals
+        key_class[int(np.array(np.inf, dtype=dtype).view(uint) >> shift):] = _NON_FINITE
+        key_class = np.tile(key_class, 2)  # the sign bit does not change the digit
+        split = key_class == _SPLIT
+    run_starts = np.flatnonzero(np.diff(key_class, prepend=-1))
+    tables = _DigitTables(run_starts, key_class[run_starts], split, boundaries, digit_after)
+    for a in (run_starts, tables.run_class, split, boundaries, digit_after):
+        if a is not None:
+            a.flags.writeable = False
     return tables
-
-
-def _read_dtype(dtype: np.dtype) -> type:
-    """float16 and float32 are read as float32, everything else as float64."""
-    return np.float32 if dtype.kind == "f" and dtype.itemsize <= 4 else np.float64
-
-
-def _digit_counts(flat: np.ndarray) -> np.ndarray:
-    """Counts of zeros (slot 0) and of digits 1..9 over one flat block."""
-    dtype = _read_dtype(flat.dtype)
-    t = _digit_tables(dtype)
-    uint = t.boundaries.dtype
-    bits = np.ascontiguousarray(flat, dtype=dtype).view(uint)
-    # the shift runs in the unsigned type; keys < 2**16 fit any index type
-    keys = np.right_shift(bits, 8 * uint.itemsize - _KEY_BITS,
-                          out=np.empty(bits.size, dtype=np.intp), casting="unsafe")
-    per_class = _class_counts(np.bincount(keys, minlength=1 << _KEY_BITS),
-                              t.run_starts, t.run_class)
-    counts = np.bincount(t.digits(bits[t.split[keys]]), minlength=10)  # values of split keys
-    counts[1:] += per_class[1:10].astype(np.int64)
-    return counts
-
-
-def _class_counts(key_counts: np.ndarray, run_starts: np.ndarray,
-                  run_class: np.ndarray) -> np.ndarray:
-    """Counts per class of keys counted per key, where the keys' classes run
-    as `run_starts` and `run_class`; DataError if a key of NaN or Inf is counted."""
-    # float64 adds counts exactly below 2**53
-    per_class = np.bincount(run_class, weights=np.add.reduceat(key_counts, run_starts),
-                            minlength=_NON_FINITE + 1)
-    if per_class[_NON_FINITE]:
-        raise DataError("leading digit is undefined for NaN or Inf values")
-    return per_class
-
-
-@functools.lru_cache(maxsize=None)
-def _pattern_runs(stored: str) -> tuple[np.ndarray, np.ndarray]:
-    """(run starts, run classes) over the 2**16 bit patterns of the format
-    `stored`, F16 or BF16, in order: a pattern's class is the digit of its
-    value widened to float32 (exact), 0 for zero, or _NON_FINITE."""
-    from .io import _promote  # io imports this module through quantizer
-
-    values = _promote(np.arange(1 << 16, dtype=np.uint16), stored, (1 << 16,))
-    digits = _digit_tables(np.float32).digits(values.view(np.uint32))
-    pattern_class = np.where(np.isfinite(values), digits, _NON_FINITE).astype(np.int16)
-    run_starts = np.flatnonzero(np.diff(pattern_class, prepend=-1))
-    run_class = pattern_class[run_starts]
-    run_starts.flags.writeable = run_class.flags.writeable = False
-    return run_starts, run_class
-
-
-def _pattern_counts(stored: str, patterns: np.ndarray) -> np.ndarray:
-    """Counts of zeros (slot 0) and of digits 1..9 over one flat block of the
-    uint16 bit patterns of the format `stored`."""
-    run_starts, run_class = _pattern_runs(stored)
-    per_class = _class_counts(np.bincount(patterns, minlength=1 << 16), run_starts, run_class)
-    return per_class[:10].astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -214,17 +185,22 @@ class DigitHistogram:
 def digit_histogram(values: np.ndarray, stored: str | None = None) -> DigitHistogram:
     """Histogram of leading digits over a tensor (zeros skipped, not counted),
     counted in blocks of _BLOCK_ELEMS elements.  With `stored` "F16" or
-    "BF16", `values` are the uint16 bit patterns of a tensor stored so."""
+    "BF16", `values` are the uint16 bit patterns of a tensor stored so;
+    without, float16 and float32 values are counted in their own format and
+    anything else as float64."""
     flat = np.asarray(values).ravel()
-    count = _digit_counts
-    if stored is not None:
-        if stored not in _STORED_16 or flat.dtype != np.uint16:
-            raise DataError(f"stored bit patterns must be uint16 of F16 or BF16, "
-                            f"got {flat.dtype} of {stored}")
-        count = functools.partial(_pattern_counts, stored)
+    if stored is None:
+        dtype = np.dtype({"e": "f2", "f": "f4"}.get(flat.dtype.char, "f8"))
+        stored = f"F{8 * dtype.itemsize}"
+    elif stored in _STORED_16 and flat.dtype == np.uint16:
+        dtype = flat.dtype
+    else:
+        raise DataError(f"stored bit patterns must be uint16 of F16 or BF16, "
+                        f"got {flat.dtype} of {stored}")
+    tables, uint = _digit_tables(stored), f"u{dtype.itemsize}"
     counts = np.zeros(10, dtype=np.int64)
     for i in range(0, flat.size, _BLOCK_ELEMS):
-        counts += count(flat[i:i + _BLOCK_ELEMS])
+        counts += tables.counts(np.ascontiguousarray(flat[i:i + _BLOCK_ELEMS], dtype).view(uint))
     return DigitHistogram(counts[1:], int(counts[0]))
 
 

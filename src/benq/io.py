@@ -107,24 +107,14 @@ _MAX_HEADER = 1 << 30
 _CHUNK = 1 << 20  # bytes per read of the digest pass
 
 
-def _promote(raw, dtype: str, shape: tuple[int, ...],
-             out: np.ndarray | None = None) -> np.ndarray:
-    """float32 values of the stored `dtype` bytes in the buffer `raw`.
-
-    They fill a new array of `shape`, or the float32 array `out` when one is given.
-    """
-    if out is None:
-        out = np.empty(shape, dtype=np.float32)
-    flat = out.reshape(-1)
-    if dtype == "F32":
-        flat[...] = np.frombuffer(raw, dtype=np.float32)
-    elif dtype == "F16":
-        flat[...] = np.frombuffer(raw, dtype=np.float16)
-    else:  # BF16: the upper half of a float32
-        u = flat.view(np.uint32)
-        u[...] = np.frombuffer(raw, dtype=np.uint16)
-        u <<= np.uint32(16)
-    return out
+def _promote(raw, dtype: str) -> np.ndarray:
+    """The flat float32 values of the F16 or BF16 (`dtype`) bytes in the buffer `raw`."""
+    if dtype == "F16":
+        return np.frombuffer(raw, dtype=np.float16).astype(np.float32)
+    # BF16: the upper half of a float32
+    out = np.frombuffer(raw, dtype=np.uint16).astype(np.uint32)
+    out <<= np.uint32(16)
+    return out.view(np.float32)
 
 
 def _demote(data: np.ndarray, dtype: str) -> bytes:
@@ -186,7 +176,7 @@ def _read_array(f: BinaryIO, offset: int, dtype: str, n: int, what: str,
         return out
     stage = np.empty(n, dtype=np.uint16)
     _read_into(f, offset, stage, what)
-    return stage if stored16 else _promote(stage, dtype, stage.shape)
+    return stage if stored16 else _promote(stage, dtype)
 
 
 def _read_blocks(f: BinaryIO, offset: int, spec: TensorSpec, block: int,

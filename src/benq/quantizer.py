@@ -40,7 +40,7 @@ from typing import Any, Iterable, Iterator
 import numpy as np
 
 from ._pool import _BLOCK_ELEMS, TensorSpec, _map_blocks
-from .benford import DEFAULT_FAMILY_PATTERNS, Family, _read_dtype, classify_family
+from .benford import DEFAULT_FAMILY_PATTERNS, Family, classify_family
 from .errors import (INT, NUMBER, STR, ConfigError, DataError, FormatError, checked, list_of,
                      one_of, tuple_of)
 from .levels import DEFAULT_EPSILON, MAX_BITS, MIN_BITS, Schedule, level_table
@@ -193,11 +193,16 @@ def _group_len(group_size: int, n: int) -> int:
     return max(1, min(group_size, n))
 
 
+def _read_dtype(dtype: np.dtype) -> type:
+    """float16 and float32 are read as float32, everything else as float64."""
+    return np.float32 if dtype.kind == "f" and dtype.itemsize <= 4 else np.float64
+
+
 def _grouped(flat: np.ndarray, group_size: int) -> np.ndarray:
     """A flat block as a zero-padded (n_groups, group length) array of its read dtype.
 
-    float16 and float32 blocks are read as float32, anything else as float64
-    (benford's rule); a block of whole groups already in that dtype is not copied.
+    float16 and float32 blocks are read as float32, anything else as float64;
+    a block of whole groups already in that dtype is not copied.
     """
     n = flat.size
     group_size = _group_len(group_size, n)

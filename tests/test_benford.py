@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -166,11 +169,29 @@ class TestDigitKernel:
         h = digit_histogram(values)
         assert h.counts.tolist() == expected[1:].tolist()
         assert h.zeros_skipped == expected[0]
+        as_bits = digit_histogram(values.view(np.uint16), "F16")
+        assert as_bits.counts.tolist() == h.counts.tolist()
+        assert as_bits.zeros_skipped == h.zeros_skipped
+
+    def test_16_bit_counts_load_no_reader(self):
+        # the kernel holds every format's tables itself: counting F16 and BF16
+        # patterns and float16 values needs nothing of benq.io
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = ("import sys, numpy as np; from benq.benford import digit_histogram; "
+                "bits = np.arange(0x7C00, dtype=np.uint16); "
+                "hists = [digit_histogram(bits, 'F16'), digit_histogram(bits, 'BF16'), "
+                "digit_histogram(bits.view(np.float16))]; "
+                "print([h.total for h in hists], 'benq.io' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path}, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[31743, 31743, 31743] False\n"
 
     @pytest.mark.parametrize("stored", ["F16", "BF16"])
     def test_every_stored_pattern_matches_decimal_oracle(self, stored):
         patterns = np.arange(2 ** 16, dtype=np.uint32).astype(np.uint16)
-        values = _promote(patterns, stored, patterns.shape)
+        values = _promote(patterns, stored)
         finite = np.isfinite(values)
         expected = oracle_counts(values[finite])
         # more than one block, the last one partly filled
@@ -377,7 +398,7 @@ class TestModelReport:
         bits = np.frombuffer(_demote(data, stored), dtype=np.uint16)
         spec = TensorSpec("w", bits.shape, stored)
         as_bits = model_report([(spec, iter([bits[:3000], bits[3000:]]))])
-        as_values = model_report([(spec, iter([_promote(bits, stored, bits.shape)]))])
+        as_values = model_report([(spec, iter([_promote(bits, stored)]))])
         assert as_bits == as_values
         assert as_bits["per_tensor"][0]["zeros_skipped"] == 715
 

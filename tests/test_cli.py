@@ -14,7 +14,7 @@ import threading
 import numpy as np
 import pytest
 
-from benq import __version__
+from benq import __version__, _pool
 from benq.cli import build_parser, main
 from benq.io import BENQ_MAGIC, TensorSpec, write_container
 from benq.quantizer import _BLOCK_ELEMS, QuantConfig, QuantizedTensor, dequantize
@@ -552,6 +552,11 @@ class TestDigestThread:
         if command == "dequantize":
             assert run(capsys, "quantize", str(p), "--out", str(tmp_path / "m.benq"))[0] == 0
             p = tmp_path / "m.benq"
+        # the process's 2-thread worker pool lives on after a run: start both
+        # its threads first, so the count below sees only the digest thread
+        barrier, pool = threading.Barrier(2), _pool._workers(2)
+        for future in [pool.submit(barrier.wait, 10) for _ in range(2)]:
+            future.result()
         before = threading.active_count()
         code, _, err = run(capsys, command, str(p), "--threads", "2",
                            "--out", str(tmp_path / "out"))
