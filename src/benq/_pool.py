@@ -15,6 +15,8 @@ workers, and with every worker waiting so, the pool deadlocks.
 `_default_threads` is the one rule for a thread count not given:
 BENQ_THREADS, else every core.  `concurrent.futures` is imported at the
 first map on more than one thread, so a run on one thread never loads it.
+A job beside the map, such as hashing a file, runs on a plain thread of
+its own (`_Background`) that never outlives its with-block.
 """
 
 from __future__ import annotations
@@ -84,6 +86,42 @@ def _workers(threads: int) -> ThreadPoolExecutor:
             pool = _POOLS[threads] = ThreadPoolExecutor(max_workers=threads,
                                                         thread_name_prefix=f"benq-{threads}")
         return pool
+
+
+class _Background:
+    """fn(stopped) on a thread of its own named `name`, for one with-block.
+
+    Entering starts the thread; leaving sets the event `stopped`, at which
+    fn should return soon, and joins the thread, so it never outlives the
+    block.  result() waits for fn and returns its value, or raises what fn
+    raised, on the thread that reads it.
+    """
+
+    def __init__(self, fn: Callable[[threading.Event], Any], name: str):
+        self._stopped = threading.Event()
+        self._value: Any = None
+        self._error: Exception | None = None
+        self._thread = threading.Thread(target=self._run, args=(fn,), name=name)
+
+    def _run(self, fn: Callable[[threading.Event], Any]) -> None:
+        try:
+            self._value = fn(self._stopped)
+        except Exception as e:  # raised again by result()
+            self._error = e
+
+    def __enter__(self) -> _Background:
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._stopped.set()
+        self._thread.join()
+
+    def result(self) -> Any:
+        self._thread.join()
+        if self._error is not None:
+            raise self._error
+        return self._value
 
 
 def _map(fn: Callable, items: Iterable, threads: int) -> Iterator:

@@ -38,8 +38,8 @@ import numpy as np
 from . import __version__, _pool, benford
 from ._pool import _map_blocks
 from .errors import BenqError, ConfigError, DataError
-from .io import (TensorSpec, _atomic_write, parse_json, read_benq, read_container, write_benq,
-                 write_container)
+from .io import (_DIGEST_CHUNK, TensorSpec, _atomic_write, parse_json, read_benq,
+                 read_container, write_benq, write_container)
 from .levels import DEFAULT_EPSILON, Schedule, level_table
 # compare_schedules is not called here: compare streams every tensor through
 # compare_tensors.  perfbench's tracer still wraps the name on this module.
@@ -53,7 +53,6 @@ if TYPE_CHECKING:
 
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc mallopt parameters
 _INPUT_ARGS = ("container", "model", "policy")  # the arguments naming input files, in order
-_DIGEST_CHUNK = 1 << 18  # bytes hashed at a time, read into one reused buffer
 
 
 def _keep_scratch_mapped() -> None:
@@ -117,41 +116,6 @@ def _sha256(path: str, stopped: threading.Event) -> str | None:
     return h.hexdigest()
 
 
-class _InputDigests:
-    """The sha256 of each input file, hashed on a thread of its own.
-
-    Entering starts the thread; leaving stops it at its next chunk, if it is
-    still hashing, and joins it, so it never outlives the with-block.
-    """
-
-    def __init__(self, paths: list[str]):
-        self._stopped = threading.Event()
-        self._digests: dict[str, str | None] = {}
-        self._error: Exception | None = None
-        self._thread = threading.Thread(target=self._run, args=(paths,), name="benq-digest")
-
-    def _run(self, paths: list[str]) -> None:
-        try:
-            self._digests = {p: _sha256(p, self._stopped) for p in paths}
-        except Exception as e:  # raised again by result(), on the thread that reads it
-            self._error = e
-
-    def __enter__(self) -> _InputDigests:
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._stopped.set()
-        self._thread.join()
-
-    def result(self) -> dict[str, str | None]:
-        """{path: hex sha256} of every input, once hashed; the digest's error if it failed."""
-        self._thread.join()
-        if self._error is not None:
-            raise self._error
-        return self._digests
-
-
 def _load_policy(path: str | None, no_policy: bool) -> QuantPolicy:
     if no_policy:
         return QUANTIZE_ALL
@@ -166,9 +130,9 @@ def _load_policy(path: str | None, no_policy: bool) -> QuantPolicy:
         raise ConfigError(f"{path}: {e}") from None
 
 
-def _emit_manifest(args, argv: list[str], digests: _InputDigests, config: dict, timings: dict,
-                   out_path: str | None) -> None:
-    """Write the run's manifest; it waits for the input `digests`."""
+def _emit_manifest(args, argv: list[str], digests: _pool._Background, config: dict,
+                   timings: dict, out_path: str | None) -> None:
+    """Write the run's manifest; it waits for the input `digests`, {path: hex sha256}."""
     manifest = {
         "command": args.command,
         "argv": argv,
@@ -386,7 +350,8 @@ def main(argv: list[str] | None = None) -> int:
     paths = [p for p in (getattr(args, a, None) for a in _INPUT_ARGS) if p]
     # the input files are hashed on one thread while the command runs; after a
     # failure the digest stops at its next chunk
-    with _InputDigests(paths) as digests:
+    with _pool._Background(lambda stopped: {p: _sha256(p, stopped) for p in paths},
+                           "benq-digest") as digests:
         try:
             if getattr(args, "threads", 1) is None:
                 args.threads = _pool._default_threads()

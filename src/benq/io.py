@@ -57,13 +57,16 @@ At 4 bits or less two packed indices share a byte, low nibble first, so
 into its codebook; the rtn codebook is the integers -2**(bits-1) ..
 2**(bits-1) - 1, so rtn integer q is stored as index q + 2**(bits-1).
 Preserved tensors store their original bytes in their source dtype.
-content_digest covers the config, the tensor directory and the payload, so
-any header tampering or payload corruption is rejected before a single
-tensor is materialized.
+content_digest covers the config, the tensor directory and the payload.
+Every other check of the header and the layout runs before any tensor is
+read; the digest is hashed on a helper thread while the tensors are read,
+and its verdict comes after the last one, so any header tampering or
+payload corruption is rejected before a writer that takes every tensor
+commits its output.
 
 Both formats are streamed a block at a time, and a streamed tensor is one
 thing on both sides: its TensorSpec and an iterator of its blocks.  A reader
-(`read_container`, `read_benq`) checks the whole header, and for .benq the
+(`read_container`, `read_benq`) checks the whole header, all but the .benq
 content digest, before it reads any tensor.  It then yields each tensor's
 TensorSpec with a lazy iterator of its blocks, in header order: float32
 blocks of a fixed element count (F16 and BF16 are widened a block at a
@@ -84,11 +87,13 @@ from __future__ import annotations
 
 import collections
 import contextlib
+import functools
 import hashlib
 import json
 import math
 import os
 import tempfile
+import threading
 import warnings
 from typing import Any, BinaryIO, Iterable, Iterator, Sequence
 
@@ -96,7 +101,7 @@ import numpy as np
 
 from .errors import (ANY, BOOL, INT, NONNEG, OBJECT, STR, ConfigError, DataError, FormatError,
                      checked, list_of, one_of, tuple_of)
-from ._pool import _BLOCK_ELEMS, _END, TensorSpec
+from ._pool import _BLOCK_ELEMS, _END, TensorSpec, _Background
 from .quantizer import QuantConfig, QuantizedTensor, QuantPolicy
 
 SUPPORTED_DTYPES = ("F32", "F16", "BF16")
@@ -104,7 +109,7 @@ BENQ_MAGIC = b"BNQ1"
 BENQ_VERSION = 2
 
 _MAX_HEADER = 1 << 30
-_CHUNK = 1 << 20  # bytes per read of the digest pass
+_DIGEST_CHUNK = 1 << 18  # bytes per read of a digest here and in the CLI, into one reused buffer
 
 
 def _promote(raw, dtype: str) -> np.ndarray:
@@ -398,7 +403,8 @@ def pack_indices(values: np.ndarray, bits: int) -> bytes:
         return v.tobytes()
     if v.size % 2:
         v = np.append(v, np.ubyte(0))
-    return (v[0::2] | (v[1::2] << np.ubyte(4))).tobytes()
+    pairs = v.view("<u2")  # an index pair as one little-endian lane: low | high << 8
+    return (pairs | (pairs >> 4)).astype(np.ubyte).tobytes()
 
 
 def unpack_indices(data: bytes, bits: int, count: int) -> np.ndarray:
@@ -587,27 +593,53 @@ def _read_benq_entry(f: BinaryIO, base: int, entry: dict, spec: TensorSpec,
         yield QuantizedTensor(name, (stop - start,), indices, scales, config)
 
 
+def _payload_digest(fd: int, start: int, end: int, h, stopped: threading.Event) -> str | None:
+    """The hex digest of `h` fed the bytes [start, end) of the open descriptor `fd`;
+    None at the next chunk once `stopped` is set.
+
+    os.preadv leaves the file position to the reader and needs no second
+    open by path, which a rename could point at another file; it reads
+    into one reused buffer of at most _DIGEST_CHUNK bytes.
+    """
+    view = memoryview(bytearray(min(_DIGEST_CHUNK, end - start)))
+    while start < end:
+        if stopped.is_set():
+            return None
+        n = os.preadv(fd, [view[:end - start]], start)
+        _require(n > 0, "truncated file while hashing the payload")
+        h.update(view[:n])
+        start += n
+    return h.hexdigest()
+
+
 @contextlib.contextmanager
 def read_benq(path: str) -> Iterator[tuple[QuantConfig, QuantPolicy, list[TensorSpec], Iterator]]:
     """(config, policy, specs, entries) of a .benq file: exactly what `write_benq` writes.
 
-    Reading takes two passes over the open file.  The first checks the
-    header against its schema tables and the content digest, which it
-    hashes from the payload in chunks.  It then rebuilds the directory with
-    `_benq_directory` from each entry's name, shape and dtype.  The header's
-    bytes must be `_benq_header`'s for the config, the policy and that
-    directory, the payload must have the rebuilt size, and each span's
-    padding and, at 4 bits or less, an odd-length tensor's unused last
-    nibble must be zero.  So a tampered header, a corrupt payload or any
-    bytes but the writer's raise FormatError before any tensor is read.
+    Everything but the content digest is checked before any tensor is read.
+    The header must pass its schema tables; the directory is rebuilt with
+    `_benq_directory` from each entry's name, shape and dtype, and the
+    header's bytes must be `_benq_header`'s for the config, the policy and
+    that directory; the payload, sized from the open file, must have the
+    rebuilt size; and each span's padding and, at 4 bits or less, an
+    odd-length tensor's unused last nibble must be zero.  So a tampered
+    header or any layout but the writer's raises FormatError here.
     `entries` then yields (spec, blocks) in directory order, where `blocks`
     lazily reads the tensor's spans a block of config.block_elems elements
     at a time: flat float32 arrays for a preserved tensor, and for a
     quantized one a QuantizedTensor of the block's indices and scales; an
     index outside the bit range or a scale that is not a finite
-    non-negative float16 is a FormatError when its block is reached.  The
-    two passes assume the file is not rewritten in place meanwhile; benq's
-    own writes replace a file by rename, which leaves an open file as it was.
+    non-negative float16 is a FormatError when its block is reached.
+
+    Meanwhile a helper thread, "benq-content-digest", hashes the payload
+    from the open file (`_payload_digest`).  `entries` waits for it after
+    the last tensor and raises FormatError there on a mismatch, so a writer
+    that takes every entry, as each benq command does, fails before its
+    output is committed.  A caller who stops early gets no digest verdict;
+    leaving the with-block stops the thread and joins it.  Blocks are read
+    by position while the thread hashes, so the file must not be rewritten
+    in place meanwhile; benq's own writes replace a file by rename, which
+    leaves an open file as it was.
     """
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
@@ -623,14 +655,6 @@ def read_benq(path: str) -> Iterator[tuple[QuantConfig, QuantPolicy, list[Tensor
         for i, entry in enumerate(directory):
             checked(entry, _QUANTIZED_ENTRY if entry.get("quantized") is True
                     else _PRESERVED_ENTRY, f"malformed tensor directory entry {i}", FormatError)
-        h = _content_hash(config, directory)
-        payload_size = 0
-        for chunk in iter(lambda: f.read(_CHUNK), b""):
-            h.update(chunk)
-            payload_size += len(chunk)
-        _require(h.hexdigest() == header["content_digest"],
-                 "content digest mismatch: header or payload corrupted")
-
         specs = [TensorSpec(e["name"], tuple(e["shape"]), None if e["quantized"] else e["dtype"])
                  for e in directory]
         for name, count in collections.Counter(s.name for s in specs).items():
@@ -638,9 +662,9 @@ def read_benq(path: str) -> Iterator[tuple[QuantConfig, QuantPolicy, list[Tensor
         rebuilt, rebuilt_size = _benq_directory(config, specs)
         _require(raw == _benq_header(config, policy, rebuilt, header["content_digest"]),
                  "header is not the one the writer gives for its config, policy and shapes")
-        _require(payload_size == rebuilt_size,
-                 f"payload is {payload_size} bytes, not {rebuilt_size}, as the directory gives")
         base = len(BENQ_MAGIC) + 8 + hlen
+        _require(size - base == rebuilt_size,
+                 f"payload is {size - base} bytes, not {rebuilt_size}, as the directory gives")
         for e in rebuilt:  # the writer's zeros: each span's padding, an odd count's last nibble
             for key in ("indices", "scales") if e["quantized"] else ("data",):
                 offset, length = e[key]
@@ -649,6 +673,14 @@ def read_benq(path: str) -> Iterator[tuple[QuantConfig, QuantPolicy, list[Tensor
                     tail = _read_at(f, base + offset + length - odd, n, key)
                     _require(int.from_bytes(tail, "little") >> 4 * odd == 0,
                              f"{e['name']}: nonzero bits past its {key}")
-        entries = ((s, _read_benq_entry(f, base, e, s, config))
-                   for s, e in zip(specs, directory))
-        yield config, policy, specs, entries
+
+        digest = functools.partial(_payload_digest, f.fileno(), base, size,
+                                   _content_hash(config, rebuilt))
+        with _Background(digest, "benq-content-digest") as hashing:
+            def entries() -> Iterator[tuple[TensorSpec, Iterator]]:
+                for s, e in zip(specs, rebuilt):
+                    yield s, _read_benq_entry(f, base, e, s, config)
+                _require(hashing.result() == header["content_digest"],
+                         "content digest mismatch: header or payload corrupted")
+
+            yield config, policy, specs, entries()

@@ -91,10 +91,11 @@ def compare_tensors(tensors: Iterable[tuple[TensorSpec, Iterable]],
     grouped, checked and reduced to group maxima and Σw² once.  The configs of each top level then take
     their scales, one quotient and their nearest levels; once every config
     has its indices, each rebuilds the float32 reconstruction and keeps
-    Σerr² and max|err|.  One float64 scratch buffer holds the quotients, the
-    reconstructions and the errors in turn.  Only these sums leave a block,
-    and a tensor's are added in block order, so the rows do not depend on
-    `threads`.
+    Σerr² and max|err|.  One float64 scratch buffer of the block holds the
+    squares, the quotients and the errors in turn; a reconstruction is a
+    float32 array, formed through `_reconstruct`'s own bounded scratch.  Only
+    these sums leave a block, and a tensor's are added in block order, so
+    the rows do not depend on `threads`.
     """
     G = _group_size(configs)
     levels = [cfg.levels for cfg in configs]
@@ -103,13 +104,13 @@ def compare_tensors(tensors: Iterable[tuple[TensorSpec, Iterable]],
         context = f"tensor {spec.name or '<unnamed>'}"
         groups, gmax = _promote_block(np.asarray(block).ravel(), G, context)
         w = groups.ravel()[:np.size(block)]
-        buf = np.empty(groups.size)  # the quotient, then the reconstruction, then the error
+        buf = np.empty(groups.size)  # the squares, then the quotient, then the error
         sum_sq = float(np.square(w, out=buf[:w.size], dtype=np.float64).sum())
         q = buf.view(groups.dtype)[:groups.size].reshape(groups.shape)
         idx = [np.empty(groups.size, dtype=np.ubyte) for _ in levels]
         scales = _quantize_groups(groups, gmax, levels, context, q, idx)
         return w.size, sum_sq, [
-            _err_sums(w, _reconstruct(i, s, lv, G, buf)[:w.size], buf[:w.size])
+            _err_sums(w, _reconstruct(i, s, lv, G)[:w.size], buf[:w.size])
             for i, s, lv in zip(idx, scales, levels)]
 
     checked = ((s, _whole_groups(b, G, s.name)) for s, b in tensors)

@@ -50,6 +50,9 @@ _FOLD_MAX_GROUP = 32     # _group_max folds columns up to this group size
 _KEY_BITS = 20           # a float32 quotient's key: sign, exponent, 11 mantissa bits
 _SPLIT = 255             # key table entry of a bucket beside a threshold
 _GATHER_ELEMS = 1 << 15  # indices per np.take, which first copies them to intp
+# elements per reconstruction piece: 128 KiB of float64 products and 128 KiB
+# of np.take's intp copy of their indices
+_RECON_ELEMS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -289,27 +292,31 @@ def _nearest_levels(q: np.ndarray, w: np.ndarray, divisors: np.ndarray, level_ta
             out[split] = nearest_level_indices(exact, lv)
 
 
-def _reconstruct(idx: np.ndarray, scales: np.ndarray, levels: np.ndarray, group_size: int,
-                 buf: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _reconstruct(idx: np.ndarray, scales: np.ndarray, levels: np.ndarray,
+                 group_size: int) -> np.ndarray:
     """float32 levels[idx] * scale, each scale broadcast over its group.
 
     `idx` holds the elements of `scales.size` groups, the last one possibly
-    short.  The product is formed in the float64 scratch `buf` and rounded
-    into `out`, which is allocated when not given.
+    short.  The products are formed in float64 a piece of whole groups at a
+    time, at most _RECON_ELEMS elements or one group when a group is larger,
+    and each piece is rounded into the float32 output.  So besides its output
+    a call holds one float64 piece and np.take's intp copy of its indices:
+    256 KiB at most for groups of up to _RECON_ELEMS elements.
     """
     group_size = _group_len(group_size, idx.size)
-    rec = buf[:scales.size * group_size]
-    # mode="clip" writes straight into rec (the default mode buffers it); the
-    # sub-blocks bound the intp copy of the indices np.take makes
-    for i in range(0, idx.size, _GATHER_ELEMS):
-        part = idx[i:i + _GATHER_ELEMS]
-        np.take(levels, part, out=rec[i:i + part.size], mode="clip")
-    rec[idx.size:] = 0.0
-    groups = rec.reshape(scales.size, group_size)
-    np.multiply(groups, scales.astype(np.float64)[:, None], out=groups)
-    if out is None:
-        out = np.empty(idx.size, dtype=np.float32)
-    out[...] = rec[:idx.size]
+    step = max(1, _RECON_ELEMS // group_size) * group_size
+    rec = np.empty(min(step, scales.size * group_size))
+    out = np.empty(idx.size, dtype=np.float32)
+    for start in range(0, idx.size, step):
+        part, g = idx[start:start + step], start // group_size
+        n_groups = -(-part.size // group_size)
+        piece = rec[:n_groups * group_size]
+        # mode="clip" writes straight into piece (the default mode buffers it)
+        np.take(levels, part, out=piece[:part.size], mode="clip")
+        piece[part.size:] = 0.0
+        groups = piece.reshape(n_groups, group_size)
+        np.multiply(groups, scales[g:g + n_groups].astype(np.float64)[:, None], out=groups)
+        out[start:start + part.size] = piece[:part.size]
     return out
 
 
@@ -367,19 +374,15 @@ def quantize_tensor(data: np.ndarray, config: QuantConfig, name: str = "") -> Qu
 
 
 def dequantize(qt: QuantizedTensor) -> np.ndarray:
-    """Reconstruct a float32 tensor as level * scale of its config's level table,
-    in blocks of groups."""
+    """Reconstruct a float32 tensor as level * scale of its config's level table.
+
+    Besides the float32 output it holds only `_reconstruct`'s scratch, 256 KiB
+    at most for groups of up to _RECON_ELEMS elements, whatever the tensor's size.
+    """
     levels = qt.config.levels
     if qt.indices.size and qt.indices.max() >= levels.size:
         raise FormatError(f"{qt.name}: level index outside {qt.config.bits}-bit codebook")
-    G = qt.config.group_size
-    step = _block_groups(G)
-    out = np.empty(qt.numel, dtype=np.float32)
-    buf = np.empty(min(step, qt.n_groups) * _group_len(G, qt.numel), dtype=np.float64)
-    for g in range(0, qt.n_groups, step):
-        span = slice(g * G, (g + step) * G)
-        _reconstruct(qt.indices[span], qt.scales[g:g + step], levels, G, buf, out[span])
-    return out.reshape(qt.shape)
+    return _reconstruct(qt.indices, qt.scales, levels, qt.config.group_size).reshape(qt.shape)
 
 
 _FAMILIES = tuple(f.value for f in Family)

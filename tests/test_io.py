@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -274,6 +275,20 @@ class TestPacking:
                 got = unpack_indices(pack_indices(vals, bits), bits, count)
                 assert np.array_equal(got, vals), (bits, count)
 
+    def test_nibble_pairs_match_the_strided_formula(self):
+        # every pair of 4-bit indices, at every length parity, and from views
+        # starting at odd byte offsets, against v[0::2] | v[1::2] << 4
+        lo, hi = np.divmod(np.arange(256), 16)
+        pairs = np.stack([lo, hi], axis=1).astype(np.ubyte).ravel()
+        for bits in (2, 3, 4):
+            vals = pairs & np.ubyte((1 << bits) - 1)
+            for start in range(4):
+                for stop in (vals.size, vals.size - 1, vals.size - 4, vals.size - 7):
+                    v = vals[start:stop]
+                    padded = np.append(v, np.ubyte(0)) if v.size % 2 else v
+                    expected = (padded[0::2] | (padded[1::2] << np.ubyte(4))).tobytes()
+                    assert pack_indices(v, bits) == expected, (bits, start, stop)
+
     def test_oversized_index_rejected(self):
         with pytest.raises(ConfigError, match="does not fit"):
             pack_indices(np.array([4]), 2)
@@ -472,12 +487,71 @@ class TestBenqValidation:
     def test_bits_field_tamper(self, tmp_path, written):
         _, blob = written
         self.expect_reject(tmp_path, tampered(blob, b'"bits":4', b'"bits":8'),
-                           "content digest mismatch")
+                           "header is not the one the writer gives")
 
     def test_payload_flip(self, tmp_path, written):
         _, blob = written
         flipped = blob[:-1] + bytes([blob[-1] ^ 0xFF])
         self.expect_reject(tmp_path, flipped, "content digest mismatch")
+
+    def test_altered_payload_fails_once_the_entries_are_exhausted(self, tmp_path, written):
+        # one scale byte of the last tensor changed, not re-signed: every
+        # tensor still reads, and the digest's verdict comes after the last
+        path, blob = written
+        header, hlen, _ = read_benq_header(path)
+        last = header["tensors"][-1]
+        at = 12 + hlen + (last["scales"] if last["quantized"] else last["data"])[0]
+        bad = tmp_path / "bad.benq"
+        bad.write_bytes(blob[:at] + bytes([blob[at] ^ 0x01]) + blob[at + 1:])
+        with read_benq(str(bad)) as (_, _, specs, entries):
+            for _ in specs:
+                _, blocks = next(entries)
+                list(blocks)
+            with pytest.raises(FormatError, match="content digest mismatch"):
+                next(entries)
+
+    def test_stopping_early_leaves_no_digest_thread(self, tmp_path, written):
+        def digest_threads():
+            return [t for t in threading.enumerate() if t.name == "benq-content-digest"]
+
+        path, blob = written
+        bad = tmp_path / "bad.benq"
+        bad.write_bytes(blob[:-1] + bytes([blob[-1] ^ 0x01]))
+        for p in (path, bad):
+            with read_benq(str(p)) as (_, _, _, entries):
+                for _, blocks in entries:
+                    next(blocks)
+                    break  # no verdict, and no error: the digest is never waited for
+            assert digest_threads() == []
+        with pytest.raises(ValueError, match="stop"):
+            with read_benq(str(path)) as (_, _, _, entries):
+                raise ValueError("stop")
+        assert digest_threads() == []
+
+    def test_digest_hashes_the_open_file(self, tmp_path, written, monkeypatch):
+        # the digest reads from the reader's descriptor: a file renamed over
+        # the path meanwhile changes neither what is hashed nor what is read
+        path, blob = written
+        other = tmp_path / "other.benq"
+        save_benq(other, toy_model(), DEFAULT_POLICY, QuantConfig(bits=3, group_size=8))
+        gate, preadv = threading.Event(), os.preadv
+
+        def held(*args):
+            assert gate.wait(timeout=60)
+            return preadv(*args)
+
+        monkeypatch.setattr(os, "preadv", held)
+        with read_benq(str(path)) as (config, _, _, entries):
+            os.replace(other, path)
+            gate.set()
+            got = {s.name: list(blocks) for s, blocks in entries}
+        assert config.bits == 4 and len(got) == len(toy_model())
+
+    def test_a_payload_cut_while_hashing_fails_at_the_end(self, written, monkeypatch):
+        path, _ = written
+        monkeypatch.setattr(os, "preadv", lambda *args: 0)  # as if the file had shrunk
+        with pytest.raises(FormatError, match="truncated file while hashing the payload"):
+            load_benq(path)
 
     def test_bad_magic(self, tmp_path, written):
         _, blob = written
@@ -504,7 +578,7 @@ class TestBenqValidation:
 
     def test_truncated_payload(self, tmp_path, written):
         _, blob = written
-        self.expect_reject(tmp_path, blob[:-20], "content digest mismatch")
+        self.expect_reject(tmp_path, blob[:-20], "payload is .* bytes, not")
 
     def test_safetensors_is_not_benq(self, tmp_path):
         p = tmp_path / "t.safetensors"

@@ -15,8 +15,8 @@ from benq.levels import Schedule, level_table
 from benq.metrics import compare_schedules, distortion
 from benq.quantizer import (DEFAULT_POLICY, QUANTIZE_ALL, QuantConfig, QuantPolicy,
                             QuantizedTensor, apply_policy, dequantize,
-                            _BLOCK_ELEMS, _group_max, _level_search, _nearest_levels,
-                            nearest_level_indices, quantize_tensor)
+                            _BLOCK_ELEMS, _RECON_ELEMS, _group_max, _level_search,
+                            _nearest_levels, nearest_level_indices, quantize_tensor)
 from conftest import quantize_model, save_container, stream, tensor_set
 
 
@@ -720,6 +720,47 @@ class TestDequantizeValidation:
         with pytest.raises(FormatError):
             QuantizedTensor("w", (4,), np.zeros(4, dtype=np.uint8),
                             np.ones(3, dtype=np.float16), QuantConfig())
+
+
+def random_quantized(numel, cfg, seed):
+    """A QuantizedTensor of random indices and random finite non-negative float16
+    scales, subnormals and 0 included."""
+    g = np.random.default_rng(seed)
+    n_groups = -(-numel // cfg.group_size)
+    indices = g.integers(0, cfg.levels.size, numel).astype(np.ubyte)
+    scales = g.integers(0, 0x7C00, n_groups).astype("<u2").view(np.float16)
+    return QuantizedTensor("w", (numel,), indices, scales, cfg)
+
+
+class TestBoundedReconstruction:
+    """dequantize forms level * scale through a scratch that does not grow with the tensor."""
+
+    @pytest.mark.parametrize("group_size", [1, 7, 8, 128, 40000])
+    def test_bit_identical_to_a_float64_reference(self, group_size):
+        G = group_size
+        # empty, shorter than a group, whole groups, a short tail, and several pieces
+        sizes = sorted({0, 1, G - 1, G, G + 1, 2 * _RECON_ELEMS + 3 * G + 5})
+        for schedule, bits in ((Schedule.LOG_UNIFORM, 4), (Schedule.LINEAR, 3), (Schedule.RTN, 8)):
+            cfg = QuantConfig(bits=bits, group_size=G, schedule=schedule)
+            for numel in sizes:
+                qt = random_quantized(numel, cfg, numel)
+                scales = np.repeat(qt.scales.astype(np.float64), G)[:numel]
+                want = (cfg.levels[qt.indices] * scales).astype(np.float32)
+                got = dequantize(qt)
+                assert got.dtype == np.float32 and got.shape == (numel,)
+                assert np.array_equal(got.view(np.uint32), want.view(np.uint32)), (cfg, numel)
+
+    @pytest.mark.parametrize("group_size", [1, 8, 32, 128, _RECON_ELEMS])
+    def test_one_block_holds_its_output_and_256_kib(self, group_size):
+        qt = random_quantized(_BLOCK_ELEMS, QuantConfig(bits=4, group_size=group_size), 3)
+        dequantize(qt)  # builds the cached level table
+        tracemalloc.start()
+        try:
+            dequantize(qt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * _BLOCK_ELEMS + (320 << 10), peak
 
 
 TOY_NAMES = [

@@ -414,7 +414,23 @@ class TestNoPartialOutput:
         benq, blob, base, header = small_benq(tmp_path, capsys)
         at = base + header["tensors"][1]["indices"][0]
         benq.write_bytes(blob[:at] + bytes([blob[at] ^ 0xFF]) + blob[at + 1:])
-        self.expect_dequantize_fails(tmp_path, capsys, benq, "content digest mismatch")
+        self.expect_dequantize_fails(tmp_path, capsys, benq, "outside the 2-bit range")
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_dequantize_payload_altered_in_range(self, tmp_path, capsys, threads):
+        # one 2-bit index changed and the digest not re-signed: every block
+        # decodes, so only the digest, verified after the last tensor, rejects it
+        benq, blob, base, header = small_benq(tmp_path, capsys)
+        at = base + header["tensors"][2]["indices"][0]
+        benq.write_bytes(blob[:at] + bytes([blob[at] ^ 0x01]) + blob[at + 1:])
+        out = tmp_path / "restored.safetensors"
+        out.write_bytes(b"previous contents")
+        code = main(["dequantize", str(benq), "--out", str(out), "--threads", threads])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: content digest mismatch: header or payload corrupted\n"
+        assert out.read_bytes() == b"previous contents"
+        assert debris(tmp_path) == []
 
     def test_dequantize_resigned_bad_second_tensor(self, tmp_path, capsys):
         # digest-valid, so the first tensor is written before the second fails
