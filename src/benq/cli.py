@@ -38,7 +38,7 @@ import numpy as np
 from . import __version__, _pool, benford
 from ._pool import _map_blocks
 from .errors import BenqError, ConfigError, DataError
-from .io import (_DIGEST_CHUNK, TensorSpec, _atomic_write, parse_json, read_benq,
+from .io import (TensorSpec, _atomic_write, _digest_range, parse_json, read_benq,
                  read_container, write_benq, write_container)
 from .levels import DEFAULT_EPSILON, Schedule, level_table
 # compare_schedules is not called here: compare streams every tensor through
@@ -105,15 +105,9 @@ class _Clock:
 
 def _sha256(path: str, stopped: threading.Event) -> str | None:
     """The hex sha256 of a file; None at the next chunk once `stopped` is set."""
-    h = hashlib.sha256()
-    buf = bytearray(_DIGEST_CHUNK)
-    view = memoryview(buf)
     with open(path, "rb") as f:
-        while n := f.readinto(buf):
-            if stopped.is_set():
-                return None
-            h.update(view[:n])
-    return h.hexdigest()
+        fd = f.fileno()
+        return _digest_range(fd, 0, os.fstat(fd).st_size, hashlib.sha256(), stopped)
 
 
 def _load_policy(path: str | None, no_policy: bool) -> QuantPolicy:

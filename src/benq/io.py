@@ -109,7 +109,7 @@ BENQ_MAGIC = b"BNQ1"
 BENQ_VERSION = 2
 
 _MAX_HEADER = 1 << 30
-_DIGEST_CHUNK = 1 << 18  # bytes per read of a digest here and in the CLI, into one reused buffer
+_DIGEST_CHUNK = 1 << 18  # bytes per read of a digest, into one reused buffer
 
 
 def _promote(raw, dtype: str) -> np.ndarray:
@@ -593,7 +593,7 @@ def _read_benq_entry(f: BinaryIO, base: int, entry: dict, spec: TensorSpec,
         yield QuantizedTensor(name, (stop - start,), indices, scales, config)
 
 
-def _payload_digest(fd: int, start: int, end: int, h, stopped: threading.Event) -> str | None:
+def _digest_range(fd: int, start: int, end: int, h, stopped: threading.Event) -> str | None:
     """The hex digest of `h` fed the bytes [start, end) of the open descriptor `fd`;
     None at the next chunk once `stopped` is set.
 
@@ -606,7 +606,7 @@ def _payload_digest(fd: int, start: int, end: int, h, stopped: threading.Event) 
         if stopped.is_set():
             return None
         n = os.preadv(fd, [view[:end - start]], start)
-        _require(n > 0, "truncated file while hashing the payload")
+        _require(n > 0, "file truncated while it was hashed")
         h.update(view[:n])
         start += n
     return h.hexdigest()
@@ -632,7 +632,7 @@ def read_benq(path: str) -> Iterator[tuple[QuantConfig, QuantPolicy, list[Tensor
     non-negative float16 is a FormatError when its block is reached.
 
     Meanwhile a helper thread, "benq-content-digest", hashes the payload
-    from the open file (`_payload_digest`).  `entries` waits for it after
+    from the open file (`_digest_range`).  `entries` waits for it after
     the last tensor and raises FormatError there on a mismatch, so a writer
     that takes every entry, as each benq command does, fails before its
     output is committed.  A caller who stops early gets no digest verdict;
@@ -674,7 +674,7 @@ def read_benq(path: str) -> Iterator[tuple[QuantConfig, QuantPolicy, list[Tensor
                     _require(int.from_bytes(tail, "little") >> 4 * odd == 0,
                              f"{e['name']}: nonzero bits past its {key}")
 
-        digest = functools.partial(_payload_digest, f.fileno(), base, size,
+        digest = functools.partial(_digest_range, f.fileno(), base, size,
                                    _content_hash(config, rebuilt))
         with _Background(digest, "benq-content-digest") as hashing:
             def entries() -> Iterator[tuple[TensorSpec, Iterator]]:

@@ -597,6 +597,7 @@ class TestDigestThread:
 
     def test_failure_mid_file_stops_the_digest(self, capsys, tmp_path, monkeypatch):
         import benq.cli as cli_mod
+        import benq.io as io_mod
 
         class Gate:
             """A stop event that holds the digest at its first chunk until the run has failed."""
@@ -617,7 +618,7 @@ class TestDigestThread:
 
         p = truncated_model(capsys, tmp_path)
         monkeypatch.setattr(cli_mod, "_sha256", held)
-        monkeypatch.setattr(cli_mod, "_DIGEST_CHUNK", 256)
+        monkeypatch.setattr(io_mod, "_DIGEST_CHUNK", 256)
         assert p.stat().st_size > 8 * 256
         before = threading.active_count()
         code, _, err = run(capsys, "analyze", str(p), "--threads", "2",

@@ -550,7 +550,7 @@ class TestBenqValidation:
     def test_a_payload_cut_while_hashing_fails_at_the_end(self, written, monkeypatch):
         path, _ = written
         monkeypatch.setattr(os, "preadv", lambda *args: 0)  # as if the file had shrunk
-        with pytest.raises(FormatError, match="truncated file while hashing the payload"):
+        with pytest.raises(FormatError, match="file truncated while it was hashed"):
             load_benq(path)
 
     def test_bad_magic(self, tmp_path, written):

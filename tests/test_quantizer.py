@@ -760,7 +760,9 @@ class TestBoundedReconstruction:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * _BLOCK_ELEMS + (320 << 10), peak
+        # the documented 256 KiB of scratch, plus 4 KiB for array headers and
+        # interpreter objects (about 1.6 KiB measured)
+        assert peak <= 4 * _BLOCK_ELEMS + (256 << 10) + (4 << 10), peak
 
 
 TOY_NAMES = [
